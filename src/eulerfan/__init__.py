@@ -19,8 +19,9 @@ from .reporting import (Nonuniq, RegionCell, parse_region_map_csv,
 from .subsolution import (FanSubsolution, FeasibilityRecord, VerificationReport,
                           eps2_window, epsilon1_sign_change, kinematics,
                           limit_quantities, reconstruct, verify_subsolution)
-from .threshold import (ThresholdResult, ThresholdRow, feasible_for_gap,
-                        subsolution_witness, threshold_V, threshold_table)
+from .threshold import (ThresholdResult, ThresholdRow, feasibility_scan,
+                        feasible_for_gap, subsolution_witness, threshold_V,
+                        threshold_table)
 
 __version__ = "0.1.0"
 
@@ -32,8 +33,8 @@ __all__ = [
     "FanSubsolution", "FeasibilityRecord", "VerificationReport",
     "kinematics", "eps2_window", "reconstruct", "verify_subsolution",
     "epsilon1_sign_change", "limit_quantities",
-    "ThresholdResult", "ThresholdRow", "feasible_for_gap", "threshold_V",
-    "threshold_table", "subsolution_witness",
+    "ThresholdResult", "ThresholdRow", "feasible_for_gap", "feasibility_scan",
+    "threshold_V", "threshold_table", "subsolution_witness",
     "Nonuniq", "RegionCell", "region_map_sweep", "region_map_csv",
     "parse_region_map_csv", "witness_document", "parse_witness",
     "write_witness", "read_witness",

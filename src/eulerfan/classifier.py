@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .eos import (Eos, _check_positive, pressure, rarefaction_difference,
-                  rarefaction_integral, sound_speed)
+from .eos import Eos, pressure
 from .errors import DomainError, NumericalError
 from .functionals import RiemannData
+from .roots import brent
 
 #: Relative slack on the middle density below which a wave is treated
 #: as zero-strength and a boundary (simple-wave or constant) kind wins.
@@ -94,14 +93,13 @@ def wave_curve(family: int, anchor: tuple, rho, eos: Eos):
     if family not in (1, 3):
         raise DomainError(f"family must be 1 or 3, got {family}")
     rho_a, v_a2 = anchor
-    _check_positive(rho_a, "anchor density")
-    _check_positive(rho)
     rho = np.asarray(rho, dtype=float)
-    # Both factors under the root change sign together at rho = rho_a,
-    # so the shock expression is well defined on the rarefaction side
-    # too and np.where never sees an invalid operand.
+    # The two checked pressures validate both densities.  Both factors
+    # under the root change sign together at rho = rho_a, so the shock
+    # expression is well defined on the rarefaction side too and
+    # np.where never sees an invalid operand.
     jump = np.sqrt((rho - rho_a) * (pressure(eos, rho) - pressure(eos, rho_a)) / (rho * rho_a))
-    fan = rarefaction_difference(eos, rho_a, rho)
+    fan = eos.rarefaction_difference(rho_a, rho)
     if family == 1:
         out = np.where(rho > rho_a, v_a2 - jump, v_a2 + fan)
     else:
@@ -114,7 +112,7 @@ def _vacuum_forms(data: RiemannData) -> bool:
     eos = data.eos
     if eos.gamma == 1.0:
         return False
-    reach = rarefaction_integral(eos, data.rho_minus) + rarefaction_integral(eos, data.rho_plus)
+    reach = eos.rarefaction_integral(data.rho_minus) + eos.rarefaction_integral(data.rho_plus)
     return data.v_plus[1] - data.v_minus[1] >= reach
 
 
@@ -168,7 +166,7 @@ def solve_middle_state(data: RiemannData):
                 f"no upper bracket below rho={_BRACKET_CEIL} for data "
                 f"(rho={rm}, {rp}; v2={vm2}, {vp2}; gamma={eos.gamma})"
             )
-    rho_mid = brentq(curve_gap, lo, hi, xtol=1e-300, rtol=1e-12, maxiter=200)
+    rho_mid = brent(curve_gap, lo, hi, xtol=1e-300, rtol=1e-12, maxiter=200)
 
     v_left = wave_curve(1, (rm, vm2), rho_mid, eos)
     v_right = wave_curve(3, (rp, vp2), rho_mid, eos)
@@ -190,7 +188,7 @@ def _left_wave_speeds(data: RiemannData, rho_mid, v_mid2):
     if rho_mid > rm:
         sigma = _shock_speed(rm, vm2, rho_mid, v_mid2)
         return (sigma, sigma)
-    return (vm2 - sound_speed(data.eos, rm), v_mid2 - sound_speed(data.eos, rho_mid))
+    return (vm2 - data.eos.sound_speed(rm), v_mid2 - data.eos.sound_speed(rho_mid))
 
 
 def _right_wave_speeds(data: RiemannData, rho_mid, v_mid2):
@@ -198,7 +196,7 @@ def _right_wave_speeds(data: RiemannData, rho_mid, v_mid2):
     if rho_mid > rp:
         sigma = _shock_speed(rho_mid, v_mid2, rp, vp2)
         return (sigma, sigma)
-    return (v_mid2 + sound_speed(data.eos, rho_mid), vp2 + sound_speed(data.eos, rp))
+    return (v_mid2 + data.eos.sound_speed(rho_mid), vp2 + data.eos.sound_speed(rp))
 
 
 def classify(data: RiemannData) -> WaveFan:
@@ -224,8 +222,8 @@ def classify(data: RiemannData) -> WaveFan:
     if mid is None:
         eos = data.eos
         speeds = {
-            "left": (vm2 - sound_speed(eos, rm), vm2 + rarefaction_integral(eos, rm)),
-            "right": (vp2 - rarefaction_integral(eos, rp), vp2 + sound_speed(eos, rp)),
+            "left": (vm2 - eos.sound_speed(rm), vm2 + eos.rarefaction_integral(rm)),
+            "right": (vp2 - eos.rarefaction_integral(rp), vp2 + eos.sound_speed(rp)),
         }
         return WaveFan(kind=WaveKind.VACUUM, middle=None, speeds=speeds)
 

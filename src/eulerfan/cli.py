@@ -20,8 +20,7 @@ from .reporting import (classification_record, read_witness, region_map_csv,
                         threshold_table_record, verification_record,
                         witness_document, write_witness)
 from .subsolution import verify_subsolution
-from .threshold import (_feasibility_grid, _feasible_runs, subsolution_witness,
-                        threshold_V, threshold_table)
+from .threshold import feasibility_scan, threshold_V, threshold_table
 
 
 def _add_state_flags(parser, *, v_minus2: bool, v1: bool = True):
@@ -105,12 +104,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_feasibility(args) -> int:
     data = _data_from_args(args)
-    nodes, window = _feasibility_grid(data, args.grid)
-    runs = _feasible_runs(nodes, window.feasible)
-    sub = subsolution_witness(data, grid=args.grid)
+    intervals, sub = feasibility_scan(data, grid=args.grid)
     record = {
-        "feasible": bool(runs),
-        "intervals": [[float(nodes[i]), float(nodes[j])] for i, j in runs],
+        "feasible": bool(intervals),
+        "intervals": intervals,
         "witness": None if sub is None else witness_document(data, sub),
     }
     print(render_record(record))
@@ -119,7 +116,7 @@ def _cmd_feasibility(args) -> int:
             print("no witness to emit", file=sys.stderr)
         else:
             write_witness(args.emit_witness, data, sub)
-    return 0 if runs else 1
+    return 0 if intervals else 1
 
 
 def _cmd_threshold(args) -> int:

@@ -1,7 +1,11 @@
 """Polytropic equation of state p(rho) = rho**gamma and derived quantities.
 
-All functions accept scalars or numpy arrays for the density arguments and
-are safe to call concurrently (pure functions of their inputs).
+The formulas live once, as methods of Eos.  Those methods are the
+unchecked array kernels the package's inner loops call on densities
+that are already known to be valid.  The module-level functions of the
+same names are the public entry points: they validate their density
+arguments and then call the kernel.  All of them accept scalars or
+numpy arrays and are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ class Eos:
     e(rho) = log(rho) for gamma = 1 (integration constant 0; any affine
     shift c*rho cancels across the interface balances, so the choice is
     free).
+
+    The methods assume positive, finite densities (and r != s where two
+    are taken); they do not check.
     """
 
     gamma: float
@@ -30,6 +37,45 @@ class Eos:
         g = self.gamma
         if not np.isfinite(g) or g < 1.0:
             raise DomainError(f"adiabatic exponent must be a finite number >= 1, got {g}")
+
+    def pressure(self, rho):
+        return rho ** self.gamma
+
+    def internal_energy(self, rho):
+        g = self.gamma
+        if g == 1.0:
+            return np.log(rho)
+        return rho ** (g - 1.0) / (g - 1.0)
+
+    def p_dissipation(self, r, s):
+        num = self.internal_energy(r) - self.internal_energy(s)
+        return self.pressure(r) + self.pressure(s) - 2.0 * r * s * num / (r - s)
+
+    def two_shock_T(self, r, s):
+        """T(r, s) = (s - r)*(p(s) - p(r))/(s*r), symmetric in (r, s).
+
+        For the two initial densities, sqrt(T) is the two-shock bound on
+        the velocity gap.
+        """
+        return (s - r) * (self.pressure(s) - self.pressure(r)) / (s * r)
+
+    def sound_speed(self, rho):
+        g = self.gamma
+        return np.sqrt(g) * rho ** (0.5 * (g - 1.0))
+
+    def rarefaction_integral(self, rho):
+        g = self.gamma
+        if g == 1.0:
+            return np.log(rho)
+        return 2.0 * np.sqrt(g) / (g - 1.0) * rho ** (0.5 * (g - 1.0))
+
+    def rarefaction_difference(self, rho_a, rho_b):
+        g = self.gamma
+        if g == 1.0:
+            return np.log(rho_a) - np.log(rho_b)
+        m = 0.5 * (g - 1.0)
+        return (2.0 * np.sqrt(g) / (g - 1.0)
+                * (np.expm1(m * np.log(rho_a)) - np.expm1(m * np.log(rho_b))))
 
 
 def _check_positive(rho, name="rho"):
@@ -55,7 +101,7 @@ def pressure(eos: Eos, rho):
         The pressure; strictly increasing in rho.
     """
     _check_positive(rho)
-    return rho ** eos.gamma
+    return eos.pressure(rho)
 
 
 def internal_energy(eos: Eos, rho):
@@ -66,10 +112,7 @@ def internal_energy(eos: Eos, rho):
     gamma = 1.
     """
     _check_positive(rho)
-    g = eos.gamma
-    if g == 1.0:
-        return np.log(rho)
-    return rho ** (g - 1.0) / (g - 1.0)
+    return eos.internal_energy(rho)
 
 
 def p_dissipation(eos: Eos, r, s):
@@ -96,15 +139,13 @@ def p_dissipation(eos: Eos, r, s):
     _check_positive(s, "s")
     if np.any(np.asarray(r) == np.asarray(s)):
         raise DomainError("p_dissipation requires r != s (diagonal not evaluated)")
-    num = internal_energy(eos, r) - internal_energy(eos, s)
-    return pressure(eos, r) + pressure(eos, s) - 2.0 * r * s * num / (r - s)
+    return eos.p_dissipation(r, s)
 
 
 def sound_speed(eos: Eos, rho):
     """Sound speed c(rho) = sqrt(p'(rho)) = sqrt(gamma) * rho**((gamma-1)/2)."""
     _check_positive(rho)
-    g = eos.gamma
-    return np.sqrt(g) * rho ** (0.5 * (g - 1.0))
+    return eos.sound_speed(rho)
 
 
 def rarefaction_integral(eos: Eos, rho):
@@ -122,10 +163,7 @@ def rarefaction_integral(eos: Eos, rho):
     subtracting two near-equal huge values wipes out the significand.
     """
     _check_positive(rho)
-    g = eos.gamma
-    if g == 1.0:
-        return np.log(rho)
-    return 2.0 * np.sqrt(g) / (g - 1.0) * rho ** (0.5 * (g - 1.0))
+    return eos.rarefaction_integral(rho)
 
 
 def rarefaction_difference(eos: Eos, rho_a, rho_b):
@@ -140,9 +178,4 @@ def rarefaction_difference(eos: Eos, rho_a, rho_b):
     """
     _check_positive(rho_a, "rho_a")
     _check_positive(rho_b, "rho_b")
-    g = eos.gamma
-    if g == 1.0:
-        return np.log(rho_a) - np.log(rho_b)
-    m = 0.5 * (g - 1.0)
-    return (2.0 * np.sqrt(g) / (g - 1.0)
-            * (np.expm1(m * np.log(rho_a)) - np.expm1(m * np.log(rho_b))))
+    return eos.rarefaction_difference(rho_a, rho_b)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eos import Eos, pressure
+from .eos import Eos
 from .errors import DomainError
 
 
@@ -83,37 +83,36 @@ def data_functionals(data: RiemannData) -> DataFunctionals:
         R = rho- - rho+, A = rho-*v-2 - rho+*v+2,
         H = rho-*v-2**2 - rho+*v+2**2 + p(rho-) - p(rho+),
         u = v+2 - v-2, B = A**2 - R*H,
-        T = (rho+ - rho-)*(p(rho+) - p(rho-))/(rho+*rho-),
+        T = Eos.two_shock_T(rho-, rho+), the square of the two-shock
+        bound on the gap,
         and, when available, the branch scalars K, L, the sign-flip
         density rho_T and the density rho_tilde where the K/L square-root
         expression inside the slack formula vanishes.
     """
     rm, rp = data.rho_minus, data.rho_plus
     vm2, vp2 = data.v_minus[1], data.v_plus[1]
-    pm, pp = pressure(data.eos, rm), pressure(data.eos, rp)
+    eos = data.eos
 
     R = rm - rp
     A = rm * vm2 - rp * vp2
-    H = rm * vm2 ** 2 - rp * vp2 ** 2 + pm - pp
+    H = rm * vm2 ** 2 - rp * vp2 ** 2 + eos.pressure(rm) - eos.pressure(rp)
     u = vp2 - vm2
     B = A * A - R * H
-    T = (rp - rm) * (pp - pm) / (rp * rm)
+    T = eos.two_shock_T(rm, rp)
 
+    # The branch scalars are invariant under the reflection x2 -> -x2
+    # that swaps the states, so they are written once in the near
+    # (smaller) and far (larger) density.
     K = L = rho_T = rho_tilde = None
     if R != 0.0:
-        denom = rm * u * u + rp * (T - u * u) if R < 0.0 else rp * u * u + rm * (T - u * u)
+        near, far = min(rm, rp), max(rm, rp)
+        denom = near * u * u + far * (T - u * u)
         if denom > 0.0:
             rho_T = rm * rp * T / denom
         if B < 0.0:
-            sqrt_nB = math.sqrt(-B)
-            if R < 0.0:
-                K = rm * u / R
-                L = sqrt_nB / (-R)
-                rho_tilde = (K * K * rp + L * L * rm) / (K * K + L * L)
-            else:
-                K = rp * u / (-R)
-                L = sqrt_nB / R
-                rho_tilde = (K * K * rm + L * L * rp) / (K * K + L * L)
+            K = near * u / (near - far)
+            L = math.sqrt(-B) / (far - near)
+            rho_tilde = (K * K * far + L * L * near) / (K * K + L * L)
 
     return DataFunctionals(R=R, A=A, H=H, u=u, B=B, T=T,
                            K=K, L=L, rho_T=rho_T, rho_tilde=rho_tilde)

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .eos import internal_energy, p_dissipation, pressure
+from .eos import internal_energy, pressure
 from .errors import (
     ConstraintError,
     DegenerateDensityError,
@@ -26,6 +25,7 @@ from .errors import (
     VelocityGapError,
 )
 from .functionals import RiemannData, data_functionals
+from .roots import brent
 
 # Cross-check and self-check tolerances (relative, scale max(1, |value|)).
 CROSS_CHECK_TOL = 1e-9
@@ -136,13 +136,19 @@ def _require_subsolution_data(data: RiemannData):
 def _check_rho1(data: RiemannData, rho_1: np.ndarray):
     lo = min(data.rho_minus, data.rho_plus)
     hi = max(data.rho_minus, data.rho_plus)
-    if np.any(rho_1 <= lo) or np.any(rho_1 >= hi):
+    if not np.all((rho_1 > lo) & (rho_1 < hi)):
         raise DomainError(
             f"rho_1 must lie strictly inside ({lo}, {hi})")
 
 
 def _kinematics_arrays(data: RiemannData, rho_1: np.ndarray):
     """Interface speeds, middle velocity and first slack on a rho_1 grid.
+
+    The formulas are written for rho_minus < rho_plus.  Data of the other
+    ordering are reflected by x2 -> -x2, which swaps the two states and
+    negates the normal velocities, and the results are mapped back by
+    nu_minus, nu_plus -> -nu_plus, -nu_minus and beta -> -beta; A, B, K,
+    L and the first slack are invariant.
 
     The first slack is evaluated in its K/L square-root form and
     cross-checked against the independent interface-speed form; the two
@@ -153,31 +159,26 @@ def _kinematics_arrays(data: RiemannData, rho_1: np.ndarray):
     _check_rho1(data, rho_1)
     rm, rp = data.rho_minus, data.rho_plus
     vm2, vp2 = data.v_minus[1], data.v_plus[1]
-    pm, pp = pressure(data.eos, rm), pressure(data.eos, rp)
-    p1 = pressure(data.eos, rho_1)
-    R, A = f.R, f.A
+    eos = data.eos
+    flip = rm > rp
+    near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
+    R, A = near - far, f.A
     sqrt_nB = math.sqrt(-f.B)
+    p_far, p1 = eos.pressure(far), eos.pressure(rho_1)
 
-    if R < 0.0:
-        nu_minus = A / R + (sqrt_nB / R) * np.sqrt((rp - rho_1) / (rho_1 - rm))
-        nu_plus = A / R - (sqrt_nB / R) * np.sqrt((rho_1 - rm) / (rp - rho_1))
-        beta = (rp * vp2 / rho_1 - (rp - rho_1) * A / (R * rho_1)
-                + (sqrt_nB / (R * rho_1)) * np.sqrt((rho_1 - rm) * (rp - rho_1)))
-        eps_1 = ((pp - p1) / rho_1
-                 - (rp / rho_1) * (f.L * np.sqrt(1.0 - rm / rho_1)
-                                   - f.K * np.sqrt(rp / rho_1 - 1.0)) ** 2)
-        eps_1_alt = ((pp - p1) / rho_1
-                     - rp * (rp - rho_1) / rho_1 ** 2 * (nu_plus - vp2) ** 2)
+    nu_near = A / R + (sqrt_nB / R) * np.sqrt((far - rho_1) / (rho_1 - near))
+    nu_far = A / R - (sqrt_nB / R) * np.sqrt((rho_1 - near) / (far - rho_1))
+    beta = (far * v_far2 / rho_1 - (far - rho_1) * A / (R * rho_1)
+            + (sqrt_nB / (R * rho_1)) * np.sqrt((rho_1 - near) * (far - rho_1)))
+    eps_1 = ((p_far - p1) / rho_1
+             - (far / rho_1) * (f.L * np.sqrt(1.0 - near / rho_1)
+                                - f.K * np.sqrt(far / rho_1 - 1.0)) ** 2)
+    eps_1_alt = ((p_far - p1) / rho_1
+                 - far * (far - rho_1) / rho_1 ** 2 * (nu_far - v_far2) ** 2)
+    if flip:
+        nu_minus, nu_plus, beta = -nu_far, -nu_near, -beta
     else:
-        nu_minus = A / R - (sqrt_nB / R) * np.sqrt((rho_1 - rp) / (rm - rho_1))
-        nu_plus = A / R + (sqrt_nB / R) * np.sqrt((rm - rho_1) / (rho_1 - rp))
-        beta = (rm * vm2 / rho_1 - (rm - rho_1) * A / (R * rho_1)
-                + (sqrt_nB / (R * rho_1)) * np.sqrt((rm - rho_1) * (rho_1 - rp)))
-        eps_1 = ((pm - p1) / rho_1
-                 - (rm / rho_1) * (f.L * np.sqrt(1.0 - rp / rho_1)
-                                   - f.K * np.sqrt(rm / rho_1 - 1.0)) ** 2)
-        eps_1_alt = ((pm - p1) / rho_1
-                     - rm * (rm - rho_1) / rho_1 ** 2 * (nu_minus - vm2) ** 2)
+        nu_minus, nu_plus = nu_near, nu_far
 
     scale = np.maximum(1.0, np.abs(eps_1))
     worst = np.max(np.abs(eps_1 - eps_1_alt) / scale)
@@ -217,8 +218,8 @@ def _window_arrays(data: RiemannData, rho_1: np.ndarray) -> _GridWindow:
     vm2, vp2 = data.v_minus[1], data.v_plus[1]
     eos = data.eos
 
-    P_left = p_dissipation(eos, rm, rho_1)
-    P_right = p_dissipation(eos, rho_1, rp)
+    P_left = eos.p_dissipation(rm, rho_1)
+    P_right = eos.p_dissipation(rho_1, rp)
     bmv = beta - vm2
     vpb = vp2 - beta
 
@@ -428,21 +429,19 @@ def epsilon1_sign_change(data: RiemannData) -> float:
             "sign-change analysis requires v_plus2 < v_minus2 "
             f"(u = {f.u} >= 0)")
 
-    far = data.rho_plus if f.R < 0.0 else data.rho_minus
-    near = data.rho_minus if f.R < 0.0 else data.rho_plus
-    span = abs(far - near)
+    near, far = min(data.rho_minus, data.rho_plus), max(data.rho_minus, data.rho_plus)
 
     def slack(x):
         return float(_kinematics_arrays(data, np.asarray([x]))[3][0])
 
     lo = f.rho_tilde
-    hi = far - 1e-12 * span if far > near else far + 1e-12 * span
+    hi = far - 1e-12 * (far - near)
     s_lo, s_hi = slack(lo), slack(hi)
     if not (s_lo > 0.0 and s_hi < 0.0):
         raise NumericalError(
             "sign-change bracketing failed: slack at the square-root zero "
             f"is {s_lo}, near the far endpoint {s_hi}")
-    return float(brentq(slack, lo, hi, xtol=1e-300, rtol=1e-10))
+    return float(brent(slack, lo, hi, xtol=1e-300, rtol=1e-10))
 
 
 def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
@@ -466,33 +465,30 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     (the dissipation factor P(r, r) tends to 0 there, cancelling the
     vanishing density gap), and eps1_bar vanishes at both endpoints.
     """
-    if rho_minus <= 0.0 or rho_plus <= 0.0:
-        raise DomainError("densities must be positive")
+    if not (0.0 < rho_minus < math.inf and 0.0 < rho_plus < math.inf):
+        raise DomainError("densities must be positive and finite")
     if rho_minus == rho_plus:
         raise DegenerateDensityError("equal initial densities")
-    lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
-    if not lo <= rho_1 <= hi:
-        raise DomainError(f"rho_1 must lie in [{lo}, {hi}]")
+    near, far = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
+    if not near <= rho_1 <= far:
+        raise DomainError(f"rho_1 must lie in [{near}, {far}]")
 
     rm, rp, r1 = rho_minus, rho_plus, rho_1
-    pm, pp, p1 = pressure(eos, rm), pressure(eos, rp), pressure(eos, r1)
     R = rm - rp
-    T = (rp - rm) * (pp - pm) / (rp * rm)
+    T = eos.two_shock_T(rm, rp)
     sqrt_T = math.sqrt(T)
 
     beta_bar = v_plus2 + rm * (r1 - rp) * sqrt_T / (R * r1)
-    if R < 0.0:
-        eps1_bar = (pp - p1) / r1 - rp * rm ** 2 * (rp - r1) * T / (r1 ** 2 * R ** 2)
-    else:
-        eps1_bar = (pm - p1) / r1 - rm * rp ** 2 * (rm - r1) * T / (r1 ** 2 * R ** 2)
+    eps1_bar = ((eos.pressure(far) - eos.pressure(r1)) / r1
+                - far * near ** 2 * (far - r1) * T / (r1 ** 2 * R ** 2))
 
     shared = eps1_bar * r1 / (rm * rp)
     # P(r, r) -> 0, so each dissipation term has removable limit 0 at
     # its own endpoint.
     left_P_term = (0.0 if r1 == rm else
-                   (r1 - rm) / (r1 * rm) * p_dissipation(eos, rm, r1))
+                   (r1 - rm) / (r1 * rm) * eos.p_dissipation(rm, r1))
     right_P_term = (0.0 if r1 == rp else
-                    -(rp - r1) / (rp * r1) * p_dissipation(eos, r1, rp))
+                    -(rp - r1) / (rp * r1) * eos.p_dissipation(r1, rp))
     left_expr = left_P_term - shared * (2.0 * rm - rp + 2.0 * R * v_plus2 / sqrt_T)
     right_expr = right_P_term - shared * (rm + 2.0 * R * v_plus2 / sqrt_T)
     if R < 0.0:

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eos import Eos, pressure
+from .eos import Eos
 from .errors import DegenerateDensityError, DomainError, EulerFanError
-from .functionals import RiemannData
+from .functionals import RiemannData, data_functionals
 from .subsolution import FanSubsolution, _window_arrays, reconstruct
 
 #: Termination width for the bisection phase of threshold_V.
@@ -63,12 +63,6 @@ class ThresholdRow:
     error: str | None
 
 
-def _two_shock_bound(rho_minus: float, rho_plus: float, eos: Eos) -> float:
-    pm, pp = pressure(eos, rho_minus), pressure(eos, rho_plus)
-    T = (rho_plus - rho_minus) * (pp - pm) / (rho_plus * rho_minus)
-    return math.sqrt(T)
-
-
 def _feasibility_grid(data: RiemannData, grid: int):
     """Evaluate the feasibility mask on an adaptive middle-density grid.
 
@@ -92,19 +86,10 @@ def _feasibility_grid(data: RiemannData, grid: int):
     return nodes, window
 
 
-def _feasible_runs(nodes: np.ndarray, mask: np.ndarray):
-    """Maximal runs of feasible nodes as (first_index, last_index) pairs."""
-    runs = []
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
+def _feasible_runs(mask: np.ndarray):
+    """Maximal runs of True in mask as (first_index, last_index) pairs."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
@@ -134,33 +119,40 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
     if rho_minus == rho_plus:
         raise DegenerateDensityError(
             f"equal densities {rho_minus} leave no middle-density interval")
-    bound = _two_shock_bound(rho_minus, rho_plus, eos)
+    data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
+                       v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
+    bound = data_functionals(data).sqrt_T
     if not 0.0 < w < bound:
         raise DomainError(
             f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
 
-    data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
-                       v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
     nodes, window = _feasibility_grid(data, grid)
-    runs = _feasible_runs(nodes, window.feasible)
+    runs = _feasible_runs(window.feasible)
+    return bool(runs), [(float(nodes[i]), float(nodes[j])) for i, j in runs]
+
+
+def feasibility_scan(data: RiemannData, *, grid: int = 2048):
+    """
+    Scan the middle-density interval once for feasible intervals and a
+    witness.
+
+    Returns
+    -------
+    intervals : list of (rho_lo, rho_hi)
+        Feasible middle-density intervals, resolved to the refined grid
+        (as in feasible_for_gap).
+    witness : FanSubsolution or None
+        Built at the feasible node nearest the center of the widest
+        feasible run, with the free slack at the midpoint of its
+        admissible window (or just above the lower edge when the window
+        is unbounded) and the common first velocity component.  None
+        when no node is feasible.
+    """
+    nodes, window = _feasibility_grid(data, grid)
+    runs = _feasible_runs(window.feasible)
     intervals = [(float(nodes[i]), float(nodes[j])) for i, j in runs]
-    return bool(runs), intervals
-
-
-def subsolution_witness(data: RiemannData, *, grid: int = 2048) -> FanSubsolution | None:
-    """
-    Search the middle-density interval and build one concrete subsolution.
-
-    Picks the feasible node nearest the center of the widest feasible
-    run, sets the free slack to the midpoint of its admissible window
-    (or just above the lower edge when the window is unbounded), and
-    reconstructs with the common first velocity component.  Returns
-    None when no node is feasible.
-    """
-    nodes, window = _feasibility_grid(data, grid)
-    runs = _feasible_runs(nodes, window.feasible)
     if not runs:
-        return None
+        return intervals, None
     first, last = max(runs, key=lambda r: nodes[r[1]] - nodes[r[0]])
     center = 0.5 * (nodes[first] + nodes[last])
     idx = first + int(np.argmin(np.abs(nodes[first:last + 1] - center)))
@@ -168,7 +160,16 @@ def subsolution_witness(data: RiemannData, *, grid: int = 2048) -> FanSubsolutio
     eff_lower = max(float(window.lower[idx]), 0.0)
     upper = float(window.upper[idx])
     eps_2 = 0.5 * (eff_lower + upper) if math.isfinite(upper) else eff_lower + 1.0
-    return reconstruct(data, float(nodes[idx]), eps_2, alpha=data.v_plus[0])
+    return intervals, reconstruct(data, float(nodes[idx]), eps_2, alpha=data.v_plus[0])
+
+
+def subsolution_witness(data: RiemannData, *, grid: int = 2048) -> FanSubsolution | None:
+    """
+    Search the middle-density interval and build one concrete
+    subsolution: the witness of feasibility_scan, or None when no node
+    is feasible.
+    """
+    return feasibility_scan(data, grid=grid)[1]
 
 
 def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
@@ -191,7 +192,11 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
         warnings.warn("threshold existence is only guaranteed for gamma > 1; "
                       "searching anyway", stacklevel=2)
 
-    sqrtT = _two_shock_bound(rho_minus, rho_plus, eos)
+    # The column at zero gap: RiemannData validates the inputs, and T
+    # does not depend on the gap.
+    column = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
+                         v_minus=(0.0, v_plus2), v_plus=(0.0, v_plus2), eos=eos)
+    sqrtT = data_functionals(column).sqrt_T
     step = sqrtT / SCAN_STEPS
     probes = []
 

@@ -64,6 +64,14 @@ class TestArgumentErrors:
         assert code == 0
         assert "classify" in out and "threshold" in out
 
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, eulerfan.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_script_is_installed(self):
         proc = subprocess.run([sys.executable, "-m", "eulerfan.cli", "--help"],
                               capture_output=True, text=True)
@@ -154,6 +162,17 @@ class TestWitnessWorkflow:
         code, _, err = run(capsys, ["verify", str(path)])
         assert code == 2
         assert "invalid witness JSON" in err
+
+    @pytest.mark.parametrize("rho_1", [-1.0, float("nan")])
+    def test_invalid_middle_density_is_an_input_error(self, capsys, tmp_path, rho_1):
+        path = tmp_path / "witness.json"
+        run(capsys, FEASIBLE + ["--emit-witness", str(path)])
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["rho_1"] = rho_1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, ["verify", str(path)])
+        assert code == 2
+        assert "must be positive and finite" in err
 
     def test_missing_file_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.json")])

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from eulerfan import (ConstraintError, DegenerateDensityError, DomainError,
                       Eos, RiemannData, VelocityGapError, data_functionals,
                       eps2_window, epsilon1_sign_change, kinematics,
-                      limit_quantities, reconstruct, verify_subsolution)
+                      limit_quantities, reconstruct, subsolution_witness,
+                      verify_subsolution)
 from eulerfan.subsolution import _window_arrays
 
 GAMMA2 = Eos(2.0)
@@ -47,6 +48,24 @@ def random_subsonic_data(rng, gammas=(1.0, 1.4, 2.0)):
     w = float(rng.uniform(0.05, 0.95)) * math.sqrt(t_val)
     v2 = float(rng.uniform(-3.0, 3.0))
     return RiemannData(rho_minus, rho_plus, (0.0, v2 + w), (0.0, v2), eos)
+
+
+def reflect(data):
+    """The same problem under x2 -> -x2: the states swap and the normal
+    velocities change sign."""
+    return RiemannData(data.rho_plus, data.rho_minus,
+                       (data.v_plus[0], -data.v_plus[1]),
+                       (data.v_minus[0], -data.v_minus[1]), data.eos)
+
+
+def close(got, want, tol):
+    """Elementwise |got - want| <= tol * max(1, |got|, |want|); equal
+    infinities count as close."""
+    got, want = np.asarray(got), np.asarray(want)
+    same = got == want
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+        return bool(np.all(same | (np.abs(got - want) <= tol * scale)))
 
 
 class TestKinematics:
@@ -93,7 +112,7 @@ class TestKinematics:
         with pytest.raises(VelocityGapError):
             kinematics(data, 2.0)
 
-    @pytest.mark.parametrize("rho_1", [0.5, 1.0, 4.0, 4.5])
+    @pytest.mark.parametrize("rho_1", [0.5, 1.0, 4.0, 4.5, float("nan")])
     def test_rejects_density_outside_open_interval(self, rho_1):
         with pytest.raises(DomainError, match="strictly inside"):
             kinematics(GOLDEN, rho_1)
@@ -129,6 +148,56 @@ class TestKinematics:
             assert close(moved.a_right, base.a_right)
             assert close(moved.b_left, base.b_left + 2.0 * c * grid * base.eps_1)
             assert close(moved.b_right, base.b_right - 2.0 * c * grid * base.eps_1)
+
+
+class TestReflection:
+    def test_reflected_data_map_back(self):
+        """Reflecting the data maps nu+/- to -nu-/+ and beta to -beta and
+        leaves the first slack, the feasibility mask, the second-slack
+        window and the sign-change density alone, on either density
+        ordering."""
+        rng = np.random.default_rng(41)
+        orderings = set()
+        for _ in range(100):
+            data = random_subsonic_data(rng)
+            mirror = reflect(data)
+            orderings.add(data.rho_minus < data.rho_plus)
+            lo = min(data.rho_minus, data.rho_plus)
+            hi = max(data.rho_minus, data.rho_plus)
+            grid = np.linspace(lo, hi, 34)[1:-1]
+            base = _window_arrays(data, grid)
+            refl = _window_arrays(mirror, grid)
+            assert close(refl.nu_minus, -base.nu_plus, 1e-12)
+            assert close(refl.nu_plus, -base.nu_minus, 1e-12)
+            assert close(refl.beta, -base.beta, 1e-12)
+            assert close(refl.eps_1, base.eps_1, 1e-12)
+            assert np.array_equal(refl.feasible, base.feasible)
+            assert close(refl.lower, base.lower, 1e-11)
+            assert close(refl.upper, base.upper, 1e-11)
+            assert epsilon1_sign_change(mirror) == pytest.approx(
+                epsilon1_sign_change(data), rel=1e-9)
+        assert orderings == {True, False}
+
+    def test_reflected_witness_is_the_mapped_witness(self):
+        """gamma_2 = alpha*beta changes sign with beta; gamma_1, C and
+        both slacks stay, and both witnesses verify."""
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            base = random_subsonic_data(rng)
+            v1 = float(rng.uniform(-2.0, 2.0))
+            data = RiemannData(base.rho_minus, base.rho_plus, (v1, base.v_minus[1]),
+                               (v1, base.v_plus[1]), base.eos)
+            sub = subsolution_witness(data, grid=256)
+            refl = subsolution_witness(reflect(data), grid=256)
+            assert (sub is None) == (refl is None)
+            if sub is None:
+                continue
+            assert close([refl.nu_minus, refl.nu_plus, refl.beta, refl.gamma_2],
+                         [-sub.nu_plus, -sub.nu_minus, -sub.beta, -sub.gamma_2], 1e-11)
+            assert close([refl.rho_1, refl.alpha, refl.gamma_1, refl.C, refl.eps_1, refl.eps_2],
+                         [sub.rho_1, sub.alpha, sub.gamma_1, sub.C, sub.eps_1, sub.eps_2], 1e-11)
+            assert verify_subsolution(data, sub).passed
+            assert verify_subsolution(reflect(data), refl).passed
 
 
 class TestEps2Window:

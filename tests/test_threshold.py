@@ -8,9 +8,9 @@ import pytest
 
 from eulerfan import (DegenerateDensityError, DomainError, Eos, RiemannData,
                       ThresholdRow, data_functionals, epsilon1_sign_change,
-                      feasible_for_gap, subsolution_witness, threshold_V,
-                      threshold_table, verify_subsolution)
-from eulerfan.threshold import BISECTION_TOL
+                      feasibility_scan, feasible_for_gap, subsolution_witness,
+                      threshold_V, threshold_table, verify_subsolution)
+from eulerfan.threshold import BISECTION_TOL, _feasible_runs
 
 GAMMA2 = Eos(2.0)
 SQRT_T = math.sqrt(45.0 / 4.0)
@@ -59,6 +59,58 @@ class TestFeasibleForGap:
         ok_fine, _ = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3)
         ok_coarse, _ = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=128)
         assert ok_fine == ok_coarse
+
+
+@pytest.mark.parametrize("mask, runs", [
+    ([False, False, False, False], []),
+    ([True, True, True, True], [(0, 3)]),
+    ([True, False, False, False], [(0, 0)]),
+    ([False, False, False, True], [(3, 3)]),
+    ([True, True, False, False, True], [(0, 1), (4, 4)]),
+    ([False, True, False, True, False, True], [(1, 1), (3, 3), (5, 5)]),
+    ([True], [(0, 0)]),
+    ([False], []),
+])
+def test_feasible_runs(mask, runs):
+    assert _feasible_runs(np.array(mask)) == runs
+
+
+def test_feasible_runs_match_a_loop_reference():
+    def loop_runs(mask):
+        runs, start = [], None
+        for i, ok in enumerate(mask):
+            if ok and start is None:
+                start = i
+            elif not ok and start is not None:
+                runs.append((start, i - 1))
+                start = None
+        if start is not None:
+            runs.append((start, len(mask) - 1))
+        return runs
+
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        mask = rng.uniform(size=int(rng.integers(1, 60))) < rng.uniform()
+        assert _feasible_runs(mask) == loop_runs(mask)
+
+
+class TestFeasibilityScan:
+    GOLDEN = RiemannData(1.0, 4.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
+
+    def test_intervals_match_feasible_for_gap(self):
+        intervals, _ = feasibility_scan(self.GOLDEN)
+        ok, expected = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3)
+        assert ok
+        assert intervals == expected
+
+    def test_witness_matches_subsolution_witness(self):
+        _, witness = feasibility_scan(self.GOLDEN)
+        assert witness is not None
+        assert witness == subsolution_witness(self.GOLDEN)
+
+    def test_infeasible_datum(self):
+        data = RiemannData(1.0, 4.0, (0.0, 0.5), (0.0, 0.0), GAMMA2)
+        assert feasibility_scan(data) == ([], None)
 
 
 class TestSubsolutionWitness:
