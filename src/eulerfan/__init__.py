@@ -9,7 +9,8 @@ threshold above which that happens, and maps regions of the data plane.
 
 from .classifier import WaveFan, WaveKind, classify, solve_middle_state, wave_curve
 from .eos import (Eos, internal_energy, p_dissipation, pressure,
-                  rarefaction_difference, rarefaction_integral, sound_speed)
+                  rarefaction_difference, rarefaction_integral, sound_speed,
+                  two_shock_T)
 from .errors import (ConstraintError, DegenerateDensityError, DomainError,
                      EulerFanError, NumericalError, VelocityGapError)
 from .functionals import DataFunctionals, RiemannData, data_functionals
@@ -28,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Eos", "RiemannData", "DataFunctionals", "data_functionals",
     "pressure", "internal_energy", "p_dissipation", "sound_speed",
-    "rarefaction_integral", "rarefaction_difference",
+    "rarefaction_integral", "rarefaction_difference", "two_shock_T",
     "WaveKind", "WaveFan", "wave_curve", "solve_middle_state", "classify",
     "FanSubsolution", "FeasibilityRecord", "VerificationReport",
     "kinematics", "eps2_window", "reconstruct", "verify_subsolution",

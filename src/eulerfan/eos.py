@@ -1,11 +1,12 @@
 """Polytropic equation of state p(rho) = rho**gamma and derived quantities.
 
-The formulas live once, as methods of Eos.  Those methods are the
-unchecked array kernels the package's inner loops call on densities
-that are already known to be valid.  The module-level functions of the
-same names are the public entry points: they validate their density
-arguments and then call the kernel.  All of them accept scalars or
-numpy arrays and are pure functions of their inputs.
+The formulas live once, as private methods of Eos (Eos._pressure and
+so on).  Those are the unchecked array kernels the package's inner
+loops call on densities that are already known to be valid.  The
+module-level functions without the underscore are the public entry
+points: they validate their density arguments and then call the
+kernel.  All of them accept scalars or numpy arrays and are pure
+functions of their inputs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ class Eos:
     shift c*rho cancels across the interface balances, so the choice is
     free).
 
-    The methods assume positive, finite densities (and r != s where two
-    are taken); they do not check.
+    The private methods are the unchecked formulas: they assume
+    positive, finite densities (and r != s where two are taken).  Use
+    the module-level functions, which validate their input.
     """
 
     gamma: float
@@ -38,38 +40,33 @@ class Eos:
         if not np.isfinite(g) or g < 1.0:
             raise DomainError(f"adiabatic exponent must be a finite number >= 1, got {g}")
 
-    def pressure(self, rho):
+    def _pressure(self, rho):
         return rho ** self.gamma
 
-    def internal_energy(self, rho):
+    def _internal_energy(self, rho):
         g = self.gamma
         if g == 1.0:
             return np.log(rho)
         return rho ** (g - 1.0) / (g - 1.0)
 
-    def p_dissipation(self, r, s):
-        num = self.internal_energy(r) - self.internal_energy(s)
-        return self.pressure(r) + self.pressure(s) - 2.0 * r * s * num / (r - s)
+    def _p_dissipation(self, r, s):
+        num = self._internal_energy(r) - self._internal_energy(s)
+        return self._pressure(r) + self._pressure(s) - 2.0 * r * s * num / (r - s)
 
-    def two_shock_T(self, r, s):
-        """T(r, s) = (s - r)*(p(s) - p(r))/(s*r), symmetric in (r, s).
+    def _two_shock_T(self, r, s):
+        return (s - r) * (self._pressure(s) - self._pressure(r)) / (s * r)
 
-        For the two initial densities, sqrt(T) is the two-shock bound on
-        the velocity gap.
-        """
-        return (s - r) * (self.pressure(s) - self.pressure(r)) / (s * r)
-
-    def sound_speed(self, rho):
+    def _sound_speed(self, rho):
         g = self.gamma
         return np.sqrt(g) * rho ** (0.5 * (g - 1.0))
 
-    def rarefaction_integral(self, rho):
+    def _rarefaction_integral(self, rho):
         g = self.gamma
         if g == 1.0:
             return np.log(rho)
         return 2.0 * np.sqrt(g) / (g - 1.0) * rho ** (0.5 * (g - 1.0))
 
-    def rarefaction_difference(self, rho_a, rho_b):
+    def _rarefaction_difference(self, rho_a, rho_b):
         g = self.gamma
         if g == 1.0:
             return np.log(rho_a) - np.log(rho_b)
@@ -101,7 +98,7 @@ def pressure(eos: Eos, rho):
         The pressure; strictly increasing in rho.
     """
     _check_positive(rho)
-    return eos.pressure(rho)
+    return eos._pressure(rho)
 
 
 def internal_energy(eos: Eos, rho):
@@ -112,7 +109,7 @@ def internal_energy(eos: Eos, rho):
     gamma = 1.
     """
     _check_positive(rho)
-    return eos.internal_energy(rho)
+    return eos._internal_energy(rho)
 
 
 def p_dissipation(eos: Eos, r, s):
@@ -139,13 +136,26 @@ def p_dissipation(eos: Eos, r, s):
     _check_positive(s, "s")
     if np.any(np.asarray(r) == np.asarray(s)):
         raise DomainError("p_dissipation requires r != s (diagonal not evaluated)")
-    return eos.p_dissipation(r, s)
+    return eos._p_dissipation(r, s)
+
+
+def two_shock_T(eos: Eos, r, s):
+    """
+    T(r, s) = (s - r)*(p(s) - p(r))/(s*r), symmetric in (r, s).
+
+    For the two initial densities, sqrt(T) is the two-shock bound on
+    the velocity gap; for an anchor density r, sqrt(T(r, s)) is the
+    Hugoniot velocity jump to density s.
+    """
+    _check_positive(r, "r")
+    _check_positive(s, "s")
+    return eos._two_shock_T(r, s)
 
 
 def sound_speed(eos: Eos, rho):
     """Sound speed c(rho) = sqrt(p'(rho)) = sqrt(gamma) * rho**((gamma-1)/2)."""
     _check_positive(rho)
-    return eos.sound_speed(rho)
+    return eos._sound_speed(rho)
 
 
 def rarefaction_integral(eos: Eos, rho):
@@ -163,7 +173,7 @@ def rarefaction_integral(eos: Eos, rho):
     subtracting two near-equal huge values wipes out the significand.
     """
     _check_positive(rho)
-    return eos.rarefaction_integral(rho)
+    return eos._rarefaction_integral(rho)
 
 
 def rarefaction_difference(eos: Eos, rho_a, rho_b):
@@ -178,4 +188,4 @@ def rarefaction_difference(eos: Eos, rho_a, rho_b):
     """
     _check_positive(rho_a, "rho_a")
     _check_positive(rho_b, "rho_b")
-    return eos.rarefaction_difference(rho_a, rho_b)
+    return eos._rarefaction_difference(rho_a, rho_b)

@@ -83,7 +83,7 @@ def data_functionals(data: RiemannData) -> DataFunctionals:
         R = rho- - rho+, A = rho-*v-2 - rho+*v+2,
         H = rho-*v-2**2 - rho+*v+2**2 + p(rho-) - p(rho+),
         u = v+2 - v-2, B = A**2 - R*H,
-        T = Eos.two_shock_T(rho-, rho+), the square of the two-shock
+        T = two_shock_T(rho-, rho+), the square of the two-shock
         bound on the gap,
         and, when available, the branch scalars K, L, the sign-flip
         density rho_T and the density rho_tilde where the K/L square-root
@@ -95,10 +95,10 @@ def data_functionals(data: RiemannData) -> DataFunctionals:
 
     R = rm - rp
     A = rm * vm2 - rp * vp2
-    H = rm * vm2 ** 2 - rp * vp2 ** 2 + eos.pressure(rm) - eos.pressure(rp)
+    H = rm * vm2 ** 2 - rp * vp2 ** 2 + eos._pressure(rm) - eos._pressure(rp)
     u = vp2 - vm2
     B = A * A - R * H
-    T = eos.two_shock_T(rm, rp)
+    T = eos._two_shock_T(rm, rp)
 
     # The branch scalars are invariant under the reflection x2 -> -x2
     # that swaps the states, so they are written once in the near

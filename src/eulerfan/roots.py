@@ -13,9 +13,12 @@ import math
 
 from .errors import NumericalError
 
+#: Absolute part of the convergence tolerance; it only matters for a
+#: root at or next to zero.
+_XTOL = 1e-300
 
-def brent(f, a: float, b: float, *, xtol: float, rtol: float,
-          maxiter: int = 100) -> float:
+
+def brent(f, a: float, b: float, *, rtol: float, maxiter: int = 100) -> float:
     """
     Find a zero of f in the bracket [a, b].
 
@@ -25,8 +28,8 @@ def brent(f, a: float, b: float, *, xtol: float, rtol: float,
     a, b : float
         Bracket ends; f(a) and f(b) must differ in sign unless one of
         them is exactly zero, in which case that end is returned.
-    xtol, rtol : float
-        The returned x is within xtol + rtol*|x| of a sign change.
+    rtol : float
+        The returned x is within 1e-300 + rtol*|x| of a sign change.
     maxiter : int
         Iterations allowed after the two end evaluations.
 
@@ -61,7 +64,7 @@ def brent(f, a: float, b: float, *, xtol: float, rtol: float,
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (_XTOL + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

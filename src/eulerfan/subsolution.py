@@ -164,7 +164,7 @@ def _kinematics_arrays(data: RiemannData, rho_1: np.ndarray):
     near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
     R, A = near - far, f.A
     sqrt_nB = math.sqrt(-f.B)
-    p_far, p1 = eos.pressure(far), eos.pressure(rho_1)
+    p_far, p1 = eos._pressure(far), eos._pressure(rho_1)
 
     nu_near = A / R + (sqrt_nB / R) * np.sqrt((far - rho_1) / (rho_1 - near))
     nu_far = A / R - (sqrt_nB / R) * np.sqrt((rho_1 - near) / (far - rho_1))
@@ -218,8 +218,8 @@ def _window_arrays(data: RiemannData, rho_1: np.ndarray) -> _GridWindow:
     vm2, vp2 = data.v_minus[1], data.v_plus[1]
     eos = data.eos
 
-    P_left = eos.p_dissipation(rm, rho_1)
-    P_right = eos.p_dissipation(rho_1, rp)
+    P_left = eos._p_dissipation(rm, rho_1)
+    P_right = eos._p_dissipation(rho_1, rp)
     bmv = beta - vm2
     vpb = vp2 - beta
 
@@ -441,7 +441,7 @@ def epsilon1_sign_change(data: RiemannData) -> float:
         raise NumericalError(
             "sign-change bracketing failed: slack at the square-root zero "
             f"is {s_lo}, near the far endpoint {s_hi}")
-    return float(brent(slack, lo, hi, xtol=1e-300, rtol=1e-10))
+    return float(brent(slack, lo, hi, rtol=1e-10))
 
 
 def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
@@ -475,20 +475,20 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
 
     rm, rp, r1 = rho_minus, rho_plus, rho_1
     R = rm - rp
-    T = eos.two_shock_T(rm, rp)
+    T = eos._two_shock_T(rm, rp)
     sqrt_T = math.sqrt(T)
 
     beta_bar = v_plus2 + rm * (r1 - rp) * sqrt_T / (R * r1)
-    eps1_bar = ((eos.pressure(far) - eos.pressure(r1)) / r1
+    eps1_bar = ((eos._pressure(far) - eos._pressure(r1)) / r1
                 - far * near ** 2 * (far - r1) * T / (r1 ** 2 * R ** 2))
 
     shared = eps1_bar * r1 / (rm * rp)
     # P(r, r) -> 0, so each dissipation term has removable limit 0 at
     # its own endpoint.
     left_P_term = (0.0 if r1 == rm else
-                   (r1 - rm) / (r1 * rm) * eos.p_dissipation(rm, r1))
+                   (r1 - rm) / (r1 * rm) * eos._p_dissipation(rm, r1))
     right_P_term = (0.0 if r1 == rp else
-                    -(rp - r1) / (rp * r1) * eos.p_dissipation(r1, rp))
+                    -(rp - r1) / (rp * r1) * eos._p_dissipation(r1, rp))
     left_expr = left_P_term - shared * (2.0 * rm - rp + 2.0 * R * v_plus2 / sqrt_T)
     right_expr = right_P_term - shared * (rm + 2.0 * R * v_plus2 / sqrt_T)
     if R < 0.0:

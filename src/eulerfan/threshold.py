@@ -20,7 +20,7 @@ import numpy as np
 
 from .eos import Eos
 from .errors import DegenerateDensityError, DomainError, EulerFanError
-from .functionals import RiemannData, data_functionals
+from .functionals import RiemannData
 from .subsolution import FanSubsolution, _window_arrays, reconstruct
 
 #: Termination width for the bisection phase of threshold_V.
@@ -121,7 +121,7 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
             f"equal densities {rho_minus} leave no middle-density interval")
     data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
                        v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
-    bound = data_functionals(data).sqrt_T
+    bound = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
     if not 0.0 < w < bound:
         raise DomainError(
             f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
@@ -192,11 +192,10 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
         warnings.warn("threshold existence is only guaranteed for gamma > 1; "
                       "searching anyway", stacklevel=2)
 
-    # The column at zero gap: RiemannData validates the inputs, and T
-    # does not depend on the gap.
-    column = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
-                         v_minus=(0.0, v_plus2), v_plus=(0.0, v_plus2), eos=eos)
-    sqrtT = data_functionals(column).sqrt_T
+    # RiemannData validates the inputs; T does not depend on the gap.
+    RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
+                v_minus=(0.0, v_plus2), v_plus=(0.0, v_plus2), eos=eos)
+    sqrtT = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
     step = sqrtT / SCAN_STEPS
     probes = []
 

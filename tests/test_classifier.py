@@ -90,7 +90,7 @@ class TestWaveCurve:
             wave_curve(2, (1.0, 0.0), 1.0, GAMMA2)
         with pytest.raises(DomainError):
             wave_curve(1, (1.0, 0.0), -1.0, GAMMA2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="anchor density"):
             wave_curve(1, (0.0, 0.0), 1.0, GAMMA2)
 
 

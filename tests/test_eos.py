@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eulerfan import (DomainError, Eos, RiemannData, data_functionals,
                       internal_energy, p_dissipation, pressure,
                       rarefaction_difference, rarefaction_integral,
-                      sound_speed)
+                      sound_speed, two_shock_T)
 
 # densities away from over/underflow and from the removable diagonal
 density = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -44,6 +44,32 @@ class TestPressure:
     def test_nonpositive_density_rejected(self, bad):
         with pytest.raises(DomainError):
             pressure(Eos(2.0), bad)
+
+
+class TestTwoShockT:
+    def test_quadratic_law_value(self):
+        assert two_shock_T(Eos(2.0), 1.0, 4.0) == 11.25
+
+    @given(r=density, s=density, gamma=gamma_any)
+    def test_symmetric_and_equal_to_data_functionals(self, r, s, gamma):
+        eos = Eos(gamma)
+        T = two_shock_T(eos, r, s)
+        assert T == two_shock_T(eos, s, r)
+        d = RiemannData(r, s, (0.0, 0.0), (0.0, 0.0), eos)
+        assert data_functionals(d).T == T
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_density_rejected(self, bad):
+        with pytest.raises(DomainError):
+            two_shock_T(Eos(2.0), bad, 1.0)
+        with pytest.raises(DomainError):
+            two_shock_T(Eos(2.0), 1.0, bad)
+
+    def test_only_checked_functions_are_public(self):
+        """The unchecked formulas are private Eos methods, so no public
+        path skips the density check."""
+        public = {name for name in dir(Eos(2.0)) if not name.startswith("_")}
+        assert public == {"gamma"}
 
 
 class TestInternalEnergy:

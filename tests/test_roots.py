@@ -9,13 +9,13 @@ from eulerfan.roots import brent
 
 
 def test_known_root_to_rtol():
-    root = brent(lambda x: x * x - 2.0, 1.0, 2.0, xtol=1e-300, rtol=1e-12)
+    root = brent(lambda x: x * x - 2.0, 1.0, 2.0, rtol=1e-12)
     assert abs(root - math.sqrt(2.0)) <= 1e-12 * math.sqrt(2.0)
 
 
 def test_transcendental_root_either_bracket_order():
     for a, b in ((0.0, 2.0), (2.0, 0.0)):
-        root = brent(lambda x: math.cos(x) - x, a, b, xtol=1e-300, rtol=1e-12)
+        root = brent(lambda x: math.cos(x) - x, a, b, rtol=1e-12)
         assert root == pytest.approx(0.7390851332151607, rel=1e-12)
 
 
@@ -28,7 +28,7 @@ def test_interpolation_steps_converge_fast():
         calls.append(x)
         return math.cos(x) - x
 
-    brent(f, 0.0, 2.0, xtol=1e-300, rtol=1e-12)
+    brent(f, 0.0, 2.0, rtol=1e-12)
     assert len(calls) == 8
 
 
@@ -40,21 +40,20 @@ def test_bracket_end_that_is_the_root_is_returned(a, b):
         calls.append(x)
         return x - 3.0
 
-    assert brent(f, a, b, xtol=1e-300, rtol=1e-12) == 3.0
+    assert brent(f, a, b, rtol=1e-12) == 3.0
     assert len(calls) == 2
 
 
 def test_same_sign_bracket_raises():
     with pytest.raises(NumericalError, match="no sign change"):
-        brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-300, rtol=1e-12)
+        brent(lambda x: x * x + 1.0, -1.0, 1.0, rtol=1e-12)
 
 
 def test_exhausted_iterations_raise():
     with pytest.raises(NumericalError, match="not converged after 3 iterations"):
-        brent(lambda x: x ** 3 - 0.1, 0.0, 10.0, xtol=1e-300, rtol=1e-12, maxiter=3)
+        brent(lambda x: x ** 3 - 0.1, 0.0, 10.0, rtol=1e-12, maxiter=3)
 
 
 def test_nan_value_raises():
     with pytest.raises(NumericalError, match="NaN"):
-        brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0,
-              xtol=1e-300, rtol=1e-12)
+        brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, rtol=1e-12)
