@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -162,23 +163,34 @@ def parse_witness(doc: dict):
 
     The two slack variables are recomputed from their defining
     identities, so a hand-edited document is verified exactly as
-    written.
+    written.  A field that is not a finite number raises DomainError.
     """
     missing = [k for k in WITNESS_KEYS if k not in doc]
     if missing:
         raise DomainError(f"witness document lacks keys: {', '.join(missing)}")
-    data = RiemannData(rho_minus=float(doc["rho_minus"]),
-                       rho_plus=float(doc["rho_plus"]),
+
+    def number(key, positive=False):
+        try:
+            value = float(doc[key])
+        except (TypeError, ValueError):
+            raise DomainError(f"witness field {key} must be a number, got {doc[key]!r}") from None
+        if not math.isfinite(value) or (positive and not value > 0.0):
+            kind = "positive and finite" if positive else "finite"
+            raise DomainError(f"witness field {key} must be {kind}, got {value}")
+        return value
+
+    data = RiemannData(rho_minus=number("rho_minus", positive=True),
+                       rho_plus=number("rho_plus", positive=True),
                        v_minus=tuple(float(c) for c in doc["v_minus"]),
                        v_plus=tuple(float(c) for c in doc["v_plus"]),
-                       eos=Eos(gamma=float(doc["gamma"])))
-    alpha, beta = float(doc["alpha"]), float(doc["beta"])
-    gamma_1, C = float(doc["gamma_1"]), float(doc["C"])
+                       eos=Eos(gamma=number("gamma")))
+    alpha, beta = number("alpha"), number("beta")
+    gamma_1, C = number("gamma_1"), number("C")
     eps_1 = C / 2.0 - gamma_1 - beta ** 2
     eps_2 = C - alpha ** 2 - beta ** 2 - eps_1
-    sub = FanSubsolution(nu_minus=float(doc["nu_minus"]), nu_plus=float(doc["nu_plus"]),
-                         rho_1=float(doc["rho_1"]), alpha=alpha, beta=beta,
-                         gamma_1=gamma_1, gamma_2=float(doc["gamma_2"]), C=C,
+    sub = FanSubsolution(nu_minus=number("nu_minus"), nu_plus=number("nu_plus"),
+                         rho_1=number("rho_1", positive=True), alpha=alpha, beta=beta,
+                         gamma_1=gamma_1, gamma_2=number("gamma_2"), C=C,
                          eps_1=eps_1, eps_2=eps_2)
     return data, sub
 
@@ -224,7 +236,8 @@ def region_map_sweep(rho_minus: float, v_minus2: float, eos: Eos,
         Fixed left state (first velocity component v1 on both sides).
     eos : Eos
     rho_plus_range, v_plus2_range : (min, max, n)
-        Inclusive linear grids, n >= 2; rho_plus bounds must be positive.
+        Inclusive linear grids of finite numbers, n >= 2; rho_plus
+        bounds must be positive.
     v1 : float, optional
         Common first velocity component.
     with_threshold : bool, optional
@@ -242,6 +255,8 @@ def region_map_sweep(rho_minus: float, v_minus2: float, eos: Eos,
     """
     r_lo, r_hi, r_n = rho_plus_range
     v_lo, v_hi, v_n = v_plus2_range
+    if not all(math.isfinite(x) for x in (*rho_plus_range, *v_plus2_range)):
+        raise DomainError("grid bounds and sizes must be finite")
     if int(r_n) < 2 or int(v_n) < 2:
         raise DomainError("grid needs at least 2 points per axis")
     if r_lo <= 0.0 or r_hi <= 0.0:

@@ -4,15 +4,17 @@ full piecewise-constant subsolution, and an independent verifier that
 re-evaluates the complete interface system from scratch.
 
 The kinematics are parameterized by the probed middle density rho_1,
-which must lie strictly between the two initial densities.  Everything
-here is pure and accepts vectorized rho_1 grids internally; the public
-operations take scalars.
+which must lie strictly between the two initial densities.  The
+formulas are written once, in the array-first kernel window_grid, which
+evaluates several velocity gaps (rows) on a grid of middle densities
+(columns) in one call; kinematics, eps2_window and reconstruct are
+one-row, one-node wrappers around it.  Everything here is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import (
     ConstraintError,
     DegenerateDensityError,
     DomainError,
+    EulerFanError,
     NumericalError,
     VelocityGapError,
 )
@@ -90,18 +93,25 @@ class VerificationReport:
 
     @property
     def max_equality_residual(self) -> float:
-        return max(self.equality_residuals.values())
+        """The largest residual, NaN when any residual is NaN."""
+        return float(np.max(list(self.equality_residuals.values())))
 
     @property
     def min_inequality_margin(self) -> float:
-        return min(self.inequality_margins.values())
+        """The smallest margin, NaN when any margin is NaN."""
+        return float(np.min(list(self.inequality_margins.values())))
 
 
 @dataclass(frozen=True)
-class _GridWindow:
-    """Vectorized kinematics + window over a rho_1 grid (internal)."""
+class WindowGrid:
+    """Kinematics and second-slack window on a (gap x middle density) grid.
 
-    rho_1: np.ndarray
+    Row i belongs to the i-th datum passed to window_grid: every array
+    has one row per datum and one column per middle density.  errors[i]
+    is the error that datum raises when evaluated on its own, or None;
+    the arrays of a row with an error carry no meaning.
+    """
+
     nu_minus: np.ndarray
     nu_plus: np.ndarray
     beta: np.ndarray
@@ -112,8 +122,8 @@ class _GridWindow:
     b_right: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    parity_ok: np.ndarray
     feasible: np.ndarray
+    errors: tuple
 
 
 def _require_subsolution_data(data: RiemannData):
@@ -133,16 +143,58 @@ def _require_subsolution_data(data: RiemannData):
     return f
 
 
-def _check_rho1(data: RiemannData, rho_1: np.ndarray):
-    lo = min(data.rho_minus, data.rho_plus)
-    hi = max(data.rho_minus, data.rho_plus)
+def _column(values):
+    """Per-row scalars as a (k, 1) column.  A single row keeps its Python
+    number, which numpy combines with an array faster and to the same
+    bits."""
+    return values[0] if len(values) == 1 else np.array(values, dtype=float)[:, None]
+
+
+def _gap_columns(rows, rho_1: np.ndarray):
+    """Preconditions of each datum and the per-gap scalars as columns.
+
+    Returns the error each datum raises before any node is evaluated
+    (None when it passes) and the columns (see _column) v_minus2, A,
+    sqrt(-B), K and L, which are NaN on rows with an error.  A rho_1
+    outside the open density interval fails every row alike, so it
+    raises at once: the first row's own error if it has one, else a
+    DomainError.
+    """
+    if not rows:
+        raise DomainError("window_grid needs at least one datum")
+    first = rows[0]
+    shared = (first.rho_minus, first.rho_plus, first.v_plus, first.eos)
+    errors, columns = [], []
+    for data in rows:
+        if (data.rho_minus, data.rho_plus, data.v_plus, data.eos) != shared:
+            raise DomainError("window_grid data must differ in v_minus only")
+        try:
+            f = _require_subsolution_data(data)
+        except EulerFanError as exc:
+            errors.append(exc)
+            columns.append((math.nan,) * 5)
+        else:
+            errors.append(None)
+            columns.append((data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L))
+    lo = min(first.rho_minus, first.rho_plus)
+    hi = max(first.rho_minus, first.rho_plus)
     if not np.all((rho_1 > lo) & (rho_1 < hi)):
-        raise DomainError(
+        raise errors[0] or DomainError(
             f"rho_1 must lie strictly inside ({lo}, {hi})")
+    return errors, [_column(c) for c in zip(*columns)]
 
 
-def _kinematics_arrays(data: RiemannData, rho_1: np.ndarray):
-    """Interface speeds, middle velocity and first slack on a rho_1 grid.
+def _record(errors: list, failing: np.ndarray, error) -> None:
+    """Set errors[i] = error(i) for each failing row i without an error yet."""
+    for i in failing.nonzero()[0]:
+        if errors[i] is None:
+            errors[i] = error(i)
+
+
+def _kinematics_arrays(rows, rho_1: np.ndarray):
+    """Interface speeds, middle velocity and first slack on a
+    (gap x rho_1) grid, with one error slot per row.  rho_1 is 2-D: one
+    row for all data, or one row per datum.
 
     The formulas are written for rho_minus < rho_plus.  Data of the other
     ordering are reflected by x2 -> -x2, which swaps the two states and
@@ -152,70 +204,92 @@ def _kinematics_arrays(data: RiemannData, rho_1: np.ndarray):
 
     The first slack is evaluated in its K/L square-root form and
     cross-checked against the independent interface-speed form; the two
-    continuity balances are re-evaluated as self-checks.  Disagreement
-    beyond the pinned tolerances aborts with diagnostics.
+    continuity balances are re-evaluated as self-checks.  A row whose
+    check fails beyond the pinned tolerances gets a NumericalError with
+    diagnostics; the first failing check of a row is the one recorded.
     """
-    f = _require_subsolution_data(data)
-    _check_rho1(data, rho_1)
+    errors, (vm2, A, sqrt_nB, K, L) = _gap_columns(rows, rho_1)
+    data = rows[0]
     rm, rp = data.rho_minus, data.rho_plus
-    vm2, vp2 = data.v_minus[1], data.v_plus[1]
+    vp2 = data.v_plus[1]
     eos = data.eos
     flip = rm > rp
     near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
-    R, A = near - far, f.A
-    sqrt_nB = math.sqrt(-f.B)
-    p_far, p1 = eos._pressure(far), eos._pressure(rho_1)
+    R = near - far
+    d_near, d_far = rho_1 - near, far - rho_1
+    pressure_term = (eos._pressure(far) - eos._pressure(rho_1)) / rho_1
 
-    nu_near = A / R + (sqrt_nB / R) * np.sqrt((far - rho_1) / (rho_1 - near))
-    nu_far = A / R - (sqrt_nB / R) * np.sqrt((rho_1 - near) / (far - rho_1))
-    beta = (far * v_far2 / rho_1 - (far - rho_1) * A / (R * rho_1)
-            + (sqrt_nB / (R * rho_1)) * np.sqrt((rho_1 - near) * (far - rho_1)))
-    eps_1 = ((p_far - p1) / rho_1
-             - (far / rho_1) * (f.L * np.sqrt(1.0 - near / rho_1)
-                                - f.K * np.sqrt(far / rho_1 - 1.0)) ** 2)
-    eps_1_alt = ((p_far - p1) / rho_1
-                 - far * (far - rho_1) / rho_1 ** 2 * (nu_far - v_far2) ** 2)
+    nu_near = A / R + (sqrt_nB / R) * np.sqrt(d_far / d_near)
+    nu_far = A / R - (sqrt_nB / R) * np.sqrt(d_near / d_far)
+    beta = (far * v_far2 / rho_1 - d_far * A / (R * rho_1)
+            + (sqrt_nB / (R * rho_1)) * np.sqrt(d_near * d_far))
+    eps_1 = (pressure_term
+             - (far / rho_1) * (L * np.sqrt(1.0 - near / rho_1)
+                                - K * np.sqrt(far / rho_1 - 1.0)) ** 2)
+    eps_1_alt = pressure_term - far * d_far / rho_1 ** 2 * (nu_far - v_far2) ** 2
     if flip:
         nu_minus, nu_plus, beta = -nu_far, -nu_near, -beta
     else:
         nu_minus, nu_plus = nu_near, nu_far
 
-    scale = np.maximum(1.0, np.abs(eps_1))
-    worst = np.max(np.abs(eps_1 - eps_1_alt) / scale)
-    if not worst <= CROSS_CHECK_TOL:
-        i = int(np.argmax(np.abs(eps_1 - eps_1_alt) / scale))
-        raise NumericalError(
-            "first-slack cross-check failed: square-root form and "
-            f"interface-speed form disagree by {worst:.3e} (relative) at "
-            f"rho_1 = {np.atleast_1d(rho_1)[i]}")
+    rel = np.abs(eps_1 - eps_1_alt) / np.maximum(1.0, np.abs(eps_1))
+    worst = rel.max(axis=-1)
+    _record(errors, ~(worst <= CROSS_CHECK_TOL), lambda i: NumericalError(
+        "first-slack cross-check failed: square-root form and "
+        f"interface-speed form disagree by {worst[i]:.3e} (relative) at "
+        f"rho_1 = {np.broadcast_to(rho_1, rel.shape)[i, np.argmax(rel[i])]}"))
 
     for name, nu, lhs_rho, lhs_mom in (
             ("left", nu_minus, rm - rho_1, rm * vm2 - rho_1 * beta),
             ("right", nu_plus, rho_1 - rp, rho_1 * beta - rp * vp2)):
         lhs = nu * lhs_rho
         denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs_mom)))
-        res = np.max(np.abs(lhs - lhs_mom) / denom)
-        if not res <= CONTINUITY_TOL:
-            raise NumericalError(
-                f"{name} continuity self-check failed: residual {res:.3e}")
+        res = (np.abs(lhs - lhs_mom) / denom).max(axis=-1)
+        _record(errors, ~(res <= CONTINUITY_TOL), lambda i: NumericalError(
+            f"{name} continuity self-check failed: residual {res[i]:.3e}"))
 
-    if np.any(nu_minus >= nu_plus):
-        raise NumericalError("interface speed ordering violated on the grid")
-    return nu_minus, nu_plus, beta, eps_1
+    _record(errors, (nu_minus >= nu_plus).any(axis=-1), lambda i: NumericalError(
+        "interface speed ordering violated on the grid"))
+    return errors, nu_minus, nu_plus, beta, eps_1
 
 
-def _window_arrays(data: RiemannData, rho_1: np.ndarray) -> _GridWindow:
-    """Treat both interface energy inequalities as affine constraints
-    a*eps_2 <= b and intersect the resulting half-lines with (0, inf).
-
-    The direction of each bound follows the sign of its coefficient, so
-    no sign regime is assumed for beta - v_minus2 or v_plus2 - beta; a
-    vanishing coefficient degenerates the constraint to the sign test
-    b >= 0.
+def window_grid(rows, rho_1) -> WindowGrid:
     """
-    nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(data, rho_1)
+    Kinematics and second-slack window for several velocity gaps at once.
+
+    Both interface energy inequalities are treated as affine constraints
+    a*eps_2 <= b and the resulting half-lines are intersected with
+    (0, inf).  The direction of each bound follows the sign of its
+    coefficient, so no sign regime is assumed for beta - v_minus2 or
+    v_plus2 - beta; a vanishing coefficient degenerates the constraint
+    to the sign test b >= 0.
+
+    Parameters
+    ----------
+    rows : sequence of RiemannData
+        Data that differ in v_minus only, one per row of the grid.  The
+        per-gap scalars (v_minus2, A, B, K, L) come from each datum's
+        own data_functionals and enter as (k, 1) columns.
+    rho_1 : ndarray
+        Middle densities strictly inside the density interval: one 1-D
+        array for every row, or a 2-D array with one row per datum.
+
+    Returns
+    -------
+    WindowGrid
+        Arrays of shape (len(rows), n).  A datum whose preconditions or
+        self-checks fail does not raise: its error is in errors.
+
+    Raises DomainError when the data differ in more than v_minus, or
+    when rho_1 leaves the open interval (then the first datum's own
+    error, if any, is raised instead).
+    """
+    rho_1 = np.atleast_2d(np.asarray(rho_1, dtype=float))
+    errors, nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(rows, rho_1)
+    data = rows[0]
     rm, rp = data.rho_minus, data.rho_plus
-    vm2, vp2 = data.v_minus[1], data.v_plus[1]
+    vm2 = _column([d.v_minus[1] for d in rows])
+    vp2 = data.v_plus[1]
     eos = data.eos
 
     P_left = eos._p_dissipation(rm, rho_1)
@@ -229,23 +303,30 @@ def _window_arrays(data: RiemannData, rho_1: np.ndarray) -> _GridWindow:
     b_right = (-eps_1 * rho_1 * (vp2 + beta)
                + eps_1 * rho_1 * rp * vpb / (rho_1 - rp) - vpb * P_right)
 
-    lower = np.full_like(np.asarray(rho_1, dtype=float), -np.inf)
-    upper = np.full_like(lower, np.inf)
-    parity_ok = np.ones_like(lower, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for a, b in ((a_left, b_left), (a_right, b_right)):
-            q = np.where(a != 0.0, b / np.where(a != 0.0, a, 1.0), 0.0)
-            upper = np.where(a > 0.0, np.minimum(upper, q), upper)
-            lower = np.where(a < 0.0, np.maximum(lower, q), lower)
-            parity_ok &= np.where(a == 0.0, b >= 0.0, True)
+        q_left, q_right = b_left / a_left, b_right / a_right
+    upper = np.where(a_left > 0.0, q_left, np.inf)
+    upper = np.where(a_right > 0.0, np.minimum(upper, q_right), upper)
+    lower = np.where(a_left < 0.0, q_left, -np.inf)
+    lower = np.where(a_right < 0.0, np.maximum(lower, q_right), lower)
+    parity_ok = (((a_left != 0.0) | (b_left >= 0.0))
+                 & ((a_right != 0.0) | (b_right >= 0.0)))
 
     feasible = parity_ok & (eps_1 > 0.0) & (np.maximum(lower, 0.0) < upper)
-    return _GridWindow(rho_1=np.asarray(rho_1, dtype=float),
-                       nu_minus=nu_minus, nu_plus=nu_plus, beta=beta,
-                       eps_1=eps_1, a_left=a_left, b_left=b_left,
-                       a_right=a_right, b_right=b_right,
-                       lower=lower, upper=upper,
-                       parity_ok=parity_ok, feasible=feasible)
+    return WindowGrid(nu_minus=nu_minus, nu_plus=nu_plus, beta=beta,
+                      eps_1=eps_1, a_left=a_left, b_left=b_left,
+                      a_right=a_right, b_right=b_right,
+                      lower=lower, upper=upper, feasible=feasible,
+                      errors=tuple(errors))
+
+
+def _window_arrays(data: RiemannData, rho_1: np.ndarray) -> WindowGrid:
+    """window_grid of one datum, with 1-D arrays; raises its error."""
+    grid = window_grid([data], rho_1)
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    return replace(grid, **{f.name: getattr(grid, f.name)[0]
+                            for f in fields(grid) if f.name != "errors"})
 
 
 def kinematics(data: RiemannData, rho_1: float):
@@ -267,9 +348,10 @@ def kinematics(data: RiemannData, rho_1: float):
     (nu_minus, nu_plus, beta, eps_1) : tuple of float
         nu_minus < nu_plus always.
     """
-    arr = np.asarray([float(rho_1)])
-    nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(data, arr)
-    return float(nu_minus[0]), float(nu_plus[0]), float(beta[0]), float(eps_1[0])
+    errors, *values = _kinematics_arrays([data], np.asarray([[float(rho_1)]]))
+    if errors[0] is not None:
+        raise errors[0]
+    return tuple(float(v[0, 0]) for v in values)
 
 
 def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:
@@ -358,7 +440,7 @@ def verify_subsolution(data: RiemannData, sub: FanSubsolution,
     shared with the closed-form kinematics or window code, so this is an
     independent oracle for them.  Always returns a report; passed is
     True iff every equality residual is <= equality_tol (relative) and
-    every inequality margin is strictly positive.
+    every inequality margin is strictly positive, so a NaN anywhere fails.
     """
     rm, rp = data.rho_minus, data.rho_plus
     vm1, vm2 = data.v_minus
@@ -407,8 +489,8 @@ def verify_subsolution(data: RiemannData, sub: FanSubsolution,
         "energy_right": energy_right_rhs - energy_right_lhs,
     }
 
-    passed = (max(residuals.values()) <= equality_tol
-              and min(margins.values()) > 0.0)
+    passed = (all(r <= equality_tol for r in residuals.values())
+              and all(m > 0.0 for m in margins.values()))
     return VerificationReport(equality_residuals=residuals,
                               inequality_margins=margins,
                               equality_tol=equality_tol, passed=passed)
@@ -432,7 +514,7 @@ def epsilon1_sign_change(data: RiemannData) -> float:
     near, far = min(data.rho_minus, data.rho_plus), max(data.rho_minus, data.rho_plus)
 
     def slack(x):
-        return float(_kinematics_arrays(data, np.asarray([x]))[3][0])
+        return kinematics(data, x)[3]
 
     lo = f.rho_tilde
     hi = far - 1e-12 * (far - near)

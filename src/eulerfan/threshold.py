@@ -5,9 +5,13 @@ pressure law, subsolutions exist for every gap w = v_minus2 - v_plus2
 sufficiently close to (but below) sqrt(T), the two-shock bound.  The
 threshold V reported here is defined operationally: the infimum of the
 feasible gap interval abutting sqrt(T), located by a descending scan
-followed by bisection.  The full probe trace is retained so a
-non-monotone feasibility pattern, if one ever shows up, is visible in
-the result rather than silently flattened into a single number.
+followed by bisection.  The scan evaluates its gaps in blocks of up to
+_SCAN_BLOCK, each block as one (gap x middle density) call of the
+window kernel, and stops at the first infeasible gap; every probe comes
+out as it would from a one-gap evaluation.  Bisection probes one gap at
+a time.  The full probe trace is retained so a non-monotone feasibility
+pattern, if one ever shows up, is visible in the result rather than
+silently flattened into a single number.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .eos import Eos
 from .errors import DegenerateDensityError, DomainError, EulerFanError
 from .functionals import RiemannData
-from .subsolution import FanSubsolution, _window_arrays, reconstruct
+from .subsolution import FanSubsolution, eps2_window, reconstruct, window_grid
 
 #: Termination width for the bisection phase of threshold_V.
 BISECTION_TOL = 1e-6
@@ -30,9 +34,15 @@ SCAN_STEPS = 200
 #: Relative standoff of the first probe below sqrt(T).
 SCAN_OFFSET = 1e-6
 
+_GRID = 2048
 _ENDPOINT_MARGIN = 1e-9
 _REFINE_POINTS = 64
 _REFINE_PASSES = 2
+_REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
+# Gaps per kernel call in the descending scan, so at most 4 x 2048 nodes.
+# Blocks of 8 and 16 raised the peak RSS of a threshold_table run from
+# 34.8 MB by 1.4 and 4.2 MB.
+_SCAN_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -63,27 +73,67 @@ class ThresholdRow:
     error: str | None
 
 
-def _feasibility_grid(data: RiemannData, grid: int):
-    """Evaluate the feasibility mask on an adaptive middle-density grid.
+def _feasibility_grids(rows, grid: int):
+    """Feasibility masks on adaptive middle-density grids for the gap
+    rows, in order, up to and including the first row with no feasible
+    node.
 
-    Starts from `grid` equispaced nodes strictly inside the density
-    interval and twice inserts _REFINE_POINTS extra nodes into every
-    subinterval where the mask flips, sharpening the interval edges.
+    rows are RiemannData that differ in the gap only (see window_grid).
+    Each row starts from `grid` equispaced nodes strictly inside the
+    density interval and twice inserts _REFINE_POINTS extra nodes into
+    every subinterval where its mask flips, sharpening the interval
+    edges.  A pass evaluates only the inserted nodes, of all rows in one
+    kernel call.  Rows past the first infeasible one are dropped
+    unrefined, and the first error among the kept rows is raised, so the
+    outcome is that of evaluating the rows one by one until the first
+    infeasible one.
+
+    Returns a list of (nodes, mask) pairs.
     """
-    lo = min(data.rho_minus, data.rho_plus)
-    hi = max(data.rho_minus, data.rho_plus)
+    first = rows[0]
+    lo = min(first.rho_minus, first.rho_plus)
+    hi = max(first.rho_minus, first.rho_plus)
     delta = _ENDPOINT_MARGIN * (hi - lo)
     nodes = np.linspace(lo + delta, hi - delta, grid)
-    window = _window_arrays(data, nodes)
+    window = window_grid(rows, nodes)
+    errors = list(window.errors)
+    stop = next((i for i, mask in enumerate(window.feasible)
+                 if errors[i] is not None or not mask.any()), len(rows))
+    grids = [(nodes, mask) for mask in window.feasible[:stop + 1]]
+    refining = range(stop)
     for _ in range(_REFINE_PASSES):
-        mask = window.feasible
-        flips = np.nonzero(mask[:-1] != mask[1:])[0]
-        if flips.size == 0:
+        inserted = {}
+        for i in refining:
+            nodes, mask = grids[i]
+            flips = np.flatnonzero(mask[:-1] != mask[1:])
+            if flips.size:
+                # The arithmetic of np.linspace(a, b, _REFINE_POINTS + 2)[1:-1]
+                # for every flip at once.
+                a, b = nodes[flips, None], nodes[flips + 1, None]
+                inserted[i] = (_REFINE_STEPS * ((b - a) / (_REFINE_POINTS + 1)) + a).ravel()
+        if not inserted:
             break
-        extra = [np.linspace(nodes[i], nodes[i + 1], _REFINE_POINTS + 2)[1:-1] for i in flips]
-        nodes = np.unique(np.concatenate([nodes, *extra]))
-        window = _window_arrays(data, nodes)
-    return nodes, window
+        # Rows insert different numbers of nodes: pad each row with
+        # copies of its last node, which move none of its checks.
+        width = max(new.size for new in inserted.values())
+        window = window_grid(
+            [rows[i] for i in inserted],
+            [np.concatenate([new, np.full(width - new.size, new[-1])])
+             for new in inserted.values()])
+        for (i, new), new_mask, error in zip(inserted.items(), window.feasible,
+                                             window.errors):
+            if error is not None:
+                errors[i] = error
+                continue
+            nodes, mask = grids[i]
+            merged, first_seen = np.unique(np.concatenate([nodes, new]),
+                                           return_index=True)
+            grids[i] = (merged, np.concatenate([mask, new_mask[:new.size]])[first_seen])
+        refining = [i for i in inserted if errors[i] is None]
+    failed = next((e for e in errors[:stop + 1] if e is not None), None)
+    if failed is not None:
+        raise failed
+    return grids
 
 
 def _feasible_runs(mask: np.ndarray):
@@ -92,8 +142,29 @@ def _feasible_runs(mask: np.ndarray):
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
+def _intervals(nodes: np.ndarray, runs):
+    """Feasible runs of a grid as middle-density intervals (rho_lo, rho_hi)."""
+    return [(float(nodes[i]), float(nodes[j])) for i, j in runs]
+
+
+def _check_grid(grid: int) -> None:
+    if not grid >= 2:
+        raise DomainError(f"grid must have at least 2 nodes, got {grid}")
+
+
+def _gap_datum(rho_minus, rho_plus, v_plus2, eos: Eos, w: float) -> RiemannData:
+    """The datum of gap w, which must lie in (0, sqrt(T))."""
+    data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
+                       v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
+    bound = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
+    if not 0.0 < w < bound:
+        raise DomainError(
+            f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
+    return data
+
+
 def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
-                     eos: Eos, w: float, *, grid: int = 2048):
+                     eos: Eos, w: float, *, grid: int = _GRID):
     """
     Decide whether any middle density admits a subsolution at gap w.
 
@@ -108,7 +179,7 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
         Velocity gap v_minus2 - v_plus2, required to lie in
         (0, sqrt(T)) so the two interface speeds are real.
     grid : int, optional
-        Initial number of middle-density nodes.
+        Initial number of middle-density nodes, at least 2.
 
     Returns
     -------
@@ -116,25 +187,26 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
     intervals : list of (rho_lo, rho_hi)
         Feasible middle-density intervals, resolved to the refined grid.
     """
+    _check_grid(grid)
     if rho_minus == rho_plus:
         raise DegenerateDensityError(
             f"equal densities {rho_minus} leave no middle-density interval")
-    data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
-                       v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
-    bound = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
-    if not 0.0 < w < bound:
-        raise DomainError(
-            f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
-
-    nodes, window = _feasibility_grid(data, grid)
-    runs = _feasible_runs(window.feasible)
-    return bool(runs), [(float(nodes[i]), float(nodes[j])) for i, j in runs]
+    data = _gap_datum(rho_minus, rho_plus, v_plus2, eos, w)
+    nodes, mask = _feasibility_grids([data], grid)[0]
+    intervals = _intervals(nodes, _feasible_runs(mask))
+    return bool(intervals), intervals
 
 
-def feasibility_scan(data: RiemannData, *, grid: int = 2048):
+def feasibility_scan(data: RiemannData, *, grid: int = _GRID):
     """
     Scan the middle-density interval once for feasible intervals and a
     witness.
+
+    Parameters
+    ----------
+    data : RiemannData
+    grid : int, optional
+        Initial number of middle-density nodes, at least 2.
 
     Returns
     -------
@@ -148,22 +220,24 @@ def feasibility_scan(data: RiemannData, *, grid: int = 2048):
         is unbounded) and the common first velocity component.  None
         when no node is feasible.
     """
-    nodes, window = _feasibility_grid(data, grid)
-    runs = _feasible_runs(window.feasible)
-    intervals = [(float(nodes[i]), float(nodes[j])) for i, j in runs]
+    _check_grid(grid)
+    nodes, mask = _feasibility_grids([data], grid)[0]
+    runs = _feasible_runs(mask)
+    intervals = _intervals(nodes, runs)
     if not runs:
         return intervals, None
     first, last = max(runs, key=lambda r: nodes[r[1]] - nodes[r[0]])
     center = 0.5 * (nodes[first] + nodes[last])
-    idx = first + int(np.argmin(np.abs(nodes[first:last + 1] - center)))
+    rho_1 = float(nodes[first + int(np.argmin(np.abs(nodes[first:last + 1] - center)))])
 
-    eff_lower = max(float(window.lower[idx]), 0.0)
-    upper = float(window.upper[idx])
+    window = eps2_window(data, rho_1)
+    eff_lower = max(window.eps2_lower, 0.0)
+    upper = window.eps2_upper
     eps_2 = 0.5 * (eff_lower + upper) if math.isfinite(upper) else eff_lower + 1.0
-    return intervals, reconstruct(data, float(nodes[idx]), eps_2, alpha=data.v_plus[0])
+    return intervals, reconstruct(data, rho_1, eps_2, alpha=data.v_plus[0])
 
 
-def subsolution_witness(data: RiemannData, *, grid: int = 2048) -> FanSubsolution | None:
+def subsolution_witness(data: RiemannData, *, grid: int = _GRID) -> FanSubsolution | None:
     """
     Search the middle-density interval and build one concrete
     subsolution: the witness of feasibility_scan, or None when no node
@@ -181,6 +255,12 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     until the first infeasible probe, then bisects the bracketing pair
     to BISECTION_TOL.  The returned V is the lowest gap probed feasible,
     so V < sqrt(T) always, and the probe just below V failed.
+
+    The scan takes its gaps _SCAN_BLOCK at a time into one kernel call;
+    gaps of a block past its first infeasible one are discarded
+    unrecorded, so the probe trace, V and any error raised are those of
+    probing one gap at a time.  Bisection probes go through
+    feasible_for_gap one by one.
 
     For gamma = 1 the existence guarantee does not apply; the search
     still runs, with a warning.
@@ -202,15 +282,21 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     w = (1.0 - SCAN_OFFSET) * sqrtT
     hi = None
     lo = None
-    while w > 0.0:
-        ok, intervals = feasible_for_gap(rho_minus, rho_plus, v_plus2, eos, w)
-        probes.append((w, intervals))
-        if ok:
-            hi = w
+    while w > 0.0 and lo is None:
+        gaps = []
+        while w > 0.0 and len(gaps) < _SCAN_BLOCK:
+            gaps.append(w)
             w -= step
-        else:
-            lo = w
-            break
+        # Only the first gap of the scan can fail _gap_datum: later ones
+        # are smaller and still positive.
+        rows = [_gap_datum(rho_minus, rho_plus, v_plus2, eos, gap) for gap in gaps]
+        for gap, (nodes, mask) in zip(gaps, _feasibility_grids(rows, _GRID)):
+            intervals = _intervals(nodes, _feasible_runs(mask))
+            probes.append((gap, intervals))
+            if intervals:
+                hi = gap
+            else:
+                lo = gap
 
     if hi is None:
         return ThresholdResult(

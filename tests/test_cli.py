@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface via run_cli."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eulerfan
 from eulerfan import parse_region_map_csv
 from eulerfan.cli import run_cli
 
@@ -16,6 +19,14 @@ FEASIBLE = ["feasibility", "--rho-minus", "1", "--rho-plus", "4",
 REGION = ["region-map", "--rho-minus", "1", "--v-minus2", "3.3", "--gamma", "2",
           "--rho-plus-range", "3.8", "4.2", "4",
           "--v-plus2-range", "-0.1", "0.1", "3"]
+
+
+def child(argv):
+    """Run a fresh interpreter that imports this eulerfan, installed or not."""
+    src = str(Path(eulerfan.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def run(capsys, argv):
@@ -67,14 +78,12 @@ class TestArgumentErrors:
     def test_import_leaves_scipy_unloaded(self):
         code = ("import sys, eulerfan.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+        proc = child(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_console_script_is_installed(self):
-        proc = subprocess.run([sys.executable, "-m", "eulerfan.cli", "--help"],
-                              capture_output=True, text=True)
+        proc = child(["-m", "eulerfan.cli", "--help"])
         assert proc.returncode == 0
         assert "region-map" in proc.stdout
 
@@ -126,6 +135,11 @@ class TestFeasibilityCommand:
         assert doc["feasible"] is False
         assert doc["witness"] is None
 
+    def test_grid_below_two_nodes_is_an_input_error(self, capsys):
+        code, _, err = run(capsys, FEASIBLE + ["--grid", "0"])
+        assert code == 2
+        assert "at least 2" in err
+
     def test_gap_beyond_bound_is_an_input_error(self, capsys):
         code, _, err = run(capsys, [
             "feasibility", "--rho-minus", "1", "--rho-plus", "4",
@@ -174,6 +188,18 @@ class TestWitnessWorkflow:
         assert code == 2
         assert "must be positive and finite" in err
 
+    @pytest.mark.parametrize("name", ["gamma_2", "alpha"])
+    def test_nan_parameter_is_an_input_error(self, capsys, tmp_path, name):
+        path = tmp_path / "witness.json"
+        run(capsys, FEASIBLE + ["--emit-witness", str(path)])
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[name] = float("nan")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be finite" in err
+
     def test_missing_file_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.json")])
         assert code == 2
@@ -212,3 +238,17 @@ class TestRegionMapCommand:
         assert code == 0
         assert "cells recorded errors" in err
         assert parse_region_map_csv(out)
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--rho-plus-range", ["nan", "6", "3"]),
+        ("--v-plus2-range", ["0", "nan", "3"]),
+    ])
+    def test_nan_grid_bound_is_an_input_error(self, capsys, flag, values):
+        argv = ["region-map", "--rho-minus", "1", "--v-minus2", "0", "--gamma", "2",
+                "--rho-plus-range", "1", "6", "3", "--v-plus2-range", "0", "1", "3"]
+        i = argv.index(flag)
+        argv[i + 1:i + 4] = values
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err

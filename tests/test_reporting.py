@@ -140,6 +140,18 @@ class TestWitnessDocuments:
         data_back, sub_back = parse_witness(doc)
         assert not verify_subsolution(data_back, sub_back).passed
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("gamma_2", math.nan, "gamma_2 must be finite"),
+        ("alpha", math.inf, "alpha must be finite"),
+        ("rho_1", math.nan, "rho_1 must be positive and finite"),
+        ("C", "many", "C must be a number"),
+    ])
+    def test_bad_numbers_rejected(self, name, value, message):
+        doc = witness_document(GOLDEN, reconstruct(GOLDEN, 2.0, 1.0, 0.0))
+        doc[name] = value
+        with pytest.raises(DomainError, match=message):
+            parse_witness(doc)
+
 
 class TestRegionMapCsv:
     @given(cells=st.lists(cell_strategy, max_size=24))
@@ -238,3 +250,13 @@ class TestRegionMapSweep:
             region_map_sweep(1.0, 3.3, GAMMA2, (4.0, 4.0, 1), (0.0, 1.0, 2))
         with pytest.raises(DomainError, match="positive"):
             region_map_sweep(1.0, 3.3, GAMMA2, (-1.0, 4.0, 2), (0.0, 1.0, 2))
+
+    @pytest.mark.parametrize("rho_plus_range, v_plus2_range", [
+        ((math.nan, 6.0, 3), (0.0, 1.0, 2)),
+        ((1.0, 6.0, 3), (0.0, math.nan, 2)),
+        ((1.0, math.inf, 3), (0.0, 1.0, 2)),
+        ((1.0, 6.0, math.nan), (0.0, 1.0, 2)),
+    ])
+    def test_rejects_non_finite_grids(self, rho_plus_range, v_plus2_range):
+        with pytest.raises(DomainError, match="finite"):
+            region_map_sweep(1.0, 3.3, GAMMA2, rho_plus_range, v_plus2_range)

@@ -16,7 +16,7 @@ from eulerfan import (ConstraintError, DegenerateDensityError, DomainError,
                       eps2_window, epsilon1_sign_change, kinematics,
                       limit_quantities, reconstruct, subsolution_witness,
                       verify_subsolution)
-from eulerfan.subsolution import _window_arrays
+from eulerfan.subsolution import _window_arrays, window_grid
 
 GAMMA2 = Eos(2.0)
 
@@ -300,6 +300,66 @@ class TestReconstructAndVerify:
         eps_2 = lo + frac * (rec.eps2_upper - lo)
         sub = reconstruct(GOLDEN, rho_1, eps_2, 0.0)
         assert verify_subsolution(GOLDEN, sub).passed
+
+    @pytest.mark.parametrize("name", ["gamma_2", "alpha"])
+    def test_nan_parameter_fails_verification(self, name):
+        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0, 0.0),
+                                  **{name: math.nan})
+        report = verify_subsolution(GOLDEN, sub)
+        assert not report.passed
+        assert math.isnan(report.max_equality_residual)
+        assert math.isnan(report.min_inequality_margin)
+
+
+class TestWindowGrid:
+    NODES = np.linspace(1.0, 4.0, 34)[1:-1]
+
+    @staticmethod
+    def gap_rows(data, fractions):
+        bound = math.sqrt(data_functionals(data).T)
+        return [RiemannData(data.rho_minus, data.rho_plus,
+                            (data.v_plus[0], data.v_plus[1] + f * bound),
+                            data.v_plus, data.eos) for f in fractions]
+
+    def test_rows_equal_one_row_calls(self):
+        """Each row of a many-gap call is bit for bit the one-gap result,
+        for shared and for per-row middle densities."""
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            data = random_subsonic_data(rng, gammas=(1.4, 2.0, 3.0))
+            rows = self.gap_rows(data, rng.uniform(0.5, 0.999, size=3))
+            lo, hi = sorted((data.rho_minus, data.rho_plus))
+            shared = np.linspace(lo, hi, 34)[1:-1]
+            own = np.sort(rng.uniform(lo, hi, size=(3, 20)), axis=1)
+            for nodes in (shared, own):
+                grid = window_grid(rows, nodes)
+                assert grid.errors == (None, None, None)
+                for i, row in enumerate(rows):
+                    one = _window_arrays(row, nodes if nodes.ndim == 1 else nodes[i])
+                    for field in dataclasses.fields(one):
+                        if field.name != "errors":
+                            np.testing.assert_array_equal(
+                                getattr(grid, field.name)[i], getattr(one, field.name))
+
+    def test_row_errors_are_recorded_not_raised(self):
+        beyond = RiemannData(1.0, 4.0, (0.0, SQRT_T), (0.0, 0.0), GAMMA2)
+        grid = window_grid([GOLDEN, beyond, GOLDEN], self.NODES)
+        assert grid.errors[0] is None and grid.errors[2] is None
+        assert isinstance(grid.errors[1], VelocityGapError)
+        np.testing.assert_array_equal(grid.feasible[2], grid.feasible[0])
+
+    def test_rows_must_differ_in_the_gap_only(self):
+        with pytest.raises(DomainError, match="v_minus only"):
+            window_grid([GOLDEN, GOLDEN_SWAP], self.NODES)
+        with pytest.raises(DomainError, match="at least one"):
+            window_grid([], self.NODES)
+
+    def test_density_outside_interval_raises_the_first_rows_error(self):
+        beyond = RiemannData(1.0, 4.0, (0.0, SQRT_T), (0.0, 0.0), GAMMA2)
+        with pytest.raises(VelocityGapError):
+            window_grid([beyond, GOLDEN], [0.5])
+        with pytest.raises(DomainError, match="strictly inside"):
+            window_grid([GOLDEN, beyond], [0.5])
 
 
 class TestDeliberateViolations:

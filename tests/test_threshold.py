@@ -6,14 +6,62 @@ import math
 import numpy as np
 import pytest
 
-from eulerfan import (DegenerateDensityError, DomainError, Eos, RiemannData,
-                      ThresholdRow, data_functionals, epsilon1_sign_change,
+from eulerfan import (DegenerateDensityError, DomainError, Eos, NumericalError,
+                      RiemannData, ThresholdResult, ThresholdRow,
+                      VelocityGapError, data_functionals, epsilon1_sign_change,
                       feasibility_scan, feasible_for_gap, subsolution_witness,
-                      threshold_V, threshold_table, verify_subsolution)
-from eulerfan.threshold import BISECTION_TOL, _feasible_runs
+                      threshold_V, threshold_table, two_shock_T,
+                      verify_subsolution)
+from eulerfan.subsolution import _window_arrays
+from eulerfan.threshold import (BISECTION_TOL, SCAN_OFFSET, SCAN_STEPS,
+                                _feasibility_grids, _feasible_runs)
 
 GAMMA2 = Eos(2.0)
 SQRT_T = math.sqrt(45.0 / 4.0)
+COLUMNS = [0.1, 1.0, 2.0, 0.0, -0.1, -1.0, -2.0]
+
+
+def reference_grid(data, grid=2048):
+    """Sequential reference grid: every refinement pass recomputes all nodes."""
+    lo, hi = sorted((data.rho_minus, data.rho_plus))
+    nodes = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), grid)
+    mask = _window_arrays(data, nodes).feasible
+    for _ in range(2):
+        flips = np.nonzero(mask[:-1] != mask[1:])[0]
+        if flips.size == 0:
+            break
+        extra = [np.linspace(nodes[i], nodes[i + 1], 66)[1:-1] for i in flips]
+        nodes = np.unique(np.concatenate([nodes, *extra]))
+        mask = _window_arrays(data, nodes).feasible
+    return nodes, mask
+
+
+def reference_threshold(rho_minus, rho_plus, v_plus2, eos):
+    """Sequential reference for threshold_V, one gap per probe, on data
+    whose scan finds a feasibility edge."""
+    sqrtT = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+    probes = []
+
+    def feasible(w):
+        data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
+        nodes, mask = reference_grid(data)
+        probes.append((w, [(float(nodes[i]), float(nodes[j]))
+                           for i, j in _feasible_runs(mask)]))
+        return bool(probes[-1][1])
+
+    hi, w = None, (1.0 - SCAN_OFFSET) * sqrtT
+    while w > 0.0 and feasible(w):
+        hi, w = w, w - sqrtT / SCAN_STEPS
+    assert hi is not None and w > 0.0, "the reference models an edge only"
+    lo = w
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return ThresholdResult(V=float(hi), sqrtT=sqrtT, feasible_probe=probes,
+                           bisection_tol=BISECTION_TOL, note=None)
 
 
 class TestFeasibleForGap:
@@ -217,3 +265,86 @@ class TestThresholdTable:
         for row in rows:
             assert row.result is None
             assert "equal densities" in row.error
+
+
+class TestBatchedScanMatchesSequential:
+    """threshold_V scans its gaps in blocks and refines only the inserted
+    nodes; its results and errors must be those of the sequential
+    reference, bit for bit."""
+
+    @pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 4.0), (4.0, 1.0)])
+    @pytest.mark.parametrize("v_plus2", COLUMNS)
+    def test_reference_columns(self, rho_minus, rho_plus, v_plus2):
+        assert (threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2)
+                == reference_threshold(rho_minus, rho_plus, v_plus2, GAMMA2))
+
+    @pytest.mark.parametrize("gamma", [1.4, 3.0])
+    def test_other_pressure_laws(self, gamma):
+        eos = Eos(gamma)
+        assert threshold_V(1.0, 4.0, 0.0, eos) == reference_threshold(1.0, 4.0, 0.0, eos)
+
+    def test_isothermal_law_warns_and_matches(self):
+        eos = Eos(1.0)
+        with pytest.warns(UserWarning, match="gamma > 1"):
+            result = threshold_V(1.0, 4.0, 0.0, eos)
+        assert result == reference_threshold(1.0, 4.0, 0.0, eos)
+
+    # (1e3, 1) fails the cross-check at the first gap.  The other three
+    # were found by seeded search: a continuity check fails at the third
+    # gap of a scan block whose first two are feasible, in a refinement
+    # pass of the second gap of a block, and in a refinement pass of a
+    # bisection probe.
+    @pytest.mark.parametrize("rho_minus, rho_plus, v_plus2, gamma", [
+        (1e3, 1.0, 0.0, 1.4),
+        (3385.7655500690385, 2.0417847885199363, 0.0789653286814147, 1.4),
+        (4.218419597877375, 16556.273726555977, -0.9475973097609343, 3.0),
+        (5324.923042880178, 3.1179765826340806, 0.3094044075830693, 1.4),
+    ])
+    def test_same_error(self, rho_minus, rho_plus, v_plus2, gamma):
+        eos = Eos(gamma)
+        with pytest.raises(NumericalError) as expected:
+            reference_threshold(rho_minus, rho_plus, v_plus2, eos)
+        with pytest.raises(NumericalError) as got:
+            threshold_V(rho_minus, rho_plus, v_plus2, eos)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_incremental_grid_matches_full_recompute(self):
+        rng = np.random.default_rng(53)
+        flipped = 0
+        for trial in range(30):
+            lo = float(10.0 ** rng.uniform(-1, 1))
+            hi = lo * float(10.0 ** rng.uniform(0.1, 1.5))
+            rho_minus, rho_plus = (hi, lo) if trial % 2 else (lo, hi)
+            eos = Eos(float(rng.choice([1.4, 2.0, 3.0])))
+            v_plus2 = float(rng.uniform(-3.0, 3.0))
+            w = float(rng.uniform(0.5, 0.999)) * math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+            data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
+            [(nodes, mask)] = _feasibility_grids([data], 512)
+            ref_nodes, ref_mask = reference_grid(data, 512)
+            np.testing.assert_array_equal(nodes, ref_nodes)
+            np.testing.assert_array_equal(mask, ref_mask)
+            flipped += nodes.size > 512
+        assert flipped >= 10, f"only {flipped} data refined their grid"
+
+    def test_block_stops_at_its_first_infeasible_row(self):
+        def row(w):
+            return RiemannData(1.0, 4.0, (0.0, w), (0.0, 0.0), GAMMA2)
+
+        feasible, infeasible, beyond = row(3.3), row(0.5), row(SQRT_T)
+        grids = _feasibility_grids([feasible, infeasible, beyond, feasible], 256)
+        assert len(grids) == 2
+        for data, (nodes, mask) in zip((feasible, infeasible), grids):
+            ref_nodes, ref_mask = reference_grid(data, 256)
+            np.testing.assert_array_equal(nodes, ref_nodes)
+            np.testing.assert_array_equal(mask, ref_mask)
+        with pytest.raises(VelocityGapError):
+            _feasibility_grids([feasible, beyond, infeasible], 256)
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+def test_grid_below_two_nodes_rejected(grid):
+    with pytest.raises(DomainError, match="at least 2"):
+        feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=grid)
+    with pytest.raises(DomainError, match="at least 2"):
+        feasibility_scan(TestFeasibilityScan.GOLDEN, grid=grid)
