@@ -23,10 +23,12 @@ class Eos:
     """Polytropic pressure law with adiabatic exponent gamma >= 1.
 
     The internal energy is tied to the pressure by p(r) = r**2 * e'(r),
-    which fixes e(rho) = rho**(gamma-1)/(gamma-1) for gamma > 1 and
-    e(rho) = log(rho) for gamma = 1 (integration constant 0; any affine
-    shift c*rho cancels across the interface balances, so the choice is
-    free).
+    which fixes e(rho) = (rho**(gamma-1) - 1)/(gamma-1) for gamma > 1 and
+    e(rho) = log(rho) for gamma = 1.  The integration constant is chosen
+    so that e(1) = 0 for every gamma, which makes e continuous as
+    gamma -> 1+ and keeps the 1/(gamma-1) constant out of the result
+    (any affine shift c*rho of rho*e cancels across the interface
+    balances, so the choice is free).
 
     The private methods are the unchecked formulas: they assume
     positive, finite densities (and r != s where two are taken).  Use
@@ -47,7 +49,8 @@ class Eos:
         g = self.gamma
         if g == 1.0:
             return np.log(rho)
-        return rho ** (g - 1.0) / (g - 1.0)
+        m = g - 1.0
+        return np.expm1(m * np.log(rho)) / m
 
     def _p_dissipation(self, r, s):
         num = self._internal_energy(r) - self._internal_energy(s)
@@ -105,8 +108,10 @@ def internal_energy(eos: Eos, rho):
     """
     Specific internal energy e(rho) satisfying p(r) = r**2 * e'(r).
 
-    Returns rho**(gamma-1)/(gamma-1) for gamma > 1 and log(rho) for
-    gamma = 1.
+    Returns (rho**(gamma-1) - 1)/(gamma-1) for gamma > 1 and log(rho)
+    for gamma = 1, so e(1) = 0.  The gamma > 1 branch is evaluated as
+    expm1((gamma-1)*log(rho))/(gamma-1): subtracting the 1 after the
+    power would wipe out the significand as gamma -> 1+.
     """
     _check_positive(rho)
     return eos._internal_energy(rho)

@@ -74,7 +74,17 @@ class TestTwoShockT:
 
 class TestInternalEnergy:
     def test_gamma_two_is_identity(self):
-        assert internal_energy(Eos(2.0), 1.7) == 1.7
+        """At gamma = 2, e is the identity shifted to vanish at rho = 1."""
+        assert internal_energy(Eos(2.0), 1.7) == 1.7 - 1.0
+
+    def test_vanishes_at_unit_density(self):
+        for gamma in (1.0, 1.0 + 2.0 ** -52, 1.4, 3.0):
+            assert internal_energy(Eos(gamma), 1.0) == 0.0
+
+    def test_continuous_as_gamma_tends_to_one(self):
+        rho = 3.7
+        near = internal_energy(Eos(1.0 + 1e-12), rho)
+        assert near == pytest.approx(math.log(rho), rel=1e-11)
 
     def test_gamma_one_is_log(self):
         assert internal_energy(Eos(1.0), math.e) == pytest.approx(1.0, rel=1e-15)
