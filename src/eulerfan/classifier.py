@@ -16,8 +16,8 @@ import numpy as np
 
 # pressure is not called here.  It stays a name of this module because
 # perfbench/selftest.py checks that its tracer restores it here.
-from .eos import Eos, _check_positive, pressure  # noqa: F401
-from .errors import DomainError, NumericalError
+from .eos import Eos, pressure  # noqa: F401
+from .errors import DomainError, NumericalError, check_positive
 from .functionals import RiemannData
 from .roots import brent
 
@@ -95,8 +95,8 @@ def wave_curve(family: int, anchor: tuple, rho, eos: Eos):
     if family not in (1, 3):
         raise DomainError(f"family must be 1 or 3, got {family}")
     rho_a, v_a2 = anchor
-    _check_positive(rho_a, "anchor density")
-    _check_positive(rho)
+    check_positive(rho_a, "anchor density")
+    check_positive(rho)
     rho = np.asarray(rho, dtype=float)
     # T(rho_a, rho) >= 0 on both sides of rho_a, so the shock expression
     # is well defined on the rarefaction side too and np.where never

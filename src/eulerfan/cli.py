@@ -20,7 +20,7 @@ from .reporting import (classification_record, read_witness, region_map_csv,
                         threshold_table_record, verification_record,
                         witness_document, write_witness)
 from .subsolution import verify_subsolution
-from .threshold import feasibility_scan, threshold_V, threshold_table
+from .threshold import GRID, feasibility_scan, threshold_V, threshold_table
 
 
 def _add_state_flags(parser, *, v_minus2: bool, v1: bool = True):
@@ -53,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feasibility",
                        help="feasible middle-density intervals for one datum")
     _add_state_flags(p, v_minus2=True)
-    p.add_argument("--grid", type=int, default=2048,
-                   help="initial middle-density grid size (default 2048)")
+    p.add_argument("--grid", type=int, default=GRID,
+                   help=f"initial middle-density grid size (default {GRID})")
     p.add_argument("--emit-witness", metavar="PATH",
                    help="write the found subsolution as a JSON witness file")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_positive
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,6 @@ class Eos:
                 * (np.expm1(m * np.log(rho_a)) - np.expm1(m * np.log(rho_b))))
 
 
-def _check_positive(rho, name="rho"):
-    arr = np.asarray(rho)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {rho}")
-
-
 def pressure(eos: Eos, rho):
     """
     Pressure p(rho) = rho**gamma.
@@ -100,7 +94,7 @@ def pressure(eos: Eos, rho):
     out : float or ndarray
         The pressure; strictly increasing in rho.
     """
-    _check_positive(rho)
+    check_positive(rho)
     return eos._pressure(rho)
 
 
@@ -113,7 +107,7 @@ def internal_energy(eos: Eos, rho):
     expm1((gamma-1)*log(rho))/(gamma-1): subtracting the 1 after the
     power would wipe out the significand as gamma -> 1+.
     """
-    _check_positive(rho)
+    check_positive(rho)
     return eos._internal_energy(rho)
 
 
@@ -137,8 +131,8 @@ def p_dissipation(eos: Eos, r, s):
     -------
     out : float or ndarray
     """
-    _check_positive(r, "r")
-    _check_positive(s, "s")
+    check_positive(r, "r")
+    check_positive(s, "s")
     if np.any(np.asarray(r) == np.asarray(s)):
         raise DomainError("p_dissipation requires r != s (diagonal not evaluated)")
     return eos._p_dissipation(r, s)
@@ -152,14 +146,14 @@ def two_shock_T(eos: Eos, r, s):
     the velocity gap; for an anchor density r, sqrt(T(r, s)) is the
     Hugoniot velocity jump to density s.
     """
-    _check_positive(r, "r")
-    _check_positive(s, "s")
+    check_positive(r, "r")
+    check_positive(s, "s")
     return eos._two_shock_T(r, s)
 
 
 def sound_speed(eos: Eos, rho):
     """Sound speed c(rho) = sqrt(p'(rho)) = sqrt(gamma) * rho**((gamma-1)/2)."""
-    _check_positive(rho)
+    check_positive(rho)
     return eos._sound_speed(rho)
 
 
@@ -177,7 +171,7 @@ def rarefaction_integral(eos: Eos, rho):
     the 2/(gamma-1) prefactor grows without bound as gamma -> 1+, and
     subtracting two near-equal huge values wipes out the significand.
     """
-    _check_positive(rho)
+    check_positive(rho)
     return eos._rarefaction_integral(rho)
 
 
@@ -191,6 +185,6 @@ def rarefaction_difference(eos: Eos, rho_a, rho_b):
     arbitrarily close to gamma = 1 (where the naive difference is
     quantized at the ulp of 2/(gamma-1)).
     """
-    _check_positive(rho_a, "rho_a")
-    _check_positive(rho_b, "rho_b")
+    check_positive(rho_a, "rho_a")
+    check_positive(rho_b, "rho_b")
     return eos._rarefaction_difference(rho_a, rho_b)

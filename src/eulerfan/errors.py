@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and check_positive, the
+density check shared by the eos and classifier modules."""
+
+import numpy as np
 
 
 class EulerFanError(Exception):
@@ -27,3 +30,10 @@ class ConstraintError(EulerFanError):
 class NumericalError(EulerFanError, RuntimeError):
     """A numerical self-check failed (root bracketing, cross-check
     disagreement); the message carries diagnostics."""
+
+
+def check_positive(rho, name="rho"):
+    """Raise DomainError unless every entry of rho is positive and finite."""
+    arr = np.asarray(rho)
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {rho}")

@@ -163,26 +163,35 @@ def parse_witness(doc: dict):
 
     The two slack variables are recomputed from their defining
     identities, so a hand-edited document is verified exactly as
-    written.  A field that is not a finite number raises DomainError.
+    written.  A field (or velocity component) that is not a finite
+    number, or a velocity that is not a list, raises DomainError.
     """
     missing = [k for k in WITNESS_KEYS if k not in doc]
     if missing:
         raise DomainError(f"witness document lacks keys: {', '.join(missing)}")
 
-    def number(key, positive=False):
+    def read(name, raw, positive=False):
         try:
-            value = float(doc[key])
+            value = float(raw)
         except (TypeError, ValueError):
-            raise DomainError(f"witness field {key} must be a number, got {doc[key]!r}") from None
+            raise DomainError(f"witness field {name} must be a number, got {raw!r}") from None
         if not math.isfinite(value) or (positive and not value > 0.0):
             kind = "positive and finite" if positive else "finite"
-            raise DomainError(f"witness field {key} must be {kind}, got {value}")
+            raise DomainError(f"witness field {name} must be {kind}, got {value}")
         return value
+
+    def number(key, positive=False):
+        return read(key, doc[key], positive)
+
+    def velocity(key):
+        # The pair length is RiemannData's check.
+        if not isinstance(doc[key], (list, tuple)):
+            raise DomainError(f"witness field {key} must be a list, got {doc[key]!r}")
+        return tuple(read(f"{key}[{i}]", c) for i, c in enumerate(doc[key]))
 
     data = RiemannData(rho_minus=number("rho_minus", positive=True),
                        rho_plus=number("rho_plus", positive=True),
-                       v_minus=tuple(float(c) for c in doc["v_minus"]),
-                       v_plus=tuple(float(c) for c in doc["v_plus"]),
+                       v_minus=velocity("v_minus"), v_plus=velocity("v_plus"),
                        eos=Eos(gamma=number("gamma")))
     alpha, beta = number("alpha"), number("beta")
     gamma_1, C = number("gamma_1"), number("C")
@@ -236,8 +245,8 @@ def region_map_sweep(rho_minus: float, v_minus2: float, eos: Eos,
         Fixed left state (first velocity component v1 on both sides).
     eos : Eos
     rho_plus_range, v_plus2_range : (min, max, n)
-        Inclusive linear grids of finite numbers, n >= 2; rho_plus
-        bounds must be positive.
+        Inclusive linear grids of finite numbers, n a whole number >= 2;
+        rho_plus bounds must be positive.
     v1 : float, optional
         Common first velocity component.
     with_threshold : bool, optional
@@ -257,6 +266,8 @@ def region_map_sweep(rho_minus: float, v_minus2: float, eos: Eos,
     v_lo, v_hi, v_n = v_plus2_range
     if not all(math.isfinite(x) for x in (*rho_plus_range, *v_plus2_range)):
         raise DomainError("grid bounds and sizes must be finite")
+    if r_n != int(r_n) or v_n != int(v_n):
+        raise DomainError(f"grid sizes must be whole numbers, got {r_n} and {v_n}")
     if int(r_n) < 2 or int(v_n) < 2:
         raise DomainError("grid needs at least 2 points per axis")
     if r_lo <= 0.0 or r_hi <= 0.0:

@@ -33,6 +33,8 @@ from .roots import brent
 # Cross-check and self-check tolerances (relative, scale max(1, |value|)).
 CROSS_CHECK_TOL = 1e-9
 CONTINUITY_TOL = 1e-10
+#: The verifier's pass gate on every interface balance residual (relative).
+EQUALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ class FeasibilityRecord:
 @dataclass(frozen=True)
 class VerificationReport:
     """Residuals of the six interface balances and the margins of the
-    five inequalities, evaluated directly from a FanSubsolution."""
+    five inequalities, evaluated directly from a FanSubsolution.
+    equality_tol is the gate the residuals were held to (EQUALITY_TOL)."""
 
     equality_residuals: dict
     inequality_margins: dict
@@ -427,8 +430,7 @@ def _relative_residual(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def verify_subsolution(data: RiemannData, sub: FanSubsolution,
-                       equality_tol: float = 1e-9) -> VerificationReport:
+def verify_subsolution(data: RiemannData, sub: FanSubsolution) -> VerificationReport:
     """
     Re-evaluate the complete interface system directly from the
     subsolution parameters.
@@ -439,7 +441,7 @@ def verify_subsolution(data: RiemannData, sub: FanSubsolution,
     interface energy inequalities) are computed from scratch; nothing is
     shared with the closed-form kinematics or window code, so this is an
     independent oracle for them.  Always returns a report; passed is
-    True iff every equality residual is <= equality_tol (relative) and
+    True iff every equality residual is <= EQUALITY_TOL (relative) and
     every inequality margin is strictly positive, so a NaN anywhere fails.
     """
     rm, rp = data.rho_minus, data.rho_plus
@@ -489,11 +491,11 @@ def verify_subsolution(data: RiemannData, sub: FanSubsolution,
         "energy_right": energy_right_rhs - energy_right_lhs,
     }
 
-    passed = (all(r <= equality_tol for r in residuals.values())
+    passed = (all(r <= EQUALITY_TOL for r in residuals.values())
               and all(m > 0.0 for m in margins.values()))
     return VerificationReport(equality_residuals=residuals,
                               inequality_margins=margins,
-                              equality_tol=equality_tol, passed=passed)
+                              equality_tol=EQUALITY_TOL, passed=passed)
 
 
 def epsilon1_sign_change(data: RiemannData) -> float:

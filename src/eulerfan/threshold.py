@@ -17,6 +17,7 @@ silently flattened into a single number.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,13 +34,14 @@ BISECTION_TOL = 1e-6
 SCAN_STEPS = 200
 #: Relative standoff of the first probe below sqrt(T).
 SCAN_OFFSET = 1e-6
+#: Default number of initial middle-density nodes.
+GRID = 2048
 
-_GRID = 2048
 _ENDPOINT_MARGIN = 1e-9
 _REFINE_POINTS = 64
 _REFINE_PASSES = 2
 _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
-# Gaps per kernel call in the descending scan, so at most 4 x 2048 nodes.
+# Gaps per kernel call in the descending scan, so at most 4 x GRID nodes.
 # Blocks of 8 and 16 raised the peak RSS of a threshold_table run from
 # 34.8 MB by 1.4 and 4.2 MB.
 _SCAN_BLOCK = 4
@@ -148,6 +150,8 @@ def _intervals(nodes: np.ndarray, runs):
 
 
 def _check_grid(grid: int) -> None:
+    if not isinstance(grid, numbers.Integral):
+        raise DomainError(f"grid must be an integer number of nodes, got {grid!r}")
     if not grid >= 2:
         raise DomainError(f"grid must have at least 2 nodes, got {grid}")
 
@@ -164,7 +168,7 @@ def _gap_datum(rho_minus, rho_plus, v_plus2, eos: Eos, w: float) -> RiemannData:
 
 
 def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
-                     eos: Eos, w: float, *, grid: int = _GRID):
+                     eos: Eos, w: float, *, grid: int = GRID):
     """
     Decide whether any middle density admits a subsolution at gap w.
 
@@ -197,7 +201,7 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
     return bool(intervals), intervals
 
 
-def feasibility_scan(data: RiemannData, *, grid: int = _GRID):
+def feasibility_scan(data: RiemannData, *, grid: int = GRID):
     """
     Scan the middle-density interval once for feasible intervals and a
     witness.
@@ -237,13 +241,13 @@ def feasibility_scan(data: RiemannData, *, grid: int = _GRID):
     return intervals, reconstruct(data, rho_1, eps_2, alpha=data.v_plus[0])
 
 
-def subsolution_witness(data: RiemannData, *, grid: int = _GRID) -> FanSubsolution | None:
+def subsolution_witness(data: RiemannData) -> FanSubsolution | None:
     """
     Search the middle-density interval and build one concrete
-    subsolution: the witness of feasibility_scan, or None when no node
-    is feasible.
+    subsolution: the witness of feasibility_scan on the default grid,
+    or None when no node is feasible.
     """
-    return feasibility_scan(data, grid=grid)[1]
+    return feasibility_scan(data)[1]
 
 
 def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
@@ -290,7 +294,7 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
         # Only the first gap of the scan can fail _gap_datum: later ones
         # are smaller and still positive.
         rows = [_gap_datum(rho_minus, rho_plus, v_plus2, eos, gap) for gap in gaps]
-        for gap, (nodes, mask) in zip(gaps, _feasibility_grids(rows, _GRID)):
+        for gap, (nodes, mask) in zip(gaps, _feasibility_grids(rows, GRID)):
             intervals = _intervals(nodes, _feasible_runs(mask))
             probes.append((gap, intervals))
             if intervals:

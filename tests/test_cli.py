@@ -200,6 +200,20 @@ class TestWitnessWorkflow:
         assert out == ""
         assert f"{name} must be finite" in err
 
+    @pytest.mark.parametrize("name", ["v_minus", "v_plus"])
+    @pytest.mark.parametrize("value", [["a", 3.3], 3.3, [1, 2, 3]])
+    def test_malformed_velocity_is_an_input_error(self, capsys, tmp_path, name, value):
+        path = tmp_path / "witness.json"
+        run(capsys, FEASIBLE + ["--emit-witness", str(path)])
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[name] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
     def test_missing_file_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.json")])
         assert code == 2
@@ -252,3 +266,11 @@ class TestRegionMapCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    def test_non_integer_grid_size_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, [
+            "region-map", "--rho-minus", "1", "--v-minus2", "0", "--gamma", "2",
+            "--rho-plus-range", "1", "4", "2.9", "--v-plus2-range", "0", "1", "3"])
+        assert code == 2
+        assert out == ""
+        assert "whole numbers" in err

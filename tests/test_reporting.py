@@ -152,6 +152,19 @@ class TestWitnessDocuments:
         with pytest.raises(DomainError, match=message):
             parse_witness(doc)
 
+    @pytest.mark.parametrize("name", ["v_minus", "v_plus"])
+    @pytest.mark.parametrize("value, message", [
+        (["a", 3.3], r"\[0\] must be a number"),
+        ([0.0, math.nan], r"\[1\] must be finite"),
+        (3.3, " must be a list"),
+        ([1, 2, 3], " must be a finite velocity pair"),
+    ])
+    def test_malformed_velocities_rejected(self, name, value, message):
+        doc = witness_document(GOLDEN, reconstruct(GOLDEN, 2.0, 1.0, 0.0))
+        doc[name] = value
+        with pytest.raises(DomainError, match=name + message):
+            parse_witness(doc)
+
 
 class TestRegionMapCsv:
     @given(cells=st.lists(cell_strategy, max_size=24))
@@ -259,4 +272,12 @@ class TestRegionMapSweep:
     ])
     def test_rejects_non_finite_grids(self, rho_plus_range, v_plus2_range):
         with pytest.raises(DomainError, match="finite"):
+            region_map_sweep(1.0, 3.3, GAMMA2, rho_plus_range, v_plus2_range)
+
+    @pytest.mark.parametrize("rho_plus_range, v_plus2_range", [
+        ((1.0, 4.0, 2.9), (0.0, 1.0, 2)),
+        ((1.0, 4.0, 2), (0.0, 1.0, 3.5)),
+    ])
+    def test_rejects_non_integer_sizes(self, rho_plus_range, v_plus2_range):
+        with pytest.raises(DomainError, match="whole numbers"):
             region_map_sweep(1.0, 3.3, GAMMA2, rho_plus_range, v_plus2_range)

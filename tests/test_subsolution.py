@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from eulerfan import (ConstraintError, DegenerateDensityError, DomainError,
                       Eos, RiemannData, VelocityGapError, data_functionals,
-                      eps2_window, epsilon1_sign_change, kinematics,
-                      limit_quantities, reconstruct, subsolution_witness,
+                      eps2_window, epsilon1_sign_change, feasibility_scan,
+                      kinematics, limit_quantities, reconstruct,
                       verify_subsolution)
-from eulerfan.subsolution import _window_arrays, window_grid
+from eulerfan.subsolution import EQUALITY_TOL, _window_arrays, window_grid
 
 GAMMA2 = Eos(2.0)
 
@@ -187,8 +187,8 @@ class TestReflection:
             v1 = float(rng.uniform(-2.0, 2.0))
             data = RiemannData(base.rho_minus, base.rho_plus, (v1, base.v_minus[1]),
                                (v1, base.v_plus[1]), base.eos)
-            sub = subsolution_witness(data, grid=256)
-            refl = subsolution_witness(reflect(data), grid=256)
+            sub = feasibility_scan(data, grid=256)[1]
+            refl = feasibility_scan(reflect(data), grid=256)[1]
             assert (sub is None) == (refl is None)
             if sub is None:
                 continue
@@ -272,10 +272,17 @@ class TestReconstructAndVerify:
         assert margins["speed_order"] == pytest.approx(sub.nu_plus - sub.nu_minus)
 
     def test_verifier_honours_equality_tolerance(self):
+        """A residual of ~1e-8 fails the fixed 1e-9 gate even though
+        every inequality margin is positive."""
+        assert EQUALITY_TOL == 1e-9
         sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
-        report = verify_subsolution(GOLDEN, sub, equality_tol=1e-30)
-        assert not report.passed
+        bent = dataclasses.replace(sub, beta=sub.beta + 1e-8)
+        report = verify_subsolution(GOLDEN, bent)
+        assert report.equality_tol == 1e-9
+        assert 1e-9 < report.max_equality_residual < 1e-6
         assert report.min_inequality_margin > 0.0
+        assert not report.passed
+        assert verify_subsolution(GOLDEN, sub).passed
 
     def test_alpha_must_match_data(self):
         with pytest.raises(DomainError, match="alpha"):

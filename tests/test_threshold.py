@@ -194,7 +194,7 @@ class TestSubsolutionWitness:
             v2 = float(rng.uniform(-3.0, 3.0))
             data = RiemannData(rho_minus, rho_plus, (v1, v2 + w),
                                (v1, v2), eos)
-            sub = subsolution_witness(data, grid=512)
+            sub = feasibility_scan(data, grid=512)[1]
             if sub is None:
                 continue
             found += 1
@@ -348,3 +348,18 @@ def test_grid_below_two_nodes_rejected(grid):
         feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=grid)
     with pytest.raises(DomainError, match="at least 2"):
         feasibility_scan(TestFeasibilityScan.GOLDEN, grid=grid)
+
+
+@pytest.mark.parametrize("grid", [2.5, 256.0, "256", None])
+def test_non_integer_grid_rejected(grid):
+    with pytest.raises(DomainError, match="integer"):
+        feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=grid)
+    with pytest.raises(DomainError, match="integer"):
+        feasibility_scan(TestFeasibilityScan.GOLDEN, grid=grid)
+
+
+def test_numpy_integer_grid_accepted():
+    assert (feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=np.int64(256))
+            == feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=256))
+    assert (feasibility_scan(TestFeasibilityScan.GOLDEN, grid=np.int32(256))
+            == feasibility_scan(TestFeasibilityScan.GOLDEN, grid=256))
