@@ -182,24 +182,37 @@ def solve_middle_state(data: RiemannData):
     return (float(rho_mid), float(v_mid))
 
 
-def _shock_speed(rho_a, v_a2, rho_b, v_b2):
-    return (rho_b * v_b2 - rho_a * v_a2) / (rho_b - rho_a)
+#: Kind by (left wave, right wave), each None when the wave is
+#: zero-strength, True for a shock and False for a rarefaction.
+_KINDS = {
+    (None, None): WaveKind.CONSTANT,
+    (True, None): WaveKind.SINGLE_SHOCK_1,
+    (False, None): WaveKind.SINGLE_RAREFACTION_1,
+    (None, True): WaveKind.SINGLE_SHOCK_3,
+    (None, False): WaveKind.SINGLE_RAREFACTION_3,
+    (True, False): WaveKind.SHOCK_RAREFACTION,
+    (False, False): WaveKind.TWO_RAREFACTIONS,
+    (True, True): WaveKind.TWO_SHOCKS,
+    (False, True): WaveKind.RAREFACTION_SHOCK,
+}
 
 
-def _left_wave_speeds(data: RiemannData, rho_mid, v_mid2):
-    rm, vm2 = data.rho_minus, data.v_minus[1]
-    if rho_mid > rm:
-        sigma = _shock_speed(rm, vm2, rho_mid, v_mid2)
+def _wave_speeds(rho_a, v_a2, rho_mid, v_mid2, eos: Eos):
+    """(head, tail) speeds of the 1-wave from the left state (rho_a, v_a2)
+    to the middle state: (sigma, sigma) for a shock, the fan edges for a
+    rarefaction."""
+    if rho_mid > rho_a:
+        sigma = (rho_mid * v_mid2 - rho_a * v_a2) / (rho_mid - rho_a)
         return (sigma, sigma)
-    return (vm2 - data.eos._sound_speed(rm), v_mid2 - data.eos._sound_speed(rho_mid))
+    return (v_a2 - eos._sound_speed(rho_a), v_mid2 - eos._sound_speed(rho_mid))
 
 
-def _right_wave_speeds(data: RiemannData, rho_mid, v_mid2):
-    rp, vp2 = data.rho_plus, data.v_plus[1]
-    if rho_mid > rp:
-        sigma = _shock_speed(rho_mid, v_mid2, rp, vp2)
-        return (sigma, sigma)
-    return (v_mid2 + data.eos._sound_speed(rho_mid), vp2 + data.eos._sound_speed(rp))
+def _mirrored(speeds):
+    """Speeds of a wave reflected by x2 -> -x2: negated, head and tail
+    swapped.  0.0 - s rather than -s keeps an exactly sonic fan edge at
+    +0.0, as the unreflected formula v2 + c gives it."""
+    head, tail = speeds
+    return (0.0 - tail, 0.0 - head)
 
 
 def classify(data: RiemannData) -> WaveFan:
@@ -208,53 +221,41 @@ def classify(data: RiemannData) -> WaveFan:
 
     The first velocity components ride along passively (they jump only
     across the waves the (rho, v2) profile already has), so the kind is
-    decided entirely by (rho-, v-2, rho+, v+2) except for the exact
-    constant state, which requires the full states to coincide.
+    decided entirely by (rho-, v-2, rho+, v+2): data that differ only in
+    v1 come back CONSTANT.
 
     A wave whose density jump is below BOUNDARY_RTOL relative is
     treated as zero-strength, so data on (or within slack of) a single
     wave curve come back as the matching simple-wave kind, and data
     within slack of constant come back CONSTANT.
+
+    Each rule is written for the left (1-family) wave.  The right
+    (3-family) wave is the left wave of the data reflected by
+    x2 -> -x2, which swaps the states and negates every v2.
     """
     rm, rp = data.rho_minus, data.rho_plus
     vm2, vp2 = data.v_minus[1], data.v_plus[1]
-    if rm == rp and data.v_minus == data.v_plus:
-        return WaveFan(kind=WaveKind.CONSTANT, middle=(rm, vm2), speeds=None)
-
+    eos = data.eos
     mid = solve_middle_state(data)
     if mid is None:
-        eos = data.eos
+        # Each side rarefies down to the vacuum; the front moves at the
+        # rarefaction curve's velocity at zero density.
         speeds = {
-            "left": (vm2 - eos._sound_speed(rm), vm2 + eos._rarefaction_integral(rm)),
-            "right": (vp2 - eos._rarefaction_integral(rp), vp2 + eos._sound_speed(rp)),
+            "left": _wave_speeds(rm, vm2, 0.0, vm2 + eos._rarefaction_integral(rm), eos),
+            "right": _mirrored(_wave_speeds(
+                rp, -vp2, 0.0, -vp2 + eos._rarefaction_integral(rp), eos)),
         }
         return WaveFan(kind=WaveKind.VACUUM, middle=None, speeds=speeds)
 
     rho_mid, v_mid2 = mid
-    near_minus = abs(rho_mid - rm) <= BOUNDARY_RTOL * rm
-    near_plus = abs(rho_mid - rp) <= BOUNDARY_RTOL * rp
 
-    if near_minus and near_plus:
-        return WaveFan(kind=WaveKind.CONSTANT, middle=mid, speeds=None)
-    if near_plus:
-        kind = WaveKind.SINGLE_SHOCK_1 if rho_mid > rm else WaveKind.SINGLE_RAREFACTION_1
-        return WaveFan(kind=kind, middle=mid,
-                       speeds={"left": _left_wave_speeds(data, rho_mid, v_mid2)})
-    if near_minus:
-        kind = WaveKind.SINGLE_SHOCK_3 if rho_mid > rp else WaveKind.SINGLE_RAREFACTION_3
-        return WaveFan(kind=kind, middle=mid,
-                       speeds={"right": _right_wave_speeds(data, rho_mid, v_mid2)})
+    def wave(rho_a):
+        return None if abs(rho_mid - rho_a) <= BOUNDARY_RTOL * rho_a else rho_mid > rho_a
 
-    if rho_mid > max(rm, rp):
-        kind = WaveKind.TWO_SHOCKS
-    elif rho_mid < min(rm, rp):
-        kind = WaveKind.TWO_RAREFACTIONS
-    elif rm < rho_mid < rp:
-        kind = WaveKind.SHOCK_RAREFACTION
-    else:
-        kind = WaveKind.RAREFACTION_SHOCK
-    speeds = {
-        "left": _left_wave_speeds(data, rho_mid, v_mid2),
-        "right": _right_wave_speeds(data, rho_mid, v_mid2),
-    }
-    return WaveFan(kind=kind, middle=mid, speeds=speeds)
+    left, right = wave(rm), wave(rp)
+    speeds = {}
+    if left is not None:
+        speeds["left"] = _wave_speeds(rm, vm2, rho_mid, v_mid2, eos)
+    if right is not None:
+        speeds["right"] = _mirrored(_wave_speeds(rp, -vp2, rho_mid, -v_mid2, eos))
+    return WaveFan(kind=_KINDS[left, right], middle=mid, speeds=speeds or None)

@@ -23,21 +23,20 @@ from .subsolution import verify_subsolution
 from .threshold import GRID, feasibility_scan, threshold_V, threshold_table
 
 
-def _add_state_flags(parser, *, v_minus2: bool, v1: bool = True):
-    parser.add_argument("--rho-minus", type=float, required=True,
-                        help="density left of the interface (> 0)")
-    parser.add_argument("--rho-plus", type=float, required=True,
-                        help="density right of the interface (> 0)")
-    if v_minus2:
-        parser.add_argument("--v-minus2", type=float, required=True,
-                            help="left transverse velocity")
-    parser.add_argument("--v-plus2", type=float, required=True,
-                        help="right transverse velocity")
-    parser.add_argument("--gamma", type=float, required=True,
-                        help="adiabatic exponent (>= 1)")
-    if v1:
-        parser.add_argument("--v1", type=float, default=0.0,
-                            help="common first velocity component (default 0)")
+#: Flags shared by several subcommands, in the order of the full datum.
+_FLAGS = {
+    "--rho-minus": dict(type=float, required=True, help="density left of the interface (> 0)"),
+    "--rho-plus": dict(type=float, required=True, help="density right of the interface (> 0)"),
+    "--v-minus2": dict(type=float, required=True, help="left transverse velocity"),
+    "--v-plus2": dict(type=float, required=True, help="right transverse velocity"),
+    "--gamma": dict(type=float, required=True, help="adiabatic exponent (>= 1)"),
+    "--v1": dict(type=float, default=0.0, help="common first velocity component (default 0)"),
+}
+
+
+def _add_flags(parser, *names):
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,33 +47,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify the self-similar solution")
-    _add_state_flags(p, v_minus2=True)
+    _add_flags(p, *_FLAGS)
 
     p = sub.add_parser("feasibility",
                        help="feasible middle-density intervals for one datum")
-    _add_state_flags(p, v_minus2=True)
+    _add_flags(p, *_FLAGS)
     p.add_argument("--grid", type=int, default=GRID,
                    help=f"initial middle-density grid size (default {GRID})")
     p.add_argument("--emit-witness", metavar="PATH",
                    help="write the found subsolution as a JSON witness file")
 
     p = sub.add_parser("threshold", help="gap threshold for one column")
-    _add_state_flags(p, v_minus2=False, v1=False)
+    _add_flags(p, "--rho-minus", "--rho-plus", "--v-plus2", "--gamma")
 
     p = sub.add_parser("threshold-table",
                        help="thresholds for several downstream velocities")
-    p.add_argument("--rho-minus", type=float, required=True)
-    p.add_argument("--rho-plus", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    _add_flags(p, "--rho-minus", "--rho-plus", "--gamma")
     p.add_argument("--v-plus2", type=float, nargs="+", required=True,
                    help="downstream transverse velocities, one per row")
 
     p = sub.add_parser("region-map",
                        help="sweep a (rho_plus, v_plus2) grid to CSV")
-    p.add_argument("--rho-minus", type=float, required=True)
-    p.add_argument("--v-minus2", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--v1", type=float, default=0.0)
+    _add_flags(p, "--rho-minus", "--v-minus2", "--gamma", "--v1")
     p.add_argument("--rho-plus-range", type=float, nargs=3, required=True,
                    metavar=("MIN", "MAX", "N"))
     p.add_argument("--v-plus2-range", type=float, nargs=3, required=True,

@@ -168,6 +168,21 @@ class TestClassify:
         assert fan.middle == (2.0, 1.0)
         assert fan.speeds is None
 
+    def test_jump_in_v1_only_is_constant(self):
+        fan = classify(RiemannData(1, 1, (0.5, 0), (0, 0), GAMMA2))
+        assert fan.kind is WaveKind.CONSTANT
+        assert fan.middle == (1.0, 0.0)
+        assert fan.speeds is None
+
+    def test_sonic_edge_is_positive_zero(self):
+        # gamma = 1 has c = 1, so the 3-fan tail v_plus2 + c is exactly 0.
+        # The right wave is the reflected left wave; the reflection must
+        # not turn that 0.0 into -0.0.
+        fan = classify(RiemannData(1.0, 2.0, (0.0, -1.0), (0.0, -1.0), Eos(1.0)))
+        assert fan.kind is WaveKind.SHOCK_RAREFACTION
+        tail = fan.speeds["right"][1]
+        assert tail == 0.0 and math.copysign(1.0, tail) == 1.0
+
     def test_kind_values_are_stable(self):
         assert WaveKind.TWO_SHOCKS.value == "Case3_TwoShocks"
         assert WaveKind.SHOCK_RAREFACTION.value == "Case1_ShockRarefaction"

@@ -99,6 +99,18 @@ class TestThresholdCommands:
         assert doc["sqrtT"] == pytest.approx(3.35410197)
         assert doc["note"] is None
 
+    def test_failed_self_check_exits_one(self, capsys):
+        # At a density ratio of 1e3 the first-slack cross-check fails:
+        # a valid run with a negative finding, not an input error.
+        code, out, err = run(capsys, [
+            "threshold", "--rho-minus", "1e3", "--rho-plus", "1",
+            "--v-plus2", "0", "--gamma", "1.4"])
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: first-slack cross-check failed")
+
     def test_table_exit_zero_when_clean(self, capsys):
         code, out, _ = run(capsys, [
             "threshold-table", "--rho-minus", "1", "--rho-plus", "4",

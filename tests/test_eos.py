@@ -132,6 +132,9 @@ class TestSoundSpeed:
     def test_gamma_two(self):
         assert sound_speed(Eos(2.0), 4.0) == pytest.approx(2.0 * math.sqrt(2.0))
 
+    def test_gamma_one_integral_is_log(self):
+        assert rarefaction_integral(Eos(1.0), 2.0) == math.log(2.0)
+
     @given(rho=density, gamma=gamma_any)
     def test_matches_rarefaction_difference_derivative(self, rho, gamma):
         """The rarefaction difference integrates c(s)/s, including for

@@ -258,6 +258,17 @@ class TestRegionMapSweep:
         for cell in other:
             assert 0.0 < cell.V_local < math.sqrt(45.0 / 4.0)
 
+    def test_with_threshold_records_cell_errors(self):
+        # At a density ratio of 1e3 the threshold's first-slack
+        # cross-check fails in every cell; each cell keeps the message
+        # and no V_local.
+        cells = region_map_sweep(1e3, 0.0, Eos(1.4), (1.0, 2.0, 2), (0.0, 1.0, 2),
+                                 with_threshold=True)
+        assert len(cells) == 4
+        for cell in cells:
+            assert cell.V_local is None
+            assert cell.error.startswith("first-slack cross-check failed")
+
     def test_rejects_degenerate_grids(self):
         with pytest.raises(DomainError, match="at least 2"):
             region_map_sweep(1.0, 3.3, GAMMA2, (4.0, 4.0, 1), (0.0, 1.0, 2))

@@ -297,6 +297,15 @@ class TestReconstructAndVerify:
         with pytest.raises(ConstraintError, match="energy inequality"):
             reconstruct(GOLDEN, 2.0, upper + 0.1, 0.0)
 
+    def test_checked_reconstruction_names_the_right_interface(self):
+        # The golden datum reflected by x2 -> -x2: above eps2_upper the
+        # left interface inequality holds and the right one fails.
+        data = RiemannData(4.0, 1.0, (0.0, 0.0), (0.0, -3.3), GAMMA2)
+        upper = eps2_window(data, 2.0).eps2_upper
+        with pytest.raises(ConstraintError,
+                           match="right interface energy inequality violated"):
+            reconstruct(data, 2.0, 1.05 * upper, 0.0)
+
     @given(rho_1=st.floats(min_value=1.2, max_value=3.4),
            frac=st.floats(min_value=0.05, max_value=0.95))
     def test_feasible_reconstructions_verify(self, rho_1, frac):
