@@ -200,11 +200,13 @@ _KINDS = {
 def _wave_speeds(rho_a, v_a2, rho_mid, v_mid2, eos: Eos):
     """(head, tail) speeds of the 1-wave from the left state (rho_a, v_a2)
     to the middle state: (sigma, sigma) for a shock, the fan edges for a
-    rarefaction."""
+    rarefaction.  Both are Python floats; the sound speed comes back from
+    the EOS kernel as a numpy scalar."""
     if rho_mid > rho_a:
-        sigma = (rho_mid * v_mid2 - rho_a * v_a2) / (rho_mid - rho_a)
+        sigma = float((rho_mid * v_mid2 - rho_a * v_a2) / (rho_mid - rho_a))
         return (sigma, sigma)
-    return (v_a2 - eos._sound_speed(rho_a), v_mid2 - eos._sound_speed(rho_mid))
+    return (float(v_a2 - eos._sound_speed(rho_a)),
+            float(v_mid2 - eos._sound_speed(rho_mid)))
 
 
 def _mirrored(speeds):

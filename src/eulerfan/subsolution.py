@@ -5,10 +5,12 @@ re-evaluates the complete interface system from scratch.
 
 The kinematics are parameterized by the probed middle density rho_1,
 which must lie strictly between the two initial densities.  The
-formulas are written once, in the array-first kernel window_grid, which
-evaluates several velocity gaps (rows) on a grid of middle densities
-(columns) in one call; kinematics, eps2_window and reconstruct are
-one-row, one-node wrappers around it.  Everything here is pure.
+formulas are written once, in an array-first kernel of two stages: the
+node stage middle_nodes holds every term of a grid of middle densities
+(columns) that does not depend on the velocity gap, and the row stage
+window_grid combines it with several gaps (rows) in one call.
+kinematics, eps2_window and reconstruct are one-row, one-node wrappers
+around it.  Everything here is pure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .eos import internal_energy, pressure
+from .eos import Eos, internal_energy, pressure
 from .errors import (
     ConstraintError,
     DegenerateDensityError,
@@ -153,15 +155,12 @@ def _column(values):
     return values[0] if len(values) == 1 else np.array(values, dtype=float)[:, None]
 
 
-def _gap_columns(rows, rho_1: np.ndarray):
+def _gap_columns(rows):
     """Preconditions of each datum and the per-gap scalars as columns.
 
     Returns the error each datum raises before any node is evaluated
     (None when it passes) and the columns (see _column) v_minus2, A,
-    sqrt(-B), K and L, which are NaN on rows with an error.  A rho_1
-    outside the open density interval fails every row alike, so it
-    raises at once: the first row's own error if it has one, else a
-    DomainError.
+    sqrt(-B), K and L, which are NaN on rows with an error.
     """
     if not rows:
         raise DomainError("window_grid needs at least one datum")
@@ -179,11 +178,6 @@ def _gap_columns(rows, rho_1: np.ndarray):
         else:
             errors.append(None)
             columns.append((data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L))
-    lo = min(first.rho_minus, first.rho_plus)
-    hi = max(first.rho_minus, first.rho_plus)
-    if not np.all((rho_1 > lo) & (rho_1 < hi)):
-        raise errors[0] or DomainError(
-            f"rho_1 must lie strictly inside ({lo}, {hi})")
     return errors, [_column(c) for c in zip(*columns)]
 
 
@@ -194,42 +188,139 @@ def _record(errors: list, failing: np.ndarray, error) -> None:
             errors[i] = error(i)
 
 
-def _kinematics_arrays(rows, rho_1: np.ndarray):
-    """Interface speeds, middle velocity and first slack on a
-    (gap x rho_1) grid, with one error slot per row.  rho_1 is 2-D: one
-    row for all data, or one row per datum.
+@dataclass(frozen=True, eq=False)
+class MiddleNodes:
+    """The node stage of the window kernel: every term that depends only
+    on the middle densities, the two initial densities and the pressure
+    law.  Built by middle_nodes; window_grid reads it for any rows that
+    share those densities and that law.
 
-    The formulas are written for rho_minus < rho_plus.  Data of the other
-    ordering are reflected by x2 -> -x2, which swaps the two states and
-    negates the normal velocities, and the results are mapped back by
-    nu_minus, nu_plus -> -nu_plus, -nu_minus and beta -> -beta; A, B, K,
-    L and the first slack are invariant.
+    near and far are the smaller and the larger initial density.  Every
+    array has the (1, n) or (k, n) shape of rho_1 and is read-only.
+    """
+
+    rho_minus: float
+    rho_plus: float
+    eos: Eos
+    rho_1: np.ndarray
+    d_far: np.ndarray          # far - rho_1
+    pressure_term: np.ndarray  # (p(far) - p(rho_1)) / rho_1
+    sqrt_far_near: np.ndarray  # sqrt((far - rho_1) / (rho_1 - near))
+    sqrt_near_far: np.ndarray  # sqrt((rho_1 - near) / (far - rho_1))
+    sqrt_product: np.ndarray   # sqrt((rho_1 - near) * (far - rho_1))
+    sqrt_near: np.ndarray      # sqrt(1 - near / rho_1)
+    sqrt_far: np.ndarray       # sqrt(far / rho_1 - 1)
+    far_ratio: np.ndarray      # far / rho_1
+    far_weight: np.ndarray     # far * (far - rho_1) / rho_1**2
+    R_rho: np.ndarray          # (near - far) * rho_1
+    gap_left: np.ndarray       # rho_minus - rho_1
+    gap_right: np.ndarray      # rho_1 - rho_plus
+    rm_rho: np.ndarray         # rho_minus * rho_1
+    neg_rho_rp: np.ndarray     # -rho_1 * rho_plus
+    P_left: np.ndarray         # P(rho_minus, rho_1)
+    P_right: np.ndarray        # P(rho_1, rho_plus)
+
+
+def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
+    """
+    The node stage of window_grid: the terms that depend on the middle
+    densities, rho_minus, rho_plus and the pressure law only.  They hold
+    every log, expm1, power and square root of the kernel, so a caller
+    that evaluates many gaps on the same nodes builds them once.
+
+    Parameters
+    ----------
+    data : RiemannData
+        Supplies rho_minus, rho_plus and eos; its velocities are unused.
+    rho_1 : array_like
+        Middle densities strictly inside the density interval: 1-D, or
+        2-D with one row per datum.  They are copied.
+
+    Returns
+    -------
+    MiddleNodes
+        About 17 read-only arrays of rho_1's size: 0.3 MB at 2048 nodes.
+
+    Raises DomainError, before any term is evaluated, when rho_1 leaves
+    the open density interval.
+    """
+    rho_1 = np.atleast_2d(np.array(rho_1, dtype=float))
+    rm, rp, eos = data.rho_minus, data.rho_plus, data.eos
+    near, far = (rp, rm) if rm > rp else (rm, rp)
+    if not np.all((rho_1 > near) & (rho_1 < far)):
+        raise DomainError(f"rho_1 must lie strictly inside ({near}, {far})")
+    d_near, d_far = rho_1 - near, far - rho_1
+    far_ratio = far / rho_1
+    terms = dict(
+        rho_1=rho_1,
+        d_far=d_far,
+        pressure_term=(eos._pressure(far) - eos._pressure(rho_1)) / rho_1,
+        sqrt_far_near=np.sqrt(d_far / d_near),
+        sqrt_near_far=np.sqrt(d_near / d_far),
+        sqrt_product=np.sqrt(d_near * d_far),
+        sqrt_near=np.sqrt(1.0 - near / rho_1),
+        sqrt_far=np.sqrt(far_ratio - 1.0),
+        far_ratio=far_ratio,
+        far_weight=far * d_far / rho_1 ** 2,
+        R_rho=(near - far) * rho_1,
+        gap_left=rm - rho_1,
+        gap_right=rho_1 - rp,
+        rm_rho=rm * rho_1,
+        neg_rho_rp=-rho_1 * rp,
+        P_left=eos._p_dissipation(rm, rho_1),
+        P_right=eos._p_dissipation(rho_1, rp),
+    )
+    for array in terms.values():
+        array.flags.writeable = False
+    return MiddleNodes(rho_minus=rm, rho_plus=rp, eos=eos, **terms)
+
+
+def _kinematics_arrays(rows, nodes):
+    """The first half of the row stage: interface speeds, middle velocity
+    and first slack of each row on its nodes, with one error slot per
+    row.  Returns (errors, nodes, nu_minus, nu_plus, beta, eps_1), nodes
+    as a MiddleNodes; window_grid documents the arguments and the
+    errors.
 
     The first slack is evaluated in its K/L square-root form and
     cross-checked against the independent interface-speed form; the two
     continuity balances are re-evaluated as self-checks.  A row whose
     check fails beyond the pinned tolerances gets a NumericalError with
     diagnostics; the first failing check of a row is the one recorded.
+
+    The formulas are written for rho_minus < rho_plus.  Data of the other
+    ordering are reflected by x2 -> -x2, which swaps the two states and
+    negates the normal velocities, and the results are mapped back by
+    nu_minus, nu_plus -> -nu_plus, -nu_minus and beta -> -beta; A, B, K,
+    L and the first slack are invariant.
     """
-    errors, (vm2, A, sqrt_nB, K, L) = _gap_columns(rows, rho_1)
+    errors, (vm2, A, sqrt_nB, K, L) = _gap_columns(rows)
     data = rows[0]
-    rm, rp = data.rho_minus, data.rho_plus
+    rm, rp, eos = data.rho_minus, data.rho_plus, data.eos
     vp2 = data.v_plus[1]
-    eos = data.eos
+    if not isinstance(nodes, MiddleNodes):
+        try:
+            nodes = middle_nodes(data, nodes)
+        except DomainError as exc:
+            raise (errors[0] or exc) from None
+    elif (nodes.rho_minus, nodes.rho_plus, nodes.eos) != (rm, rp, eos):
+        raise DomainError(
+            "middle nodes built for other densities or another pressure law: "
+            f"({nodes.rho_minus}, {nodes.rho_plus}, {nodes.eos}), "
+            f"the data have ({rm}, {rp}, {eos})")
+    n = nodes
+    rho_1 = n.rho_1
     flip = rm > rp
     near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
     R = near - far
-    d_near, d_far = rho_1 - near, far - rho_1
-    pressure_term = (eos._pressure(far) - eos._pressure(rho_1)) / rho_1
 
-    nu_near = A / R + (sqrt_nB / R) * np.sqrt(d_far / d_near)
-    nu_far = A / R - (sqrt_nB / R) * np.sqrt(d_near / d_far)
-    beta = (far * v_far2 / rho_1 - d_far * A / (R * rho_1)
-            + (sqrt_nB / (R * rho_1)) * np.sqrt(d_near * d_far))
-    eps_1 = (pressure_term
-             - (far / rho_1) * (L * np.sqrt(1.0 - near / rho_1)
-                                - K * np.sqrt(far / rho_1 - 1.0)) ** 2)
-    eps_1_alt = pressure_term - far * d_far / rho_1 ** 2 * (nu_far - v_far2) ** 2
+    A_R, nB_R = A / R, sqrt_nB / R
+    nu_near = A_R + nB_R * n.sqrt_far_near
+    nu_far = A_R - nB_R * n.sqrt_near_far
+    beta = (far * v_far2 / rho_1 - n.d_far * A / n.R_rho
+            + (sqrt_nB / n.R_rho) * n.sqrt_product)
+    eps_1 = n.pressure_term - n.far_ratio * (L * n.sqrt_near - K * n.sqrt_far) ** 2
+    eps_1_alt = n.pressure_term - n.far_weight * (nu_far - v_far2) ** 2
     if flip:
         nu_minus, nu_plus, beta = -nu_far, -nu_near, -beta
     else:
@@ -242,9 +333,10 @@ def _kinematics_arrays(rows, rho_1: np.ndarray):
         f"interface-speed form disagree by {worst[i]:.3e} (relative) at "
         f"rho_1 = {np.broadcast_to(rho_1, rel.shape)[i, np.argmax(rel[i])]}"))
 
+    rho_beta = rho_1 * beta
     for name, nu, lhs_rho, lhs_mom in (
-            ("left", nu_minus, rm - rho_1, rm * vm2 - rho_1 * beta),
-            ("right", nu_plus, rho_1 - rp, rho_1 * beta - rp * vp2)):
+            ("left", nu_minus, n.gap_left, rm * vm2 - rho_beta),
+            ("right", nu_plus, n.gap_right, rho_beta - rp * vp2)):
         lhs = nu * lhs_rho
         denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs_mom)))
         res = (np.abs(lhs - lhs_mom) / denom).max(axis=-1)
@@ -253,12 +345,39 @@ def _kinematics_arrays(rows, rho_1: np.ndarray):
 
     _record(errors, (nu_minus >= nu_plus).any(axis=-1), lambda i: NumericalError(
         "interface speed ordering violated on the grid"))
-    return errors, nu_minus, nu_plus, beta, eps_1
+    return errors, n, nu_minus, nu_plus, beta, eps_1
 
 
-def window_grid(rows, rho_1) -> WindowGrid:
+def _energy_constraints(rows, n: MiddleNodes, beta, eps_1):
+    """The two interface energy inequalities as a*eps_2 <= b, on the
+    grid of window_grid: (a_left, b_left, a_right, b_right).  Every row
+    takes its own v_minus2, also a row with an error, whose arrays carry
+    no meaning.
+
+    This and _kinematics_arrays are functions of their own so that their
+    temporaries, each as large as the grid, are freed before window_grid
+    forms the bounds: that keeps the peak memory of a scan block down."""
+    rp = rows[0].rho_plus
+    vm2 = _column([d.v_minus[1] for d in rows])
+    vp2 = rows[0].v_plus[1]
+    bmv = beta - vm2
+    vpb = vp2 - beta
+    eps_rho = eps_1 * n.rho_1
+    a_left = n.rm_rho * bmv / n.gap_left
+    b_left = eps_rho * (vm2 + beta) - eps_1 * a_left - bmv * n.P_left
+    a_right = n.neg_rho_rp * vpb / n.gap_right
+    b_right = (-eps_rho * (vp2 + beta)
+               + eps_rho * rp * vpb / n.gap_right - vpb * n.P_right)
+    return a_left, b_left, a_right, b_right
+
+
+def window_grid(rows, nodes) -> WindowGrid:
     """
     Kinematics and second-slack window for several velocity gaps at once.
+
+    This is the row stage of the kernel: it combines each row's gap
+    scalars with the node terms of middle_nodes, and runs the
+    kinematic self-checks of every row (see _kinematics_arrays).
 
     Both interface energy inequalities are treated as affine constraints
     a*eps_2 <= b and the resulting half-lines are intersected with
@@ -273,9 +392,11 @@ def window_grid(rows, rho_1) -> WindowGrid:
         Data that differ in v_minus only, one per row of the grid.  The
         per-gap scalars (v_minus2, A, B, K, L) come from each datum's
         own data_functionals and enter as (k, 1) columns.
-    rho_1 : ndarray
-        Middle densities strictly inside the density interval: one 1-D
-        array for every row, or a 2-D array with one row per datum.
+    nodes : MiddleNodes or array_like
+        The middle densities: a MiddleNodes built for the rows' densities
+        and pressure law, or plain densities strictly inside the density
+        interval (one 1-D array for every row, or a 2-D array with one
+        row per datum), which are passed through middle_nodes.
 
     Returns
     -------
@@ -283,35 +404,20 @@ def window_grid(rows, rho_1) -> WindowGrid:
         Arrays of shape (len(rows), n).  A datum whose preconditions or
         self-checks fail does not raise: its error is in errors.
 
-    Raises DomainError when the data differ in more than v_minus, or
-    when rho_1 leaves the open interval (then the first datum's own
-    error, if any, is raised instead).
+    Raises DomainError when the data differ in more than v_minus, when a
+    MiddleNodes belongs to other densities or another pressure law, or
+    when plain densities leave the open interval (then the first datum's
+    own error, if any, is raised instead).
     """
-    rho_1 = np.atleast_2d(np.asarray(rho_1, dtype=float))
-    errors, nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(rows, rho_1)
-    data = rows[0]
-    rm, rp = data.rho_minus, data.rho_plus
-    vm2 = _column([d.v_minus[1] for d in rows])
-    vp2 = data.v_plus[1]
-    eos = data.eos
-
-    P_left = eos._p_dissipation(rm, rho_1)
-    P_right = eos._p_dissipation(rho_1, rp)
-    bmv = beta - vm2
-    vpb = vp2 - beta
-
-    a_left = rm * rho_1 * bmv / (rm - rho_1)
-    b_left = eps_1 * rho_1 * (vm2 + beta) - eps_1 * a_left - bmv * P_left
-    a_right = -rho_1 * rp * vpb / (rho_1 - rp)
-    b_right = (-eps_1 * rho_1 * (vp2 + beta)
-               + eps_1 * rho_1 * rp * vpb / (rho_1 - rp) - vpb * P_right)
+    errors, n, nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(rows, nodes)
+    a_left, b_left, a_right, b_right = _energy_constraints(rows, n, beta, eps_1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         q_left, q_right = b_left / a_left, b_right / a_right
     upper = np.where(a_left > 0.0, q_left, np.inf)
-    upper = np.where(a_right > 0.0, np.minimum(upper, q_right), upper)
+    np.minimum(upper, q_right, out=upper, where=a_right > 0.0)
     lower = np.where(a_left < 0.0, q_left, -np.inf)
-    lower = np.where(a_right < 0.0, np.maximum(lower, q_right), lower)
+    np.maximum(lower, q_right, out=lower, where=a_right < 0.0)
     parity_ok = (((a_left != 0.0) | (b_left >= 0.0))
                  & ((a_right != 0.0) | (b_right >= 0.0)))
 
@@ -323,7 +429,7 @@ def window_grid(rows, rho_1) -> WindowGrid:
                       errors=tuple(errors))
 
 
-def _window_arrays(data: RiemannData, rho_1: np.ndarray) -> WindowGrid:
+def _window_arrays(data: RiemannData, rho_1) -> WindowGrid:
     """window_grid of one datum, with 1-D arrays; raises its error."""
     grid = window_grid([data], rho_1)
     if grid.errors[0] is not None:
@@ -351,7 +457,7 @@ def kinematics(data: RiemannData, rho_1: float):
     (nu_minus, nu_plus, beta, eps_1) : tuple of float
         nu_minus < nu_plus always.
     """
-    errors, *values = _kinematics_arrays([data], np.asarray([[float(rho_1)]]))
+    errors, _, *values = _kinematics_arrays([data], np.asarray([float(rho_1)]))
     if errors[0] is not None:
         raise errors[0]
     return tuple(float(v[0, 0]) for v in values)

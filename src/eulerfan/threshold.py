@@ -6,16 +6,26 @@ sufficiently close to (but below) sqrt(T), the two-shock bound.  The
 threshold V reported here is defined operationally: the infimum of the
 feasible gap interval abutting sqrt(T), located by a descending scan
 followed by bisection.  The scan evaluates its gaps in blocks of up to
-_SCAN_BLOCK, each block as one (gap x middle density) call of the
+_SCAN_BLOCK (8), each block as one (gap x middle density) call of the
 window kernel, and stops at the first infeasible gap; every probe comes
 out as it would from a one-gap evaluation.  Bisection probes one gap at
-a time.  The full probe trace is retained so a non-monotone feasibility
-pattern, if one ever shows up, is visible in the result rather than
-silently flattened into a single number.
+a time through feasible_for_gap, about 15 times per search.  The full
+probe trace is retained so a non-monotone feasibility pattern, if one
+ever shows up, is visible in the result rather than silently flattened
+into a single number.
+
+Cost model.  Every probe starts from the same GRID middle densities.
+Their node terms (subsolution.middle_nodes: every log, power and square
+root that does not depend on the gap) are built once per density pair
+and pressure law and cached by _initial_nodes, so a scan block or a
+bisection probe pays only the row stage of the kernel on the start grid
+plus the refinement passes around its feasibility edges.  The cache
+keeps one start grid alive, about 0.3 MB at GRID.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -26,7 +36,8 @@ import numpy as np
 from .eos import Eos
 from .errors import DegenerateDensityError, DomainError, EulerFanError
 from .functionals import RiemannData
-from .subsolution import FanSubsolution, eps2_window, reconstruct, window_grid
+from .subsolution import (FanSubsolution, eps2_window, middle_nodes, reconstruct,
+                          window_grid)
 
 #: Termination width for the bisection phase of threshold_V.
 BISECTION_TOL = 1e-6
@@ -41,10 +52,13 @@ _ENDPOINT_MARGIN = 1e-9
 _REFINE_POINTS = 64
 _REFINE_PASSES = 2
 _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
-# Gaps per kernel call in the descending scan, so at most 4 x GRID nodes.
-# Blocks of 8 and 16 raised the peak RSS of a threshold_table run from
-# 34.8 MB by 1.4 and 4.2 MB.
-_SCAN_BLOCK = 4
+# Gaps per kernel call in the descending scan, so at most 8 x GRID nodes.
+# With the start grid's node terms cached, a block costs only the row
+# stage.  Blocks of 8 and the cache put the peak RSS of a threshold_table
+# run at 36.8 MB, against 35.1 MB for blocks of 4 without the cache
+# (medians of 10 benchmark runs, 2-vCPU x86-64 host); blocks of 16 added
+# 4.2 MB to blocks of 4 before the cache.
+_SCAN_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -75,6 +89,31 @@ class ThresholdRow:
     error: str | None
 
 
+@functools.lru_cache(maxsize=1)
+def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
+    """The start grid of a feasibility search and its node terms.
+
+    Returns the `grid` equispaced nodes strictly inside the density
+    interval, read-only, and their middle_nodes.  The cache keeps the
+    last density pair, law and grid only: one start grid, about 17
+    read-only arrays of `grid` floats (0.3 MB at GRID), so every scan
+    block and every bisection probe of a threshold_V call shares it.
+    An interval too narrow for the endpoint margin puts nodes on its
+    ends; the nodes then stand in for their terms, and window_grid
+    raises as for any plain densities outside the interval, a row's own
+    error first.
+    """
+    lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
+    delta = _ENDPOINT_MARGIN * (hi - lo)
+    nodes = np.linspace(lo + delta, hi - delta, grid)
+    nodes.flags.writeable = False
+    datum = RiemannData(rho_minus, rho_plus, (0.0, 0.0), (0.0, 0.0), eos)
+    try:
+        return nodes, middle_nodes(datum, nodes)
+    except DomainError:
+        return nodes, nodes
+
+
 def _feasibility_grids(rows, grid: int):
     """Feasibility masks on adaptive middle-density grids for the gap
     rows, in order, up to and including the first row with no feasible
@@ -93,11 +132,8 @@ def _feasibility_grids(rows, grid: int):
     Returns a list of (nodes, mask) pairs.
     """
     first = rows[0]
-    lo = min(first.rho_minus, first.rho_plus)
-    hi = max(first.rho_minus, first.rho_plus)
-    delta = _ENDPOINT_MARGIN * (hi - lo)
-    nodes = np.linspace(lo + delta, hi - delta, grid)
-    window = window_grid(rows, nodes)
+    nodes, start = _initial_nodes(first.rho_minus, first.rho_plus, first.eos, grid)
+    window = window_grid(rows, start)
     errors = list(window.errors)
     stop = next((i for i, mask in enumerate(window.feasible)
                  if errors[i] is not None or not mask.any()), len(rows))

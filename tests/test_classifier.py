@@ -307,6 +307,53 @@ class TestClassify:
         # The vacuum fronts coincide exactly at the boundary datum.
         assert fan.speeds["left"][1] <= fan.speeds["right"][0]
 
+    # One datum of each kind that has waves, from the examples above.
+    LIFT = 2.0 * math.sqrt(2.0)  # F(4) - F(1) for gamma = 2
+    EVERY_KIND = {
+        WaveKind.SINGLE_SHOCK_1: approaching(1.0, 4.0, SQRT_T_1_4, GAMMA2),
+        WaveKind.SINGLE_SHOCK_3: approaching(4.0, 1.0, SQRT_T_1_4, GAMMA2),
+        WaveKind.SINGLE_RAREFACTION_1: RiemannData(4.0, 1.0, (0.0, 0.0), (0.0, LIFT), GAMMA2),
+        WaveKind.SINGLE_RAREFACTION_3: RiemannData(1.0, 4.0, (0.0, -LIFT), (0.0, 0.0), GAMMA2),
+        WaveKind.SHOCK_RAREFACTION: approaching(1.0, 4.0, 3.3, GAMMA2),
+        WaveKind.RAREFACTION_SHOCK: approaching(4.0, 1.0, 3.3, GAMMA2),
+        WaveKind.TWO_SHOCKS: approaching(1.0, 4.0, 3.5, GAMMA2),
+        WaveKind.TWO_RAREFACTIONS: RiemannData(1.0, 1.0, (0.0, 0.0), (0.0, 20.0), Eos(1.0)),
+        WaveKind.VACUUM: RiemannData(1.0, 2.0, (0.0, 0.0), (0.0, 30.0), Eos(1.4)),
+    }
+
+    @pytest.mark.parametrize("kind", list(EVERY_KIND))
+    def test_speeds_are_python_floats(self, kind):
+        """Every speed is a float, with the value of its closed form: the
+        shock speed, or the fan edge v2 -+ c (the vacuum edge moves at
+        v2 -+ the rarefaction integral, where c = 0)."""
+        data = self.EVERY_KIND[kind]
+        fan = classify(data)
+        assert fan.kind is kind
+        eos = data.eos
+        rm, rp = data.rho_minus, data.rho_plus
+        vm2, vp2 = data.v_minus[1], data.v_plus[1]
+        if fan.middle is None:
+            expected = {"left": (vm2 - sound_speed(eos, rm),
+                                 vm2 + rarefaction_integral(eos, rm)),
+                        "right": (vp2 - rarefaction_integral(eos, rp),
+                                  vp2 + sound_speed(eos, rp))}
+        else:
+            rho, v2 = fan.middle
+
+            def shock(rho_a, v_a2):
+                sigma = (rho * v2 - rho_a * v_a2) / (rho - rho_a)
+                return (sigma, sigma)
+
+            expected = {
+                "left": (shock(rm, vm2) if rho > rm else
+                         (vm2 - sound_speed(eos, rm), v2 - sound_speed(eos, rho))),
+                "right": (shock(rp, vp2) if rho > rp else
+                          (v2 + sound_speed(eos, rho), vp2 + sound_speed(eos, rp))),
+            }
+        for side, pair in fan.speeds.items():
+            assert [type(speed) for speed in pair] == [float, float], (side, pair)
+            assert pair == expected[side], side
+
     def test_gamma1_never_vacuum(self):
         # For gamma = 1 the fan curves are affine in log(rho) and always
         # intersect; a receding gap of 20 puts the middle at exp(-10).

@@ -4,6 +4,7 @@ interface verifier."""
 
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,8 @@ from eulerfan import (ConstraintError, DegenerateDensityError, DomainError,
                       eps2_window, epsilon1_sign_change, feasibility_scan,
                       kinematics, limit_quantities, reconstruct,
                       verify_subsolution)
-from eulerfan.subsolution import EQUALITY_TOL, _window_arrays, window_grid
+from eulerfan.subsolution import (EQUALITY_TOL, MiddleNodes, _window_arrays,
+                                  middle_nodes, window_grid)
 
 GAMMA2 = Eos(2.0)
 
@@ -376,6 +378,62 @@ class TestWindowGrid:
             window_grid([beyond, GOLDEN], [0.5])
         with pytest.raises(DomainError, match="strictly inside"):
             window_grid([GOLDEN, beyond], [0.5])
+
+
+class TestMiddleNodes:
+    """The node stage built once gives the row stage the same bits as
+    plain densities, which window_grid passes through middle_nodes."""
+
+    @staticmethod
+    def assert_same_grid(got, want):
+        assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
+        assert [str(e) for e in got.errors] == [str(e) for e in want.errors]
+        for field in dataclasses.fields(got):
+            if field.name != "errors":
+                assert (getattr(got, field.name).tobytes()
+                        == getattr(want, field.name).tobytes()), field.name
+
+    def test_prebuilt_nodes_match_plain_densities(self):
+        rng = np.random.default_rng(61)
+        for trial in range(120):
+            data = random_subsonic_data(rng, gammas=(1.0, 1.4, 2.0, 3.0))
+            if (data.rho_minus > data.rho_plus) != bool(trial % 2):
+                data = reflect(data)
+            rows = TestWindowGrid.gap_rows(data, rng.uniform(0.05, 1.05, size=3))
+            lo, hi = sorted((data.rho_minus, data.rho_plus))
+            shared = np.linspace(lo, hi, 34)[1:-1]
+            own = np.sort(rng.uniform(lo, hi, size=(3, 20)), axis=1)
+            for x in (shared, own):
+                nodes = middle_nodes(rows[0], x)
+                self.assert_same_grid(window_grid(rows, nodes), window_grid(rows, x))
+
+    def test_terms_are_read_only_copies(self):
+        x = np.linspace(1.5, 3.5, 5)
+        nodes = middle_nodes(GOLDEN, x)
+        x[0] = 2.0
+        assert nodes.rho_1[0, 0] == 1.5
+        for field in dataclasses.fields(MiddleNodes):
+            value = getattr(nodes, field.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, field.name
+
+    @pytest.mark.parametrize("other", [
+        GOLDEN_SWAP,
+        RiemannData(1.0, 5.0, (0.0, 3.3), (0.0, 0.0), GAMMA2),
+        RiemannData(1.0, 4.0, (0.0, 3.3), (0.0, 0.0), Eos(1.4)),
+    ])
+    def test_nodes_of_other_data_rejected(self, other):
+        nodes = middle_nodes(other, [2.0, 3.0])
+        with pytest.raises(DomainError, match="other densities or another pressure law"):
+            window_grid([GOLDEN], nodes)
+
+    def test_density_outside_interval_raises_before_any_term(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="strictly inside"):
+                middle_nodes(GOLDEN, [2.0, 0.5])
+            with pytest.raises(DomainError, match="strictly inside"):
+                window_grid([GOLDEN], [[-1.0, 2.0]])
 
 
 class TestDeliberateViolations:

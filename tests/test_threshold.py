@@ -1,6 +1,7 @@
 """Tests for the feasibility decision at a fixed velocity gap and the
 threshold search over gaps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,9 @@ from eulerfan import (DegenerateDensityError, DomainError, Eos, NumericalError,
                       threshold_V, threshold_table, two_shock_T,
                       verify_subsolution)
 from eulerfan.subsolution import _window_arrays
-from eulerfan.threshold import (BISECTION_TOL, SCAN_OFFSET, SCAN_STEPS,
-                                _feasibility_grids, _feasible_runs)
+from eulerfan.threshold import (BISECTION_TOL, GRID, SCAN_OFFSET, SCAN_STEPS,
+                                _feasibility_grids, _feasible_runs,
+                                _initial_nodes)
 
 GAMMA2 = Eos(2.0)
 SQRT_T = math.sqrt(45.0 / 4.0)
@@ -308,6 +310,30 @@ class TestBatchedScanMatchesSequential:
             threshold_V(rho_minus, rho_plus, v_plus2, eos)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
+
+    def test_start_grid_cache_follows_the_density_pair(self):
+        """The cached start grid serves one density pair and law at a
+        time; switching pairs in one process changes no result."""
+        for rho_minus, rho_plus, gamma in ((1.0, 4.0, 2.0), (4.0, 1.0, 2.0),
+                                           (1.0, 4.0, 3.0), (1.0, 4.0, 2.0)):
+            eos = Eos(gamma)
+            assert (threshold_V(rho_minus, rho_plus, 0.0, eos)
+                    == reference_threshold(rho_minus, rho_plus, 0.0, eos))
+            assert _initial_nodes.cache_info().currsize == 1
+            nodes, start = _initial_nodes(rho_minus, rho_plus, eos, GRID)
+            assert (start.rho_minus, start.rho_plus, start.eos) == (rho_minus, rho_plus, eos)
+
+    def test_cached_start_grid_is_read_only(self):
+        nodes, start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
+        assert nodes.shape == (GRID,) and not nodes.flags.writeable
+        for field in dataclasses.fields(start):
+            value = getattr(start, field.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, field.name
+        [(grid_nodes, _)] = _feasibility_grids(
+            [RiemannData(1.0, 4.0, (0.0, 0.5), (0.0, 0.0), GAMMA2)], GRID)
+        with pytest.raises(ValueError, match="read-only"):
+            grid_nodes[0] = 2.0
 
     def test_incremental_grid_matches_full_recompute(self):
         rng = np.random.default_rng(53)
