@@ -117,9 +117,13 @@ def p_dissipation(eos: Eos, r, s):
 
         P(r, s) = p(r) + p(s) - 2*r*s*(e(r) - e(s))/(r - s).
 
-    Symmetric in (r, s) and strictly positive for 0 < r != s when
-    gamma >= 1.  The diagonal r = s is a removable singularity that we
-    do not evaluate.
+    Symmetric in (r, s) and, in exact arithmetic, strictly positive for
+    0 < r != s when gamma >= 1.  The diagonal r = s is a removable
+    singularity that we do not evaluate.  Near it the float result
+    cancels: P is O((r - s)**2) but formed from O(1) terms, so its
+    relative error grows like 1e-16 * (s/(r - s))**2.  It is about
+    1e-4 at |r - s|/s = 1e-6, and the result is 0.0, not positive, at
+    1e-9 (ROADMAP item 1 gives P a Taylor form there).
 
     Parameters
     ----------

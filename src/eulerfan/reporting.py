@@ -316,20 +316,38 @@ def region_map_csv(cells: list[RegionCell]) -> str:
     return buf.getvalue()
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+# The parser of each CSV column; an empty optional field reads as None.
+_CSV_PARSERS = (_finite, _finite, lambda s: WaveKind(s) if s else None,
+                Nonuniq, lambda s: _finite(s) if s else None)
+
+
 def parse_region_map_csv(text: str) -> list[RegionCell]:
-    """Inverse of region_map_csv (the error field is not serialized)."""
+    """Inverse of region_map_csv (the error field is not serialized).
+
+    A data row with the wrong number of fields, a number that is not
+    finite, or an unknown wave kind or tag raises DomainError naming
+    the data row (counted from 1) and the column.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise DomainError(f"region-map CSV must start with header {','.join(CSV_COLUMNS)}")
     cells = []
-    for row in rows[1:]:
+    for number, row in enumerate(rows[1:], start=1):
         if len(row) != len(CSV_COLUMNS):
-            raise DomainError(f"malformed region-map CSV row: {row}")
-        cells.append(RegionCell(
-            rho_plus=float(row[0]),
-            v_plus2=float(row[1]),
-            wave_kind=None if row[2] == "" else WaveKind(row[2]),
-            nonuniq=Nonuniq(row[3]),
-            V_local=None if row[4] == "" else float(row[4]),
-        ))
+            raise DomainError(f"malformed region-map CSV row {number}: {row}")
+        fields = {}
+        for column, raw, parse in zip(CSV_COLUMNS, row, _CSV_PARSERS):
+            try:
+                fields[column] = parse(raw)
+            except ValueError:
+                raise DomainError(f"region-map CSV row {number}, column {column}: "
+                                  f"invalid value {raw!r}") from None
+        cells.append(RegionCell(**fields))
     return cells

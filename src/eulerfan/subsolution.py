@@ -213,10 +213,6 @@ class MiddleNodes:
     far_ratio: np.ndarray      # far / rho_1
     far_weight: np.ndarray     # far * (far - rho_1) / rho_1**2
     R_rho: np.ndarray          # (near - far) * rho_1
-    gap_left: np.ndarray       # rho_minus - rho_1
-    gap_right: np.ndarray      # rho_1 - rho_plus
-    rm_rho: np.ndarray         # rho_minus * rho_1
-    neg_rho_rp: np.ndarray     # -rho_1 * rho_plus
     P_left: np.ndarray         # P(rho_minus, rho_1)
     P_right: np.ndarray        # P(rho_1, rho_plus)
 
@@ -239,7 +235,7 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     Returns
     -------
     MiddleNodes
-        About 17 read-only arrays of rho_1's size: 0.3 MB at 2048 nodes.
+        13 read-only arrays of rho_1's size: 0.2 MB at 2048 nodes.
 
     Raises DomainError, before any term is evaluated, when rho_1 leaves
     the open density interval.
@@ -263,10 +259,6 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
         far_ratio=far_ratio,
         far_weight=far * d_far / rho_1 ** 2,
         R_rho=(near - far) * rho_1,
-        gap_left=rm - rho_1,
-        gap_right=rho_1 - rp,
-        rm_rho=rm * rho_1,
-        neg_rho_rp=-rho_1 * rp,
         P_left=eos._p_dissipation(rm, rho_1),
         P_right=eos._p_dissipation(rho_1, rp),
     )
@@ -278,9 +270,9 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
 def _kinematics_arrays(rows, nodes):
     """The first half of the row stage: interface speeds, middle velocity
     and first slack of each row on its nodes, with one error slot per
-    row.  Returns (errors, nodes, nu_minus, nu_plus, beta, eps_1), nodes
-    as a MiddleNodes; window_grid documents the arguments and the
-    errors.
+    row.  Returns (errors, nodes, v_minus2, nu_minus, nu_plus, beta,
+    eps_1), nodes as a MiddleNodes and v_minus2 the column of
+    _gap_columns; window_grid documents the arguments and the errors.
 
     The first slack is evaluated in its K/L square-root form and
     cross-checked against the independent interface-speed form; the two
@@ -333,11 +325,13 @@ def _kinematics_arrays(rows, nodes):
         f"interface-speed form disagree by {worst[i]:.3e} (relative) at "
         f"rho_1 = {np.broadcast_to(rho_1, rel.shape)[i, np.argmax(rel[i])]}"))
 
+    # The left mass balance nu*(r - rho_1) = r*v2 - rho_1*beta.  The
+    # reflection x2 -> -x2 negates both sides, so the right balance is
+    # the same formula on (nu_plus, rho_plus, v_plus2) without negations.
     rho_beta = rho_1 * beta
-    for name, nu, lhs_rho, lhs_mom in (
-            ("left", nu_minus, n.gap_left, rm * vm2 - rho_beta),
-            ("right", nu_plus, n.gap_right, rho_beta - rp * vp2)):
-        lhs = nu * lhs_rho
+    for name, nu, r, v2 in (("left", nu_minus, rm, vm2), ("right", nu_plus, rp, vp2)):
+        lhs = nu * (r - rho_1)
+        lhs_mom = r * v2 - rho_beta
         denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs_mom)))
         res = (np.abs(lhs - lhs_mom) / denom).max(axis=-1)
         _record(errors, ~(res <= CONTINUITY_TOL), lambda i: NumericalError(
@@ -345,30 +339,33 @@ def _kinematics_arrays(rows, nodes):
 
     _record(errors, (nu_minus >= nu_plus).any(axis=-1), lambda i: NumericalError(
         "interface speed ordering violated on the grid"))
-    return errors, n, nu_minus, nu_plus, beta, eps_1
+    return errors, n, vm2, nu_minus, nu_plus, beta, eps_1
 
 
-def _energy_constraints(rows, n: MiddleNodes, beta, eps_1):
+def _energy_constraints(data: RiemannData, vm2, n: MiddleNodes, beta, eps_1):
     """The two interface energy inequalities as a*eps_2 <= b, on the
-    grid of window_grid: (a_left, b_left, a_right, b_right).  Every row
-    takes its own v_minus2, also a row with an error, whose arrays carry
-    no meaning.
+    grid of window_grid: [a_left, b_left, a_right, b_right].
+
+    The rule is written once, for the left interface, the state (r, v2)
+    against the middle wedge with normal velocity beta and P = P_left:
+
+        a = r*rho_1*(beta - v2) / (r - rho_1)
+        b = eps_1*rho_1*(v2 + beta) - eps_1*a - (beta - v2)*P
+
+    The right interface is the same rule on the data reflected by
+    x2 -> -x2: (rho_plus, -v_plus2) against -beta, with P = P_right.
 
     This and _kinematics_arrays are functions of their own so that their
     temporaries, each as large as the grid, are freed before window_grid
     forms the bounds: that keeps the peak memory of a scan block down."""
-    rp = rows[0].rho_plus
-    vm2 = _column([d.v_minus[1] for d in rows])
-    vp2 = rows[0].v_plus[1]
-    bmv = beta - vm2
-    vpb = vp2 - beta
     eps_rho = eps_1 * n.rho_1
-    a_left = n.rm_rho * bmv / n.gap_left
-    b_left = eps_rho * (vm2 + beta) - eps_1 * a_left - bmv * n.P_left
-    a_right = n.neg_rho_rp * vpb / n.gap_right
-    b_right = (-eps_rho * (vp2 + beta)
-               + eps_rho * rp * vpb / n.gap_right - vpb * n.P_right)
-    return a_left, b_left, a_right, b_right
+    coefficients = []
+    for r, v2, mid2, P in ((data.rho_minus, vm2, beta, n.P_left),
+                           (data.rho_plus, -data.v_plus[1], -beta, n.P_right)):
+        bmv = mid2 - v2
+        a = r * n.rho_1 * bmv / (r - n.rho_1)
+        coefficients += (a, eps_rho * (v2 + mid2) - eps_1 * a - bmv * P)
+    return coefficients
 
 
 def window_grid(rows, nodes) -> WindowGrid:
@@ -409,8 +406,8 @@ def window_grid(rows, nodes) -> WindowGrid:
     when plain densities leave the open interval (then the first datum's
     own error, if any, is raised instead).
     """
-    errors, n, nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(rows, nodes)
-    a_left, b_left, a_right, b_right = _energy_constraints(rows, n, beta, eps_1)
+    errors, n, vm2, nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(rows, nodes)
+    a_left, b_left, a_right, b_right = _energy_constraints(rows[0], vm2, n, beta, eps_1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         q_left, q_right = b_left / a_left, b_right / a_right
@@ -457,10 +454,8 @@ def kinematics(data: RiemannData, rho_1: float):
     (nu_minus, nu_plus, beta, eps_1) : tuple of float
         nu_minus < nu_plus always.
     """
-    errors, _, *values = _kinematics_arrays([data], np.asarray([float(rho_1)]))
-    if errors[0] is not None:
-        raise errors[0]
-    return tuple(float(v[0, 0]) for v in values)
+    w = _window_arrays(data, np.asarray([float(rho_1)]))
+    return tuple(float(v[0]) for v in (w.nu_minus, w.nu_plus, w.beta, w.eps_1))
 
 
 def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:
@@ -512,16 +507,13 @@ def reconstruct(data: RiemannData, rho_1: float, eps_2: float, alpha: float,
         if not eps_2 > 0.0:
             raise ConstraintError(
                 f"second slack condition violated: eps_2 = {eps_2} <= 0")
-        margin_left = float(w.b_left[0] - w.a_left[0] * eps_2)
-        if not margin_left > 0.0:
-            raise ConstraintError(
-                "left interface energy inequality violated: "
-                f"margin = {margin_left}")
-        margin_right = float(w.b_right[0] - w.a_right[0] * eps_2)
-        if not margin_right > 0.0:
-            raise ConstraintError(
-                "right interface energy inequality violated: "
-                f"margin = {margin_right}")
+        for side, a, b in (("left", w.a_left, w.b_left),
+                           ("right", w.a_right, w.b_right)):
+            margin = float(b[0] - a[0] * eps_2)
+            if not margin > 0.0:
+                raise ConstraintError(
+                    f"{side} interface energy inequality violated: "
+                    f"margin = {margin}")
     beta = float(w.beta[0])
     C = alpha ** 2 + beta ** 2 + eps_1 + eps_2
     gamma_1 = C / 2.0 - beta ** 2 - eps_1
@@ -644,9 +636,9 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     Returns
     -------
     (beta_bar, eps1_bar, M1_bar, M2_bar) : tuple of float
-        M1_bar is the limiting upper window bound, M2_bar the limiting
-        lower bound, on either density ordering (the interface each one
-        comes from swaps with the ordering).
+        Python floats.  M1_bar is the limiting upper window bound, M2_bar
+        the limiting lower bound, on either density ordering (the
+        interface each one comes from swaps with the ordering).
 
     Notes
     -----
@@ -657,6 +649,8 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     """
     if not (0.0 < rho_minus < math.inf and 0.0 < rho_plus < math.inf):
         raise DomainError("densities must be positive and finite")
+    if not math.isfinite(v_plus2):
+        raise DomainError(f"v_plus2 must be finite, got {v_plus2}")
     if rho_minus == rho_plus:
         raise DegenerateDensityError("equal initial densities")
     near, far = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
@@ -681,6 +675,5 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
                     -(rp - r1) / (rp * r1) * eos._p_dissipation(r1, rp))
     left_expr = left_P_term - shared * (2.0 * rm - rp + 2.0 * R * v_plus2 / sqrt_T)
     right_expr = right_P_term - shared * (rm + 2.0 * R * v_plus2 / sqrt_T)
-    if R < 0.0:
-        return beta_bar, eps1_bar, left_expr, right_expr
-    return beta_bar, eps1_bar, right_expr, left_expr
+    bounds = (left_expr, right_expr) if R < 0.0 else (right_expr, left_expr)
+    return tuple(float(x) for x in (beta_bar, eps1_bar, *bounds))

@@ -20,7 +20,7 @@ root that does not depend on the gap) are built once per density pair
 and pressure law and cached by _initial_nodes, so a scan block or a
 bisection probe pays only the row stage of the kernel on the start grid
 plus the refinement passes around its feasibility edges.  The cache
-keeps one start grid alive, about 0.3 MB at GRID.
+keeps one start grid alive, about 0.2 MB at GRID.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
 
     Returns the `grid` equispaced nodes strictly inside the density
     interval, read-only, and their middle_nodes.  The cache keeps the
-    last density pair, law and grid only: one start grid, about 17
-    read-only arrays of `grid` floats (0.3 MB at GRID), so every scan
-    block and every bisection probe of a threshold_V call shares it.
+    last density pair, law and grid only: the nodes and their 13
+    node-stage arrays of `grid` floats (0.2 MB at GRID), so every scan
+    block and every bisection probe of a threshold_V call shares them.
     An interval too narrow for the endpoint margin puts nodes on its
     ends; the nodes then stand in for their terms, and window_grid
     raises as for any plain densities outside the interval, a row's own

@@ -193,6 +193,18 @@ class TestRegionMapCsv:
         with pytest.raises(DomainError, match="malformed"):
             parse_region_map_csv(text)
 
+    @pytest.mark.parametrize("row, column", [
+        ("abc,0,,NotFound,", "rho_plus"),
+        ("1,0,Bogus,NotFound,", "wave_kind"),
+        ("1,0,,Maybe,", "nonuniq"),
+        ("1,0,,NotFound,x", "V_local"),
+        ("nan,0,,NotFound,", "rho_plus"),
+    ])
+    def test_bad_field_names_row_and_column(self, row, column):
+        text = region_map_csv([]) + "1,0,,NotFound,\n" + row + "\n"
+        with pytest.raises(DomainError, match=f"row 2, column {column}: invalid value"):
+            parse_region_map_csv(text)
+
 
 class TestRegionMapSweep:
     def test_grid_is_row_major(self):

@@ -319,6 +319,32 @@ class TestReconstructAndVerify:
         sub = reconstruct(GOLDEN, rho_1, eps_2, 0.0)
         assert verify_subsolution(GOLDEN, sub).passed
 
+    def test_energy_margins_are_half_the_window_margins(self):
+        """Each interface rule of the window, a*eps_2 <= b, pinned by value
+        against the verifier's from-scratch energy balance: the verifier's
+        margin is (b - a*eps_2)/2 on both interfaces, at any eps_2."""
+        rng = np.random.default_rng(2024)
+        gammas = (1.0, 1.4, 2.0, 3.0)
+        orderings, checked = set(), 0
+        for k in range(240):
+            data = random_subsonic_data(rng, gammas=(gammas[k % 4],))
+            lo, hi = sorted((data.rho_minus, data.rho_plus))
+            rho_1 = lo + (hi - lo) * float(rng.uniform(0.01, 0.99))
+            eps_2 = float(rng.uniform(-1.0, 5.0))
+            w = window_grid([data], [rho_1])
+            if w.errors[0] is not None:
+                continue
+            sub = reconstruct(data, rho_1, eps_2, 0.0, check=False)
+            margins = verify_subsolution(data, sub).inequality_margins
+            for side in ("left", "right"):
+                a = float(getattr(w, "a_" + side)[0, 0])
+                b = float(getattr(w, "b_" + side)[0, 0])
+                assert margins["energy_" + side] == pytest.approx(
+                    0.5 * (b - a * eps_2), rel=1e-9), (side, data, rho_1, eps_2)
+            orderings.add(data.rho_minus < data.rho_plus)
+            checked += 1
+        assert checked >= 200 and orderings == {True, False}
+
     @pytest.mark.parametrize("name", ["gamma_2", "alpha"])
     def test_nan_parameter_fails_verification(self, name):
         sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0, 0.0),
@@ -604,6 +630,17 @@ class TestLimitQuantities:
         m1_hi, m2_hi = limit_quantities(4.0, 1.0, 0.0, GAMMA2, 2.0)[2:]
         assert m1_lo > m2_lo
         assert m1_hi > m2_hi
+
+    def test_returns_python_floats(self):
+        for rho_1 in (1.0, 2.0, 4.0):
+            for values in (limit_quantities(1.0, 4.0, 0.0, GAMMA2, rho_1),
+                           limit_quantities(4.0, 1.0, 0.0, GAMMA2, rho_1)):
+                assert [type(x) for x in values] == [float] * 4
+
+    @pytest.mark.parametrize("v_plus2", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_velocity(self, v_plus2):
+        with pytest.raises(DomainError, match="v_plus2 must be finite"):
+            limit_quantities(1.0, 4.0, v_plus2, GAMMA2, 2.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
