@@ -6,7 +6,8 @@ loops call on densities that are already known to be valid.  The
 module-level functions without the underscore are the public entry
 points: they validate their density arguments and then call the
 kernel.  All of them accept scalars or numpy arrays and are pure
-functions of their inputs.
+functions of their inputs.  A valid density is positive, finite and has
+a finite pressure rho**gamma (errors.check_density).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_positive
+from .errors import DomainError, check_density
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def pressure(eos: Eos, rho):
     out : float or ndarray
         The pressure; strictly increasing in rho.
     """
-    check_positive(rho)
+    check_density(eos, rho)
     return eos._pressure(rho)
 
 
@@ -107,7 +108,7 @@ def internal_energy(eos: Eos, rho):
     expm1((gamma-1)*log(rho))/(gamma-1): subtracting the 1 after the
     power would wipe out the significand as gamma -> 1+.
     """
-    check_positive(rho)
+    check_density(eos, rho)
     return eos._internal_energy(rho)
 
 
@@ -135,8 +136,8 @@ def p_dissipation(eos: Eos, r, s):
     -------
     out : float or ndarray
     """
-    check_positive(r, "r")
-    check_positive(s, "s")
+    check_density(eos, r, "r")
+    check_density(eos, s, "s")
     if np.any(np.asarray(r) == np.asarray(s)):
         raise DomainError("p_dissipation requires r != s (diagonal not evaluated)")
     return eos._p_dissipation(r, s)
@@ -150,14 +151,14 @@ def two_shock_T(eos: Eos, r, s):
     the velocity gap; for an anchor density r, sqrt(T(r, s)) is the
     Hugoniot velocity jump to density s.
     """
-    check_positive(r, "r")
-    check_positive(s, "s")
+    check_density(eos, r, "r")
+    check_density(eos, s, "s")
     return eos._two_shock_T(r, s)
 
 
 def sound_speed(eos: Eos, rho):
     """Sound speed c(rho) = sqrt(p'(rho)) = sqrt(gamma) * rho**((gamma-1)/2)."""
-    check_positive(rho)
+    check_density(eos, rho)
     return eos._sound_speed(rho)
 
 
@@ -175,7 +176,7 @@ def rarefaction_integral(eos: Eos, rho):
     the 2/(gamma-1) prefactor grows without bound as gamma -> 1+, and
     subtracting two near-equal huge values wipes out the significand.
     """
-    check_positive(rho)
+    check_density(eos, rho)
     return eos._rarefaction_integral(rho)
 
 
@@ -189,6 +190,6 @@ def rarefaction_difference(eos: Eos, rho_a, rho_b):
     arbitrarily close to gamma = 1 (where the naive difference is
     quantized at the ulp of 2/(gamma-1)).
     """
-    check_positive(rho_a, "rho_a")
-    check_positive(rho_b, "rho_b")
+    check_density(eos, rho_a, "rho_a")
+    check_density(eos, rho_b, "rho_b")
     return eos._rarefaction_difference(rho_a, rho_b)

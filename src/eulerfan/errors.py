@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and check_positive, the
-density check shared by the eos and classifier modules."""
+"""Exception types shared across the package, and the density checks
+shared by the eos, functionals and classifier modules."""
+
+import math
 
 import numpy as np
 
@@ -37,3 +39,26 @@ def check_positive(rho, name="rho"):
     arr = np.asarray(rho)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"{name} must be positive and finite, got {rho}")
+
+
+def check_density(eos, rho, name="rho"):
+    """Raise DomainError unless every entry of rho is positive and finite
+    and its pressure rho**gamma under the pressure law eos is a finite
+    float."""
+    if isinstance(rho, (int, float)):
+        # The scalar path of check_positive, without its array round trip.
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise DomainError(f"{name} must be positive and finite, got {rho}")
+        top = float(rho)
+    else:
+        check_positive(rho, name)
+        # The pressure increases with rho, so the largest entry decides.
+        top = float(np.max(rho))
+    # A Python float power raises OverflowError where numpy gives inf.
+    try:
+        finite = math.isfinite(eos._pressure(top))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"{name} = {rho} has no finite pressure "
+                          f"{name}**gamma at gamma = {eos.gamma}")

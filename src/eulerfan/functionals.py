@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .eos import Eos
-from .errors import DomainError
+from .errors import DomainError, check_density
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,17 @@ class RiemannData:
 
     def __post_init__(self):
         for name in ("rho_minus", "rho_plus"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {val}")
-        for name in ("v_minus", "v_plus"):
+            check_density(self.eos, getattr(self, name), name)
+        for name, rho_name in (("v_minus", "rho_minus"), ("v_plus", "rho_plus")):
             vec = getattr(self, name)
             if len(vec) != 2 or not all(math.isfinite(c) for c in vec):
                 raise DomainError(f"{name} must be a finite velocity pair, got {vec}")
+            # data_functionals forms rho*v2**2; v2*v2 is inf where the
+            # Python float power v2**2 raises OverflowError.
+            rho = getattr(self, rho_name)
+            if not math.isfinite(rho * (vec[1] * vec[1])):
+                raise DomainError(f"{name} = {vec} has no finite momentum flux "
+                                  f"{rho_name}*{name}2**2 with {rho_name} = {rho}")
 
     @property
     def gap(self) -> float:

@@ -5,22 +5,26 @@ pressure law, subsolutions exist for every gap w = v_minus2 - v_plus2
 sufficiently close to (but below) sqrt(T), the two-shock bound.  The
 threshold V reported here is defined operationally: the infimum of the
 feasible gap interval abutting sqrt(T), located by a descending scan
-followed by bisection.  The scan evaluates its gaps in blocks of up to
-_SCAN_BLOCK (8), each block as one (gap x middle density) call of the
-window kernel, and stops at the first infeasible gap; every probe comes
-out as it would from a one-gap evaluation.  Bisection probes one gap at
-a time through feasible_for_gap, about 15 times per search.  The full
-probe trace is retained so a non-monotone feasibility pattern, if one
-ever shows up, is visible in the result rather than silently flattened
-into a single number.
+followed by bisection.  The scan takes its gaps in blocks of up to
+_SCAN_BLOCK (16) and stops at the first infeasible gap; every probe
+comes out as it would from a one-gap evaluation.  Bisection probes one
+gap at a time through feasible_for_gap, about 15 times per search.  The
+full probe trace is retained so a non-monotone feasibility pattern, if
+one ever shows up, is visible in the result rather than silently
+flattened into a single number.
 
 Cost model.  Every probe starts from the same GRID middle densities.
 Their node terms (subsolution.middle_nodes: every log, power and square
 root that does not depend on the gap) are built once per density pair
-and pressure law and cached by _initial_nodes, so a scan block or a
-bisection probe pays only the row stage of the kernel on the start grid
-plus the refinement passes around its feasibility edges.  The cache
-keeps one start grid alive, about 0.2 MB at GRID.
+and pressure law and cached by _initial_nodes.  A probe then pays one
+window_grid call of one row on that start grid, 1 x GRID nodes, and no
+gap past the first infeasible one is evaluated.  Only the two
+refinement passes, which evaluate the nodes inserted around the
+feasibility edges (about 128 per row), are batched: one call over the
+kept rows of a scan block.  One-row start-grid calls keep every
+temporary at 16 KiB, small enough that the allocator reuses it from
+call to call instead of returning it to the OS (see window_grid).  The
+cache keeps one start grid alive, about 0.2 MB at GRID.
 """
 
 from __future__ import annotations
@@ -52,13 +56,15 @@ _ENDPOINT_MARGIN = 1e-9
 _REFINE_POINTS = 64
 _REFINE_PASSES = 2
 _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
-# Gaps per kernel call in the descending scan, so at most 8 x GRID nodes.
-# With the start grid's node terms cached, a block costs only the row
-# stage.  Blocks of 8 and the cache put the peak RSS of a threshold_table
-# run at 36.8 MB, against 35.1 MB for blocks of 4 without the cache
-# (medians of 10 benchmark runs, 2-vCPU x86-64 host); blocks of 16 added
-# 4.2 MB to blocks of 4 before the cache.
-_SCAN_BLOCK = 8
+# Gaps per block of the descending scan.  The start grid is evaluated one
+# gap per kernel call, so the block sizes only the one refinement call per
+# pass over its kept gaps: about 128 inserted nodes per gap, so 16 gaps
+# make about one start-grid row.  Over the seven reference columns, blocks
+# of 8, 16 and 32 ran 24.9, 26.2 and 25.0 columns/s (two 6-s runs each,
+# 2-vCPU x86-64 host).  Blocks of 16 put the peak RSS of a threshold_table
+# run at 34.9 MB, against 36.2 MB when 8-gap blocks evaluated the whole
+# start grid in one call (medians of 10 benchmark runs).
+_SCAN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,9 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
     Returns the `grid` equispaced nodes strictly inside the density
     interval, read-only, and their middle_nodes.  The cache keeps the
     last density pair, law and grid only: the nodes and their 13
-    node-stage arrays of `grid` floats (0.2 MB at GRID), so every scan
-    block and every bisection probe of a threshold_V call shares them.
+    node-stage arrays of `grid` floats (0.2 MB at GRID), so the one-row
+    start-grid call of every probe of a threshold_V call, scan and
+    bisection alike, shares them.
     An interval too narrow for the endpoint margin puts nodes on its
     ends; the nodes then stand in for their terms, and window_grid
     raises as for any plain densities outside the interval, a row's own
@@ -116,16 +123,17 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
 
 def _feasibility_grids(rows, grid: int):
     """Feasibility masks on adaptive middle-density grids for the gap
-    rows, in order, up to and including the first row with no feasible
-    node.
+    rows, in order, up to and including the first row with an error or
+    no feasible node.
 
     rows are RiemannData that differ in the gap only (see window_grid).
     Each row starts from `grid` equispaced nodes strictly inside the
-    density interval and twice inserts _REFINE_POINTS extra nodes into
-    every subinterval where its mask flips, sharpening the interval
-    edges.  A pass evaluates only the inserted nodes, of all rows in one
-    kernel call.  Rows past the first infeasible one are dropped
-    unrefined, and the first error among the kept rows is raised, so the
+    density interval, one row per kernel call on the cached start grid,
+    and no row past the first infeasible one is evaluated.  Each kept
+    row then twice inserts _REFINE_POINTS extra nodes into every
+    subinterval where its mask flips, sharpening the interval edges.  A
+    pass evaluates only the inserted nodes, of all kept rows in one
+    kernel call.  The first error among the kept rows is raised, so the
     outcome is that of evaluating the rows one by one until the first
     infeasible one.
 
@@ -133,12 +141,15 @@ def _feasibility_grids(rows, grid: int):
     """
     first = rows[0]
     nodes, start = _initial_nodes(first.rho_minus, first.rho_plus, first.eos, grid)
-    window = window_grid(rows, start)
-    errors = list(window.errors)
-    stop = next((i for i, mask in enumerate(window.feasible)
-                 if errors[i] is not None or not mask.any()), len(rows))
-    grids = [(nodes, mask) for mask in window.feasible[:stop + 1]]
-    refining = range(stop)
+    grids, errors = [], []
+    for data in rows:
+        window = window_grid([data], start)
+        grids.append((nodes, window.feasible[0]))
+        errors.append(window.errors[0])
+        if errors[-1] is not None or not window.feasible[0].any():
+            break
+    # An infeasible row has no flips to refine; a failed one is not refined.
+    refining = [i for i, error in enumerate(errors) if error is None]
     for _ in range(_REFINE_PASSES):
         inserted = {}
         for i in refining:
@@ -168,7 +179,7 @@ def _feasibility_grids(rows, grid: int):
                                            return_index=True)
             grids[i] = (merged, np.concatenate([mask, new_mask[:new.size]])[first_seen])
         refining = [i for i in inserted if errors[i] is None]
-    failed = next((e for e in errors[:stop + 1] if e is not None), None)
+    failed = next((e for e in errors if e is not None), None)
     if failed is not None:
         raise failed
     return grids
@@ -296,11 +307,12 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     to BISECTION_TOL.  The returned V is the lowest gap probed feasible,
     so V < sqrt(T) always, and the probe just below V failed.
 
-    The scan takes its gaps _SCAN_BLOCK at a time into one kernel call;
-    gaps of a block past its first infeasible one are discarded
-    unrecorded, so the probe trace, V and any error raised are those of
-    probing one gap at a time.  Bisection probes go through
-    feasible_for_gap one by one.
+    The scan takes its gaps _SCAN_BLOCK at a time.  Each gap of a block
+    is one kernel call on the cached start grid, and the block stops at
+    its first infeasible gap: later gaps are not evaluated, so the probe
+    trace, V and any error raised are those of probing one gap at a
+    time.  The block's kept gaps share one kernel call per refinement
+    pass.  Bisection probes go through feasible_for_gap one by one.
 
     For gamma = 1 the existence guarantee does not apply; the search
     still runs, with a warning.

@@ -61,6 +61,13 @@ class TestClassifyCommand:
 
 
 class TestArgumentErrors:
+    def test_overflowing_pressure_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, [
+            "classify", "--rho-minus", "1e200", "--rho-plus", "4",
+            "--v-minus2", "3.3", "--v-plus2", "0", "--gamma", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rho_minus = 1e+200 has no finite pressure")
+
     def test_unknown_flag(self, capsys):
         assert run(capsys, CLASSIFY_TWO_SHOCKS + ["--frobnicate"])[0] == 2
 
@@ -98,6 +105,14 @@ class TestThresholdCommands:
         assert doc["V"] == pytest.approx(2.69, abs=0.05)
         assert doc["sqrtT"] == pytest.approx(3.35410197)
         assert doc["note"] is None
+
+    def test_overflowing_momentum_flux_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, [
+            "threshold", "--rho-minus", "1", "--rho-plus", "4",
+            "--v-plus2", "1e200", "--gamma", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "1e+200" in err
+        assert "no finite momentum flux" in err
 
     def test_failed_self_check_exits_one(self, capsys):
         # At a density ratio of 1e3 the first-slack cross-check fails:

@@ -45,6 +45,17 @@ class TestPressure:
         with pytest.raises(DomainError):
             pressure(Eos(2.0), bad)
 
+    def test_pressure_beyond_float_range_rejected(self):
+        # 1e308**2 overflows: a DomainError naming the density, not the
+        # OverflowError of a Python float power.
+        with pytest.raises(DomainError, match="rho = 1e[+]308 has no finite pressure"):
+            pressure(Eos(2.0), 1e308)
+        with pytest.raises(DomainError, match="finite pressure"):
+            pressure(Eos(2.0), np.array([1.0, 1e308]))
+        with pytest.raises(DomainError, match="s = 1e[+]200"):
+            p_dissipation(Eos(2.0), 1.0, 1e200)
+        assert pressure(Eos(1.0), 1e308) == 1e308
+
 
 class TestTwoShockT:
     def test_quadratic_law_value(self):
@@ -169,6 +180,17 @@ class TestRiemannData:
             RiemannData(1.0, 4.0, (0.0,), (0.0, 0.0), eos)
         with pytest.raises(DomainError):
             RiemannData(1.0, 4.0, (0.0, float("nan")), (0.0, 0.0), eos)
+
+    def test_overflowing_pressure_and_momentum_flux_rejected(self):
+        eos = Eos(2.0)
+        with pytest.raises(DomainError, match="rho_minus = 1e[+]200 has no finite pressure"):
+            RiemannData(1e200, 4.0, (0.0, 3.3), (0.0, 0.0), eos)
+        with pytest.raises(DomainError, match="no finite momentum flux rho_plus[*]v_plus2"):
+            RiemannData(1.0, 4.0, (0.0, 0.0), (0.0, 1e200), eos)
+        # The flux, not the velocity alone, decides.
+        with pytest.raises(DomainError, match="rho_minus[*]v_minus2"):
+            RiemannData(1e300, 1.0, (0.0, 1e5), (0.0, 0.0), Eos(1.0))
+        RiemannData(1e-300, 1.0, (0.0, 1e150), (0.0, 0.0), Eos(1.0))
 
 
 class TestDataFunctionals:

@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
+import eulerfan.threshold
 from eulerfan import (DegenerateDensityError, DomainError, Eos, NumericalError,
                       RiemannData, ThresholdResult, ThresholdRow,
                       VelocityGapError, data_functionals, epsilon1_sign_change,
                       feasibility_scan, feasible_for_gap, subsolution_witness,
                       threshold_V, threshold_table, two_shock_T,
                       verify_subsolution)
-from eulerfan.subsolution import _window_arrays
+from eulerfan.subsolution import MiddleNodes, _window_arrays
 from eulerfan.threshold import (BISECTION_TOL, GRID, SCAN_OFFSET, SCAN_STEPS,
                                 _feasibility_grids, _feasible_runs,
                                 _initial_nodes)
@@ -104,6 +105,18 @@ class TestFeasibleForGap:
     def test_equal_densities_rejected(self):
         with pytest.raises(DegenerateDensityError):
             feasible_for_gap(2.0, 2.0, 0.0, GAMMA2, 0.5)
+
+    def test_data_beyond_the_float_range_rejected(self):
+        # Every field is finite, but A*A and R*H overflow, so B is NaN.
+        eos = Eos(1.0)
+        data = RiemannData(1e150, 1.0, (0.0, 1e70), (0.0, 0.0), eos)
+        message = "B = A[*]A - R[*]H = nan is not a finite float"
+        with pytest.raises(DomainError, match=message):
+            feasible_for_gap(1e150, 1.0, 0.0, eos, 1e70)
+        with pytest.raises(DomainError, match=message):
+            feasibility_scan(data)
+        with pytest.raises(DomainError, match=message), pytest.warns(UserWarning):
+            threshold_V(1e150, 1.0, 1e70, eos)
 
     def test_coarse_grid_same_verdict(self):
         ok_fine, _ = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3)
@@ -366,6 +379,38 @@ class TestBatchedScanMatchesSequential:
             np.testing.assert_array_equal(mask, ref_mask)
         with pytest.raises(VelocityGapError):
             _feasibility_grids([feasible, beyond, infeasible], 256)
+
+
+class TestScanEvaluatesOnlyProbedGaps:
+    """The start grid is evaluated one gap per kernel call and only at the
+    gaps feasible_probe records, so no gap past the first infeasible one
+    is evaluated; bisection calls feasible_for_gap once per probe."""
+
+    @pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 4.0), (4.0, 1.0)])
+    @pytest.mark.parametrize("v_plus2", COLUMNS)
+    def test_reference_columns(self, monkeypatch, rho_minus, rho_plus, v_plus2):
+        start_calls, bisected = [], []
+        kernel = eulerfan.threshold.window_grid
+        probe = eulerfan.threshold.feasible_for_gap
+
+        def window_grid(rows, nodes):
+            if isinstance(nodes, MiddleNodes):
+                start_calls.append([data.v_minus[1] for data in rows])
+            return kernel(rows, nodes)
+
+        def feasible_for_gap(*args, **kwargs):
+            bisected.append(args[4])
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
+        monkeypatch.setattr(eulerfan.threshold, "feasible_for_gap", feasible_for_gap)
+        probes = threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2).feasible_probe
+
+        assert all(len(call) == 1 for call in start_calls)
+        assert [call[0] for call in start_calls] == [v_plus2 + w for w, _ in probes]
+        scanned = 1 + next(i for i, (_, intervals) in enumerate(probes) if not intervals)
+        assert len(bisected) == len(probes) - scanned > 0
+        assert bisected == [w for w, _ in probes[scanned:]]
 
 
 @pytest.mark.parametrize("grid", [0, 1])
