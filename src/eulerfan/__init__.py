@@ -19,7 +19,8 @@ from .reporting import (Nonuniq, RegionCell, parse_region_map_csv,
                         region_map_sweep, witness_document, write_witness)
 from .subsolution import (FanSubsolution, FeasibilityRecord, VerificationReport,
                           eps2_window, epsilon1_sign_change, kinematics,
-                          limit_quantities, reconstruct, verify_subsolution)
+                          limit_quantities, reconstruct, verify_subsolution,
+                          witness_at)
 from .threshold import (ThresholdResult, ThresholdRow, feasibility_scan,
                         feasible_for_gap, subsolution_witness, threshold_V,
                         threshold_table)
@@ -32,7 +33,7 @@ __all__ = [
     "rarefaction_integral", "rarefaction_difference", "two_shock_T",
     "WaveKind", "WaveFan", "wave_curve", "solve_middle_state", "classify",
     "FanSubsolution", "FeasibilityRecord", "VerificationReport",
-    "kinematics", "eps2_window", "reconstruct", "verify_subsolution",
+    "kinematics", "eps2_window", "reconstruct", "witness_at", "verify_subsolution",
     "epsilon1_sign_change", "limit_quantities",
     "ThresholdResult", "ThresholdRow", "feasible_for_gap", "feasibility_scan",
     "threshold_V", "threshold_table", "subsolution_witness",

@@ -9,8 +9,8 @@ formulas are written once, in an array-first kernel of two stages: the
 node stage middle_nodes holds every term of a grid of middle densities
 (columns) that does not depend on the velocity gap, and the row stage
 window_grid combines it with several gaps (rows) in one call.
-kinematics, eps2_window and reconstruct are one-row, one-node wrappers
-around it.  Everything here is pure.
+kinematics, eps2_window, reconstruct and witness_at are one-row,
+one-node wrappers around it.  Everything here is pure.
 """
 
 from __future__ import annotations
@@ -513,7 +513,30 @@ def reconstruct(data: RiemannData, rho_1: float, eps_2: float, alpha: float,
         raise DomainError(
             f"alpha = {alpha} must equal the common first velocity "
             f"component {data.v_minus[0]}")
+    return _assemble(_window_arrays(data, np.asarray([float(rho_1)])),
+                     rho_1, eps_2, alpha, check)
+
+
+def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
+    """
+    The checked subsolution at one middle density, from one kernel call.
+
+    The free slack eps_2 sits at the midpoint of its admissible window
+    (eps2_window's bounds, the lower one raised to 0), or 1 above the
+    lower edge when the window is unbounded above; alpha is the common
+    first velocity component.  Raises ConstraintError, as reconstruct
+    does, when rho_1 admits no such subsolution.
+    """
     w = _window_arrays(data, np.asarray([float(rho_1)]))
+    lower = max(float(w.lower[0]), 0.0)
+    upper = float(w.upper[0])
+    eps_2 = 0.5 * (lower + upper) if math.isfinite(upper) else lower + 1.0
+    return _assemble(w, rho_1, eps_2, data.v_plus[0], check=True)
+
+
+def _assemble(w: WindowGrid, rho_1: float, eps_2: float, alpha: float,
+              check: bool) -> FanSubsolution:
+    """The subsolution of reconstruct from the one-node window w at rho_1."""
     eps_1 = float(w.eps_1[0])
     if check:
         if not eps_1 > 0.0:

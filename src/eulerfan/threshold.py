@@ -5,26 +5,31 @@ pressure law, subsolutions exist for every gap w = v_minus2 - v_plus2
 sufficiently close to (but below) sqrt(T), the two-shock bound.  The
 threshold V reported here is defined operationally: the infimum of the
 feasible gap interval abutting sqrt(T), located by a descending scan
-followed by bisection.  The scan takes its gaps in blocks of up to
-_SCAN_BLOCK (16) and stops at the first infeasible gap; every probe
-comes out as it would from a one-gap evaluation.  Bisection probes one
-gap at a time through feasible_for_gap, about 15 times per search.  The
-full probe trace is retained so a non-monotone feasibility pattern, if
-one ever shows up, is visible in the result rather than silently
-flattened into a single number.
+followed by bisection.  The scan stops at the first infeasible gap, and
+every probe comes out as it would from a one-gap evaluation.  Bisection
+probes one gap at a time through feasible_for_gap, about 15 times per
+search.  The full probe trace is retained so a non-monotone feasibility
+pattern, if one ever shows up, is visible in the result rather than
+silently flattened into a single number.
 
 Cost model.  Every probe starts from the same GRID middle densities.
 Their node terms (subsolution.middle_nodes: every log, power and square
 root that does not depend on the gap) are built once per density pair
-and pressure law and cached by _initial_nodes.  A probe then pays one
-window_grid call of one row on that start grid, 1 x GRID nodes, and no
-gap past the first infeasible one is evaluated.  Only the two
-refinement passes, which evaluate the nodes inserted around the
-feasibility edges (about 128 per row), are batched: one call over the
-kept rows of a scan block.  One-row start-grid calls keep every
-temporary at 16 KiB, small enough that the allocator reuses it from
-call to call instead of returning it to the OS (see window_grid).  The
-cache keeps one start grid alive, about 0.2 MB at GRID.
+and pressure law and cached by _initial_nodes.  Whether a probe is
+feasible is decided on that start grid alone, by one window_grid call
+of one row, 1 x GRID nodes; no gap past the first infeasible one is
+evaluated.  Refinement then only moves the ends of the feasible
+intervals, so it runs once, after the whole scan: two passes that each
+evaluate the nodes inserted around the interval edges of every kept
+gap (about 128 per gap), in calls of at most GRID nodes.  The intervals
+are read off the transitions inside the last pass's segments; no
+refined grid is merged or sorted.  The segments of every kept gap are
+held at once, about 1 KiB per gap and pass, so a scan of 140 gaps
+peaks some 0.2 MB above one of 16-gap blocks.  Calls of at most GRID nodes keep
+every temporary at or below 16 KiB, small enough that the allocator
+reuses it from call to call instead of returning it to the OS (see
+window_grid).  The cache keeps one start grid alive, about 0.2 MB at
+GRID.
 """
 
 from __future__ import annotations
@@ -34,14 +39,14 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .eos import Eos
 from .errors import DegenerateDensityError, DomainError, EulerFanError
 from .functionals import RiemannData
-from .subsolution import (FanSubsolution, eps2_window, middle_nodes, reconstruct,
-                          window_grid)
+from .subsolution import FanSubsolution, middle_nodes, window_grid, witness_at
 
 #: Termination width for the bisection phase of threshold_V.
 BISECTION_TOL = 1e-6
@@ -56,15 +61,6 @@ _ENDPOINT_MARGIN = 1e-9
 _REFINE_POINTS = 64
 _REFINE_PASSES = 2
 _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
-# Gaps per block of the descending scan.  The start grid is evaluated one
-# gap per kernel call, so the block sizes only the one refinement call per
-# pass over its kept gaps: about 128 inserted nodes per gap, so 16 gaps
-# make about one start-grid row.  Over the seven reference columns, blocks
-# of 8, 16 and 32 ran 24.9, 26.2 and 25.0 columns/s (two 6-s runs each,
-# 2-vCPU x86-64 host).  Blocks of 16 put the peak RSS of a threshold_table
-# run at 34.9 MB, against 36.2 MB when 8-gap blocks evaluated the whole
-# start grid in one call (medians of 10 benchmark runs).
-_SCAN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -121,79 +117,167 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
         return nodes, nodes
 
 
-def _feasibility_grids(rows, grid: int):
-    """Feasibility masks on adaptive middle-density grids for the gap
-    rows, in order, up to and including the first row with an error or
-    no feasible node.
+class _Refinement(NamedTuple):
+    """The outcome of _feasibility_grids for the rows it evaluated.
 
-    rows are RiemannData that differ in the gap only (see window_grid).
-    Each row starts from `grid` equispaced nodes strictly inside the
-    density interval, one row per kernel call on the cached start grid,
-    and no row past the first infeasible one is evaluated.  Each kept
-    row then twice inserts _REFINE_POINTS extra nodes into every
-    subinterval where its mask flips, sharpening the interval edges.  A
-    pass evaluates only the inserted nodes, of all kept rows in one
-    kernel call.  The first error among the kept rows is raised, so the
-    outcome is that of evaluating the rows one by one until the first
-    infeasible one.
-
-    Returns a list of (nodes, mask) pairs.
+    intervals[i] lists row i's feasible middle-density intervals on its
+    twice-refined grid, and nodes is the shared start grid (the cached,
+    read-only one).  passes holds one (row, values, masks) triple per
+    refinement pass: segment j of the pass belongs to row[j], and
+    values[j] are the two neighbouring nodes it refines with the
+    _REFINE_POINTS nodes inserted between them, masks[j] their
+    feasibility as the merged grid holds it (see _first_seen).
     """
-    first = rows[0]
-    nodes, start = _initial_nodes(first.rho_minus, first.rho_plus, first.eos, grid)
-    grids, errors = [], []
+
+    intervals: list
+    nodes: np.ndarray
+    passes: list
+
+
+def _feasibility_grids(rows, grid: int) -> _Refinement:
+    """Feasible middle-density intervals of the gap rows, in order, up to
+    and including the first row with an error or no feasible node.
+
+    rows is an iterable of RiemannData that differ in the gap only (see
+    window_grid).  Each row is decided on `grid` equispaced nodes
+    strictly inside the density interval, one row per kernel call on
+    the cached start grid, and no row past the first infeasible one is
+    evaluated.  Then every kept row twice inserts _REFINE_POINTS extra
+    nodes into each subinterval where its mask flips, sharpening the
+    interval edges: a pass evaluates the inserted nodes of all kept rows
+    together, whole rows in calls of at most GRID nodes.  The first
+    error in row order is raised, so the outcome is that of evaluating
+    the rows one by one until the first infeasible one.
+    """
+    nodes = start = None
+    kept, flips, lows, ends, error = [], [], [], [], None
     for data in rows:
+        if start is None:
+            nodes, start = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)
         window = window_grid([data], start)
-        grids.append((nodes, window.feasible[0]))
-        errors.append(window.errors[0])
-        if errors[-1] is not None or not window.feasible[0].any():
+        error = window.errors[0]
+        if error is not None:
             break
-    # An infeasible row has no flips to refine; a failed one is not refined.
-    refining = [i for i, error in enumerate(errors) if error is None]
+        # A row keeps where its mask flips, not the mask: a scan can keep
+        # well over a hundred rows.
+        mask = window.feasible[0]
+        flip = np.flatnonzero(mask[1:] != mask[:-1])
+        kept.append(data)
+        flips.append(flip)
+        lows.append(mask[flip])
+        ends.append((bool(mask[0]), bool(mask[-1])))
+        if not (flip.size or mask[0]):
+            break
+    if not kept:
+        raise error
+    # The first row that failed; it and the rows after it are not refined.
+    failed = len(kept)
+    # Refine between neighbouring nodes a < b whose masks differ, low
+    # being the mask at a, seg_row their row: first on the start grid,
+    # then inside the segments each pass inserts.
+    seg_row = np.repeat(np.arange(failed), [flip.size for flip in flips])
+    k = np.concatenate(flips)
+    a, b, low = nodes[k], nodes[k + 1], np.concatenate(lows)
+    passes = []
     for _ in range(_REFINE_PASSES):
-        inserted = {}
-        for i in refining:
-            nodes, mask = grids[i]
-            flips = np.flatnonzero(mask[:-1] != mask[1:])
-            if flips.size:
-                # The arithmetic of np.linspace(a, b, _REFINE_POINTS + 2)[1:-1]
-                # for every flip at once.
-                a, b = nodes[flips, None], nodes[flips + 1, None]
-                inserted[i] = (_REFINE_STEPS * ((b - a) / (_REFINE_POINTS + 1)) + a).ravel()
-        if not inserted:
+        if not seg_row.size:
             break
-        # Rows insert different numbers of nodes: pad each row with
-        # copies of its last node, which move none of its checks.
-        width = max(new.size for new in inserted.values())
-        window = window_grid(
-            [rows[i] for i in inserted],
-            [np.concatenate([new, np.full(width - new.size, new[-1])])
-             for new in inserted.values()])
-        for (i, new), new_mask, error in zip(inserted.items(), window.feasible,
-                                             window.errors):
-            if error is not None:
-                errors[i] = error
-                continue
-            nodes, mask = grids[i]
-            merged, first_seen = np.unique(np.concatenate([nodes, new]),
-                                           return_index=True)
-            grids[i] = (merged, np.concatenate([mask, new_mask[:new.size]])[first_seen])
-        refining = [i for i in inserted if errors[i] is None]
-    failed = next((e for e in errors if e is not None), None)
-    if failed is not None:
-        raise failed
-    return grids
+        # The arithmetic of np.linspace(a, b, _REFINE_POINTS + 2) for
+        # every flip at once.
+        values = np.concatenate(
+            (a[:, None], _REFINE_STEPS * ((b - a) / (_REFINE_POINTS + 1))[:, None] + a[:, None],
+             b[:, None]), axis=1)
+        new, errors = _inserted_masks(kept, seg_row, values[:, 1:-1])
+        seg_masks = _first_seen(values, np.concatenate((low[:, None], new, ~low[:, None]),
+                                                       axis=1))
+        if errors and errors[0][0] < failed:
+            failed, error = errors[0]
+            keep = seg_row < failed
+            seg_row, values, seg_masks = seg_row[keep], values[keep], seg_masks[keep]
+        passes.append((seg_row, values, seg_masks))
+        seg, k = np.nonzero(seg_masks[:, 1:] != seg_masks[:, :-1])
+        seg_row, a, b, low = seg_row[seg], values[seg, k], values[seg, k + 1], seg_masks[seg, k]
+    if error is not None:
+        raise error
+    return _Refinement(_edge_intervals(ends, nodes, seg_row, a, b, low), nodes, passes)
 
 
-def _feasible_runs(mask: np.ndarray):
-    """Maximal runs of True in mask as (first_index, last_index) pairs."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+def _inserted_masks(rows, seg_row, inserted):
+    """Feasibility of the nodes inserted into each segment of a pass.
+
+    seg_row names the row of each segment, nondecreasing, and inserted
+    holds one row of nodes per segment.  Whole rows share a kernel call
+    of at most GRID nodes (a row with more gets a call of its own), each
+    padded to the call's width with copies of its last segment, which
+    move none of its checks.  Returns the masks, shaped as inserted,
+    and the (row, error) pairs of the rows that failed, in row order.
+    """
+    bounds = [0, *(np.flatnonzero(seg_row[1:] != seg_row[:-1]) + 1).tolist(), seg_row.size]
+    counts = [end - start for start, end in zip(bounds, bounds[1:])]
+    members = seg_row[bounds[:-1]].tolist()
+    width = inserted.shape[1]
+    masks, errors = [], []
+    i = 0
+    while i < len(counts):
+        j, widest = i + 1, counts[i]
+        while j < len(counts) and (j - i + 1) * max(widest, counts[j]) * width <= GRID:
+            widest = max(widest, counts[j])
+            j += 1
+        chunk, real = inserted[bounds[i]:bounds[j]], slice(None)
+        if widest * (j - i) != len(chunk):
+            slot, count = np.arange(widest), np.array(counts[i:j])[:, None]
+            chunk = inserted[np.array(bounds[i:j])[:, None] + np.minimum(slot, count - 1)]
+            real = (slot < count).ravel()
+        window = window_grid([rows[r] for r in members[i:j]], chunk.reshape(j - i, -1))
+        masks.append(window.feasible.reshape(-1, width)[real])
+        errors += [(r, e) for r, e in zip(members[i:j], window.errors) if e is not None]
+        i = j
+    return np.concatenate(masks), errors
 
 
-def _intervals(nodes: np.ndarray, runs):
-    """Feasible runs of a grid as middle-density intervals (rho_lo, rho_hi)."""
-    return [(float(nodes[i]), float(nodes[j])) for i, j in runs]
+def _first_seen(values, masks):
+    """The masks of refinement segments as the merged grid holds them.
+
+    Each row of values is nondecreasing: a segment's two end nodes with
+    the nodes inserted between them.  Merging them into the grid keeps
+    one node per value, as np.unique does with the first occurrence:
+    an end node wins over an inserted copy of it, and an earlier
+    inserted node over a later equal one.  Each entry gets the mask of
+    the node of its value that is kept, so that a mask transition
+    between neighbouring entries is one between neighbouring distinct
+    nodes.  Repeated values arise only where the inserted spacing falls
+    below one ulp.
+    """
+    repeated = values[:, 1:] == values[:, :-1]
+    if not repeated.any():
+        return masks
+    columns = np.arange(values.shape[1])
+    first = np.where(np.concatenate((np.zeros_like(repeated[:, :1]), repeated), axis=1),
+                     0, columns)
+    np.maximum.accumulate(first, axis=1, out=first)
+    first[values == values[:, -1:]] = columns[-1]
+    return np.take_along_axis(masks, first, axis=1)
+
+
+def _edge_intervals(ends, nodes, row, a, b, low):
+    """Feasible intervals of each row from the mask transitions of its
+    refined grid: between neighbouring nodes a < b of row `row`, where
+    `low` is the mask at a.  Transitions come in grid order per row; a
+    row's first interval starts at the first node when its start mask
+    does, and its last ends at the last node when its mask does there
+    (ends holds the two per row)."""
+    first, last = float(nodes[0]), float(nodes[-1])
+    opened = [first if start else None for start, _ in ends]
+    intervals = [[] for _ in ends]
+    for r, lo, hi, fall in zip(row.tolist(), a.tolist(), b.tolist(), low.tolist()):
+        if fall:
+            intervals[r].append((opened[r], lo))
+        else:
+            opened[r] = hi
+    for r, (_, end) in enumerate(ends):
+        if end:
+            intervals[r].append((opened[r], last))
+    return intervals
 
 
 def _check_grid(grid: int) -> None:
@@ -243,8 +327,7 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
         raise DegenerateDensityError(
             f"equal densities {rho_minus} leave no middle-density interval")
     data = _gap_datum(rho_minus, rho_plus, v_plus2, eos, w)
-    nodes, mask = _feasibility_grids([data], grid)[0]
-    intervals = _intervals(nodes, _feasible_runs(mask))
+    intervals = _feasibility_grids([data], grid).intervals[0]
     return bool(intervals), intervals
 
 
@@ -265,27 +348,23 @@ def feasibility_scan(data: RiemannData, *, grid: int = GRID):
         Feasible middle-density intervals, resolved to the refined grid
         (as in feasible_for_gap).
     witness : FanSubsolution or None
-        Built at the feasible node nearest the center of the widest
-        feasible run, with the free slack at the midpoint of its
-        admissible window (or just above the lower edge when the window
-        is unbounded) and the common first velocity component.  None
-        when no node is feasible.
+        subsolution.witness_at the refined-grid node nearest the center
+        of the widest feasible interval (the lower one of two equally
+        near).  None when no node is feasible.
     """
     _check_grid(grid)
-    nodes, mask = _feasibility_grids([data], grid)[0]
-    runs = _feasible_runs(mask)
-    intervals = _intervals(nodes, runs)
-    if not runs:
+    found = _feasibility_grids([data], grid)
+    intervals = found.intervals[0]
+    if not intervals:
         return intervals, None
-    first, last = max(runs, key=lambda r: nodes[r[1]] - nodes[r[0]])
-    center = 0.5 * (nodes[first] + nodes[last])
-    rho_1 = float(nodes[first + int(np.argmin(np.abs(nodes[first:last + 1] - center)))])
-
-    window = eps2_window(data, rho_1)
-    eff_lower = max(window.eps2_lower, 0.0)
-    upper = window.eps2_upper
-    eps_2 = 0.5 * (eff_lower + upper) if math.isfinite(upper) else eff_lower + 1.0
-    return intervals, reconstruct(data, rho_1, eps_2, alpha=data.v_plus[0])
+    lo, hi = max(intervals, key=lambda interval: interval[1] - interval[0])
+    center = 0.5 * (lo + hi)
+    # Every node of the refined grid, some more than once.
+    nodes = np.concatenate([found.nodes, *(values.ravel() for _, values, _ in found.passes)])
+    nodes = nodes[(nodes >= lo) & (nodes <= hi)]
+    distance = np.abs(nodes - center)
+    rho_1 = float(nodes[distance == distance.min()].min())
+    return intervals, witness_at(data, rho_1)
 
 
 def subsolution_witness(data: RiemannData) -> FanSubsolution | None:
@@ -307,12 +386,12 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     to BISECTION_TOL.  The returned V is the lowest gap probed feasible,
     so V < sqrt(T) always, and the probe just below V failed.
 
-    The scan takes its gaps _SCAN_BLOCK at a time.  Each gap of a block
-    is one kernel call on the cached start grid, and the block stops at
-    its first infeasible gap: later gaps are not evaluated, so the probe
-    trace, V and any error raised are those of probing one gap at a
-    time.  The block's kept gaps share one kernel call per refinement
-    pass.  Bisection probes go through feasible_for_gap one by one.
+    The scan decides each gap on the cached start grid, one kernel call
+    per gap, and stops at its first infeasible gap: later gaps are not
+    evaluated, so the probe trace, V and any error raised are those of
+    probing one gap at a time.  The kept gaps are refined together
+    after the scan, since refinement moves interval ends but decides no
+    gap.  Bisection probes go through feasible_for_gap one by one.
 
     For gamma = 1 the existence guarantee does not apply; the search
     still runs, with a warning.
@@ -324,31 +403,28 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
         warnings.warn("threshold existence is only guaranteed for gamma > 1; "
                       "searching anyway", stacklevel=2)
 
-    # RiemannData validates the inputs; T does not depend on the gap.
+    # RiemannData validates the inputs, v_plus2 as the v_plus it is; T
+    # does not depend on the gap.
     RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
-                v_minus=(0.0, v_plus2), v_plus=(0.0, v_plus2), eos=eos)
+                v_minus=(0.0, 0.0), v_plus=(0.0, v_plus2), eos=eos)
     sqrtT = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
     step = sqrtT / SCAN_STEPS
-    probes = []
-
+    gaps = []
     w = (1.0 - SCAN_OFFSET) * sqrtT
-    hi = None
-    lo = None
-    while w > 0.0 and lo is None:
-        gaps = []
-        while w > 0.0 and len(gaps) < _SCAN_BLOCK:
-            gaps.append(w)
-            w -= step
-        # Only the first gap of the scan can fail _gap_datum: later ones
-        # are smaller and still positive.
-        rows = [_gap_datum(rho_minus, rho_plus, v_plus2, eos, gap) for gap in gaps]
-        for gap, (nodes, mask) in zip(gaps, _feasibility_grids(rows, GRID)):
-            intervals = _intervals(nodes, _feasible_runs(mask))
-            probes.append((gap, intervals))
-            if intervals:
-                hi = gap
-            else:
-                lo = gap
+    while w > 0.0:
+        gaps.append(w)
+        w -= step
+
+    # Only the first gap can fail _gap_datum: later ones are smaller and
+    # still positive.
+    rows = (_gap_datum(rho_minus, rho_plus, v_plus2, eos, gap) for gap in gaps)
+    probes = list(zip(gaps, _feasibility_grids(rows, GRID).intervals)) if gaps else []
+    hi = lo = None
+    for gap, intervals in probes:
+        if intervals:
+            hi = gap
+        else:
+            lo = gap
 
     if hi is None:
         return ThresholdResult(

@@ -7,21 +7,29 @@ import math
 import numpy as np
 import pytest
 
+import eulerfan.subsolution
 import eulerfan.threshold
 from eulerfan import (DegenerateDensityError, DomainError, Eos, NumericalError,
                       RiemannData, ThresholdResult, ThresholdRow,
-                      VelocityGapError, data_functionals, epsilon1_sign_change,
-                      feasibility_scan, feasible_for_gap, subsolution_witness,
-                      threshold_V, threshold_table, two_shock_T,
-                      verify_subsolution)
+                      VelocityGapError, data_functionals, eps2_window,
+                      epsilon1_sign_change, feasibility_scan, feasible_for_gap,
+                      reconstruct, subsolution_witness, threshold_V,
+                      threshold_table, two_shock_T, verify_subsolution,
+                      witness_at)
 from eulerfan.subsolution import MiddleNodes, _window_arrays
 from eulerfan.threshold import (BISECTION_TOL, GRID, SCAN_OFFSET, SCAN_STEPS,
-                                _feasibility_grids, _feasible_runs,
+                                _edge_intervals, _feasibility_grids, _first_seen,
                                 _initial_nodes)
 
 GAMMA2 = Eos(2.0)
 SQRT_T = math.sqrt(45.0 / 4.0)
 COLUMNS = [0.1, 1.0, 2.0, 0.0, -0.1, -1.0, -2.0]
+
+
+def feasible_runs(mask):
+    """Maximal runs of True in mask as (first_index, last_index) pairs."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def reference_grid(data, grid=2048):
@@ -39,6 +47,22 @@ def reference_grid(data, grid=2048):
     return nodes, mask
 
 
+def reference_intervals(nodes, mask):
+    return [(float(nodes[i]), float(nodes[j])) for i, j in feasible_runs(mask)]
+
+
+def merged_grid(found, data, row=0):
+    """Row `row` of a _feasibility_grids result, the datum `data`, as one
+    refined grid: the start grid with every pass's inserted nodes merged
+    in by np.unique, earlier nodes first."""
+    nodes = [found.nodes, *(values[rows == row, 1:-1].ravel()
+                            for rows, values, _ in found.passes)]
+    masks = [_window_arrays(data, found.nodes).feasible,
+             *(masks[rows == row, 1:-1].ravel() for rows, _, masks in found.passes)]
+    merged, first = np.unique(np.concatenate(nodes), return_index=True)
+    return merged, np.concatenate(masks)[first]
+
+
 def reference_threshold(rho_minus, rho_plus, v_plus2, eos):
     """Sequential reference for threshold_V, one gap per probe, on data
     whose scan finds a feasibility edge."""
@@ -47,9 +71,7 @@ def reference_threshold(rho_minus, rho_plus, v_plus2, eos):
 
     def feasible(w):
         data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
-        nodes, mask = reference_grid(data)
-        probes.append((w, [(float(nodes[i]), float(nodes[j]))
-                           for i, j in _feasible_runs(mask)]))
+        probes.append((w, reference_intervals(*reference_grid(data))))
         return bool(probes[-1][1])
 
     hi, w = None, (1.0 - SCAN_OFFSET) * sqrtT
@@ -135,7 +157,7 @@ class TestFeasibleForGap:
     ([False], []),
 ])
 def test_feasible_runs(mask, runs):
-    assert _feasible_runs(np.array(mask)) == runs
+    assert feasible_runs(np.array(mask)) == runs
 
 
 def test_feasible_runs_match_a_loop_reference():
@@ -154,7 +176,22 @@ def test_feasible_runs_match_a_loop_reference():
     rng = np.random.default_rng(43)
     for _ in range(200):
         mask = rng.uniform(size=int(rng.integers(1, 60))) < rng.uniform()
-        assert _feasible_runs(mask) == loop_runs(mask)
+        assert feasible_runs(mask) == loop_runs(mask)
+
+
+def test_edge_intervals_match_feasible_runs():
+    """Intervals read off the mask transitions are the runs of the mask,
+    runs touching either end of the grid included."""
+    rng = np.random.default_rng(47)
+    nodes = np.linspace(1.0, 2.0, 40)
+    masks = rng.uniform(size=(40, nodes.size)) < rng.uniform(size=(40, 1))
+    masks[0], masks[1] = True, False
+    row, k = np.nonzero(masks[:, 1:] != masks[:, :-1])
+    ends = [(bool(mask[0]), bool(mask[-1])) for mask in masks]
+    intervals = _edge_intervals(ends, nodes, row, nodes[k], nodes[k + 1], masks[row, k])
+    assert intervals == [reference_intervals(nodes, mask) for mask in masks]
+    assert any(mask[0] and not mask.all() for mask in masks[2:])
+    assert any(mask[-1] and not mask.all() for mask in masks[2:])
 
 
 class TestFeasibilityScan:
@@ -174,6 +211,62 @@ class TestFeasibilityScan:
     def test_infeasible_datum(self):
         data = RiemannData(1.0, 4.0, (0.0, 0.5), (0.0, 0.0), GAMMA2)
         assert feasibility_scan(data) == ([], None)
+
+    def test_witness_node_matches_the_reference_grid(self):
+        """The witness sits on the node of the refined grid nearest the
+        center of the widest run, the lower of two equally near; on
+        coarse grids that is often an inserted node."""
+        rng = np.random.default_rng(71)
+        found = inserted = 0
+        for trial in range(24):
+            lo = float(10.0 ** rng.uniform(-1, 1))
+            hi = lo * float(10.0 ** rng.uniform(0.1, 1.0))
+            rho_minus, rho_plus = (hi, lo) if trial % 2 else (lo, hi)
+            eos = Eos((1.4, 2.0, 3.0, 5.0)[trial // 2 % 4])
+            v_plus2 = float(rng.uniform(-3.0, 3.0))
+            w = float(rng.uniform(0.6, 0.999)) * math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+            data = RiemannData(rho_minus, rho_plus, (0.5, v_plus2 + w), (0.5, v_plus2), eos)
+            grid = int(rng.choice([5, 17, 64]))
+            nodes, mask = reference_grid(data, grid)
+            runs = feasible_runs(mask)
+            intervals, witness = feasibility_scan(data, grid=grid)
+            assert intervals == reference_intervals(nodes, mask)
+            if not runs:
+                assert witness is None
+                continue
+            first, last = max(runs, key=lambda run: nodes[run[1]] - nodes[run[0]])
+            center = 0.5 * (nodes[first] + nodes[last])
+            rho_1 = nodes[first + int(np.argmin(np.abs(nodes[first:last + 1] - center)))]
+            assert witness.rho_1 == rho_1
+            found += 1
+            inserted += rho_1 not in np.linspace(nodes[0], nodes[-1], grid)
+        assert found >= 8 and inserted >= 2, (found, inserted)
+
+    def test_one_kernel_call_per_witness(self, monkeypatch):
+        """The witness comes from one one-node window; the search itself
+        calls the kernel through the threshold module."""
+        calls = []
+        kernel = eulerfan.subsolution.window_grid
+
+        def window_grid(rows, nodes):
+            calls.append(np.size(nodes))
+            return kernel(rows, nodes)
+
+        monkeypatch.setattr(eulerfan.subsolution, "window_grid", window_grid)
+        _, witness = feasibility_scan(self.GOLDEN)
+        assert witness is not None and calls == [1]
+        calls.clear()
+        infeasible = RiemannData(1.0, 4.0, (0.0, 0.5), (0.0, 0.0), GAMMA2)
+        assert feasibility_scan(infeasible) == ([], None) and calls == []
+
+    def test_witness_is_the_midpoint_reconstruction(self):
+        """witness_at places eps_2 at the midpoint of the eps2_window
+        bounds, the lower one raised to 0, and matches reconstruct."""
+        _, witness = feasibility_scan(self.GOLDEN)
+        window = eps2_window(self.GOLDEN, witness.rho_1)
+        eps_2 = 0.5 * (max(window.eps2_lower, 0.0) + window.eps2_upper)
+        assert witness == witness_at(self.GOLDEN, witness.rho_1)
+        assert witness == reconstruct(self.GOLDEN, witness.rho_1, eps_2, alpha=0.0)
 
 
 class TestSubsolutionWitness:
@@ -283,9 +376,10 @@ class TestThresholdTable:
 
 
 class TestBatchedScanMatchesSequential:
-    """threshold_V scans its gaps in blocks and refines only the inserted
-    nodes; its results and errors must be those of the sequential
-    reference, bit for bit."""
+    """threshold_V decides its scan on the start grid, then refines the
+    kept gaps together and evaluates only the inserted nodes; its
+    results and errors must be those of the sequential reference, bit
+    for bit."""
 
     @pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 4.0), (4.0, 1.0)])
     @pytest.mark.parametrize("v_plus2", COLUMNS)
@@ -343,8 +437,8 @@ class TestBatchedScanMatchesSequential:
             value = getattr(start, field.name)
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, field.name
-        [(grid_nodes, _)] = _feasibility_grids(
-            [RiemannData(1.0, 4.0, (0.0, 0.5), (0.0, 0.0), GAMMA2)], GRID)
+        grid_nodes = _feasibility_grids(
+            [RiemannData(1.0, 4.0, (0.0, 0.5), (0.0, 0.0), GAMMA2)], GRID).nodes
         with pytest.raises(ValueError, match="read-only"):
             grid_nodes[0] = 2.0
 
@@ -359,10 +453,12 @@ class TestBatchedScanMatchesSequential:
             v_plus2 = float(rng.uniform(-3.0, 3.0))
             w = float(rng.uniform(0.5, 0.999)) * math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
             data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
-            [(nodes, mask)] = _feasibility_grids([data], 512)
+            found = _feasibility_grids([data], 512)
+            nodes, mask = merged_grid(found, data)
             ref_nodes, ref_mask = reference_grid(data, 512)
             np.testing.assert_array_equal(nodes, ref_nodes)
             np.testing.assert_array_equal(mask, ref_mask)
+            assert found.intervals == [reference_intervals(ref_nodes, ref_mask)]
             flipped += nodes.size > 512
         assert flipped >= 10, f"only {flipped} data refined their grid"
 
@@ -371,14 +467,85 @@ class TestBatchedScanMatchesSequential:
             return RiemannData(1.0, 4.0, (0.0, w), (0.0, 0.0), GAMMA2)
 
         feasible, infeasible, beyond = row(3.3), row(0.5), row(SQRT_T)
-        grids = _feasibility_grids([feasible, infeasible, beyond, feasible], 256)
-        assert len(grids) == 2
-        for data, (nodes, mask) in zip((feasible, infeasible), grids):
+        found = _feasibility_grids([feasible, infeasible, beyond, feasible], 256)
+        assert len(found.intervals) == 2
+        for row, data in enumerate((feasible, infeasible)):
+            nodes, mask = merged_grid(found, data, row)
             ref_nodes, ref_mask = reference_grid(data, 256)
             np.testing.assert_array_equal(nodes, ref_nodes)
             np.testing.assert_array_equal(mask, ref_mask)
+            assert found.intervals[row] == reference_intervals(ref_nodes, ref_mask)
         with pytest.raises(VelocityGapError):
             _feasibility_grids([feasible, beyond, infeasible], 256)
+
+    def test_random_data_match_the_reference(self):
+        """Seeded data of both orderings, gamma 1.4, 2, 3 and 5 and
+        density ratios up to about 300 give the reference's result, or
+        its error (one datum fails a self-check); data whose reference
+        scan finds no feasibility edge are skipped."""
+        rng = np.random.default_rng(61)
+        compared = 0
+        for trial in range(12):
+            lo = float(10.0 ** rng.uniform(-1, 1))
+            hi = lo * float(10.0 ** rng.uniform(0.1, 2.5))
+            rho_minus, rho_plus = (hi, lo) if trial % 2 else (lo, hi)
+            eos = Eos((1.4, 2.0, 3.0, 5.0)[trial // 2 % 4])
+            v_plus2 = float(rng.uniform(-3.0, 3.0))
+            try:
+                expected = reference_threshold(rho_minus, rho_plus, v_plus2, eos)
+            except AssertionError:
+                continue
+            except NumericalError as error:
+                with pytest.raises(NumericalError) as got:
+                    threshold_V(rho_minus, rho_plus, v_plus2, eos)
+                assert str(got.value) == str(error)
+            else:
+                assert threshold_V(rho_minus, rho_plus, v_plus2, eos) == expected
+            compared += 1
+        assert compared >= 8, f"only {compared} data compared"
+
+
+class TestFirstSeen:
+    """Refinement segments with repeated values, which arise where the
+    inserted spacing falls below one ulp, keep np.unique's
+    first-occurrence rule: an end node wins over an inserted copy of
+    it, an earlier inserted node over a later one."""
+
+    def merged(self, values, masks):
+        """The segment merged the way the refined grid is: end nodes
+        first, then the inserted ones in order."""
+        order = [0, len(values) - 1, *range(1, len(values) - 1)]
+        nodes, first = np.unique(np.asarray(values)[order], return_index=True)
+        return nodes, np.asarray(masks)[order][first]
+
+    def transitions(self, values, masks):
+        """(a, b, mask at a) of each mask transition of the segment."""
+        _, k = np.nonzero(masks[:, 1:] != masks[:, :-1])
+        return list(zip(values[0, k].tolist(), values[0, k + 1].tolist(),
+                        masks[0, k].tolist()))
+
+    @pytest.mark.parametrize("values, masks", [
+        # Inserted copies of both end nodes, carrying the other mask.
+        ([1.0, 1.0, 1.5, 2.0, 2.0], [True, False, True, True, False]),
+        # A run of equal inserted nodes whose masks disagree.
+        ([1.0, 1.25, 1.25, 1.25, 1.5, 2.0], [True, False, True, True, True, False]),
+        # Everything collapsed onto the two end nodes.
+        ([1.0, 1.0, 1.0, 2.0, 2.0, 2.0], [False, True, True, False, False, True]),
+    ])
+    def test_matches_np_unique_merge(self, values, masks):
+        values, masks = np.array([values]), np.array([masks])
+        seen = _first_seen(values, masks)
+        nodes, merged = self.merged(values[0], masks[0])
+        # Every entry carries the mask the merged grid keeps for its value.
+        assert seen[0].tolist() == [bool(merged[nodes == v][0]) for v in values[0]]
+        expected = [(float(a), float(b), bool(m)) for a, b, m
+                    in zip(nodes[:-1], nodes[1:], merged[:-1]) if m != merged[nodes == b][0]]
+        assert self.transitions(values, seen) == expected
+
+    def test_distinct_values_keep_their_masks(self):
+        values = np.array([[1.0, 1.5, 2.0], [2.0, 2.5, 3.0]])
+        masks = np.array([[True, False, False], [False, False, True]])
+        assert _first_seen(values, masks) is masks
 
 
 class TestScanEvaluatesOnlyProbedGaps:
