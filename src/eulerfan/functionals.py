@@ -37,12 +37,13 @@ class RiemannData:
             vec = getattr(self, name)
             if len(vec) != 2 or not all(math.isfinite(c) for c in vec):
                 raise DomainError(f"{name} must be a finite velocity pair, got {vec}")
-            # data_functionals forms rho*v2**2; v2*v2 is inf where the
-            # Python float power v2**2 raises OverflowError.
+            # The analysis forms rho*v1**2 and rho*v2**2; c*c is inf where
+            # the Python float power c**2 raises OverflowError.
             rho = getattr(self, rho_name)
-            if not math.isfinite(rho * (vec[1] * vec[1])):
-                raise DomainError(f"{name} = {vec} has no finite momentum flux "
-                                  f"{rho_name}*{name}2**2 with {rho_name} = {rho}")
+            for i, c in enumerate(vec, 1):
+                if not math.isfinite(rho * (c * c)):
+                    raise DomainError(f"{name} = {vec} has no finite momentum flux "
+                                      f"{rho_name}*{name}{i}**2 with {rho_name} = {rho}")
 
     @property
     def gap(self) -> float:

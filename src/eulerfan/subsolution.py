@@ -361,7 +361,7 @@ def _energy_constraints(data: RiemannData, vm2, n: MiddleNodes, beta, eps_1):
 
     This and _kinematics_arrays are functions of their own so that their
     temporaries, each as large as the grid, are freed before window_grid
-    forms the bounds: that keeps the peak memory of a scan block down."""
+    forms the bounds."""
     eps_rho = eps_1 * n.rho_1
     coefficients = []
     for r, v2, mid2, P in ((data.rho_minus, vm2, beta, n.P_left),

@@ -21,13 +21,14 @@ of one row, 1 x GRID nodes; no gap past the first infeasible one is
 evaluated.  Refinement then only moves the ends of the feasible
 intervals, so it runs once, after the whole scan: two passes that each
 evaluate the nodes inserted around the interval edges of every kept
-gap (about 128 per gap), in calls of at most GRID nodes.  The intervals
-are read off the transitions inside the last pass's segments; no
-refined grid is merged or sorted.  The segments of every kept gap are
-held at once, about 1 KiB per gap and pass, so a scan of 140 gaps
-peaks some 0.2 MB above one of 16-gap blocks.  Calls of at most GRID nodes keep
-every temporary at or below 16 KiB, small enough that the allocator
-reuses it from call to call instead of returning it to the OS (see
+gap (about 128 per gap).  A pass pads every gap to its largest number
+of segments and evaluates whole gaps in calls of at most GRID nodes
+(one gap per call when a gap alone has more).  The intervals are read
+off the transitions inside the last pass's segments; no refined grid
+is merged or sorted.  The segments of every kept gap are held at once,
+about 1 KiB per gap and pass.  Calls of at most GRID nodes keep every
+temporary at or below 16 KiB, small enough that the allocator reuses
+it from call to call instead of returning it to the OS (see
 window_grid).  The cache keeps one start grid alive, about 0.2 MB at
 GRID.
 """
@@ -101,10 +102,10 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
     node-stage arrays of `grid` floats (0.2 MB at GRID), so the one-row
     start-grid call of every probe of a threshold_V call, scan and
     bisection alike, shares them.
-    An interval too narrow for the endpoint margin puts nodes on its
-    ends; the nodes then stand in for their terms, and window_grid
-    raises as for any plain densities outside the interval, a row's own
-    error first.
+
+    Raises DomainError when the densities are too close for the
+    endpoint margin to keep every node off the interval's ends (closer
+    than about 1e-7 relative).
     """
     lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     delta = _ENDPOINT_MARGIN * (hi - lo)
@@ -114,7 +115,9 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
     try:
         return nodes, middle_nodes(datum, nodes)
     except DomainError:
-        return nodes, nodes
+        raise DomainError(
+            f"densities {rho_minus} and {rho_plus} are too close to place a grid "
+            f"of {grid} middle densities strictly between them") from None
 
 
 class _Refinement(NamedTuple):
@@ -126,7 +129,7 @@ class _Refinement(NamedTuple):
     refinement pass: segment j of the pass belongs to row[j], and
     values[j] are the two neighbouring nodes it refines with the
     _REFINE_POINTS nodes inserted between them, masks[j] their
-    feasibility as the merged grid holds it (see _first_seen).
+    feasibility.
     """
 
     intervals: list
@@ -182,14 +185,27 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
     for _ in range(_REFINE_PASSES):
         if not seg_row.size:
             break
+        # Pad every row to the pass's largest segment count m with copies
+        # of its last segment, which move none of its checks, so that
+        # whole rows reshape into kernel calls; the copies are dropped
+        # again before the transitions are read.  seg_row is
+        # nondecreasing, so a row's segments start where it steps.
+        starts = np.flatnonzero(np.diff(seg_row, prepend=-1))
+        counts = np.diff(starts, append=seg_row.size)
+        m, real = int(counts.max()), slice(None)
+        if counts.min() < m:
+            slot = np.arange(m)
+            take = (starts[:, None] + np.minimum(slot, counts[:, None] - 1)).ravel()
+            real = (slot < counts[:, None]).ravel()
+            seg_row, a, b, low = seg_row[take], a[take], b[take], low[take]
         # The arithmetic of np.linspace(a, b, _REFINE_POINTS + 2) for
         # every flip at once.
         values = np.concatenate(
             (a[:, None], _REFINE_STEPS * ((b - a) / (_REFINE_POINTS + 1))[:, None] + a[:, None],
              b[:, None]), axis=1)
-        new, errors = _inserted_masks(kept, seg_row, values[:, 1:-1])
-        seg_masks = _first_seen(values, np.concatenate((low[:, None], new, ~low[:, None]),
-                                                       axis=1))
+        new, errors = _inserted_masks(kept, seg_row[::m].tolist(), values[:, 1:-1])
+        seg_masks = np.concatenate((low[:, None], new, ~low[:, None]), axis=1)
+        seg_row, values, seg_masks = seg_row[real], values[real], seg_masks[real]
         if errors and errors[0][0] < failed:
             failed, error = errors[0]
             keep = seg_row < failed
@@ -202,61 +218,26 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
     return _Refinement(_edge_intervals(ends, nodes, seg_row, a, b, low), nodes, passes)
 
 
-def _inserted_masks(rows, seg_row, inserted):
-    """Feasibility of the nodes inserted into each segment of a pass.
+def _inserted_masks(rows, members, inserted):
+    """Feasibility of the nodes inserted into the segments of a pass.
 
-    seg_row names the row of each segment, nondecreasing, and inserted
-    holds one row of nodes per segment.  Whole rows share a kernel call
-    of at most GRID nodes (a row with more gets a call of its own), each
-    padded to the call's width with copies of its last segment, which
-    move none of its checks.  Returns the masks, shaped as inserted,
-    and the (row, error) pairs of the rows that failed, in row order.
+    inserted holds one row of nodes per segment, in blocks of the same
+    number m of segments per row, and members names the row of each
+    block in row order.  Blocks of whole rows share a kernel call of at
+    most GRID nodes, or of one row when a row alone has more.  Returns
+    the masks, shaped as inserted, and the (row, error) pairs of the
+    rows that failed, in row order.
     """
-    bounds = [0, *(np.flatnonzero(seg_row[1:] != seg_row[:-1]) + 1).tolist(), seg_row.size]
-    counts = [end - start for start, end in zip(bounds, bounds[1:])]
-    members = seg_row[bounds[:-1]].tolist()
-    width = inserted.shape[1]
+    m = len(inserted) // len(members)
+    per = max(1, GRID // inserted[:m].size)
     masks, errors = [], []
-    i = 0
-    while i < len(counts):
-        j, widest = i + 1, counts[i]
-        while j < len(counts) and (j - i + 1) * max(widest, counts[j]) * width <= GRID:
-            widest = max(widest, counts[j])
-            j += 1
-        chunk, real = inserted[bounds[i]:bounds[j]], slice(None)
-        if widest * (j - i) != len(chunk):
-            slot, count = np.arange(widest), np.array(counts[i:j])[:, None]
-            chunk = inserted[np.array(bounds[i:j])[:, None] + np.minimum(slot, count - 1)]
-            real = (slot < count).ravel()
-        window = window_grid([rows[r] for r in members[i:j]], chunk.reshape(j - i, -1))
-        masks.append(window.feasible.reshape(-1, width)[real])
-        errors += [(r, e) for r, e in zip(members[i:j], window.errors) if e is not None]
-        i = j
-    return np.concatenate(masks), errors
-
-
-def _first_seen(values, masks):
-    """The masks of refinement segments as the merged grid holds them.
-
-    Each row of values is nondecreasing: a segment's two end nodes with
-    the nodes inserted between them.  Merging them into the grid keeps
-    one node per value, as np.unique does with the first occurrence:
-    an end node wins over an inserted copy of it, and an earlier
-    inserted node over a later equal one.  Each entry gets the mask of
-    the node of its value that is kept, so that a mask transition
-    between neighbouring entries is one between neighbouring distinct
-    nodes.  Repeated values arise only where the inserted spacing falls
-    below one ulp.
-    """
-    repeated = values[:, 1:] == values[:, :-1]
-    if not repeated.any():
-        return masks
-    columns = np.arange(values.shape[1])
-    first = np.where(np.concatenate((np.zeros_like(repeated[:, :1]), repeated), axis=1),
-                     0, columns)
-    np.maximum.accumulate(first, axis=1, out=first)
-    first[values == values[:, -1:]] = columns[-1]
-    return np.take_along_axis(masks, first, axis=1)
+    for i in range(0, len(members), per):
+        chunk = members[i:i + per]
+        window = window_grid([rows[r] for r in chunk],
+                             inserted[i * m:(i + per) * m].reshape(len(chunk), -1))
+        masks.append(window.feasible)
+        errors += [(r, e) for r, e in zip(chunk, window.errors) if e is not None]
+    return np.concatenate(masks).reshape(inserted.shape), errors
 
 
 def _edge_intervals(ends, nodes, row, a, b, low):

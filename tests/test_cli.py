@@ -116,6 +116,14 @@ class TestThresholdCommands:
                               "rho_plus*v_plus2**2")
         assert "v_minus" not in err
 
+    def test_close_densities_are_an_input_error(self, capsys):
+        code, out, err = run(capsys, [
+            "threshold", "--rho-minus", "1", "--rho-plus", "1.00000001",
+            "--v-plus2", "0", "--gamma", "2"])
+        assert (code, out) == (2, "")
+        assert err == ("error: densities 1.0 and 1.00000001 are too close to place "
+                       "a grid of 2048 middle densities strictly between them\n")
+
     def test_failed_self_check_exits_one(self, capsys):
         # At a density ratio of 1e3 the first-slack cross-check fails:
         # a valid run with a negative finding, not an input error.
@@ -168,6 +176,12 @@ class TestFeasibilityCommand:
         code, _, err = run(capsys, FEASIBLE + ["--grid", "0"])
         assert code == 2
         assert "at least 2" in err
+
+    def test_overflowing_first_component_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, FEASIBLE + ["--v1", "1e200"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: v_minus = (1e+200, 3.3) has no finite momentum flux "
+                              "rho_minus*v_minus1**2")
 
     def test_gap_beyond_bound_is_an_input_error(self, capsys):
         code, _, err = run(capsys, [
@@ -242,6 +256,16 @@ class TestWitnessWorkflow:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert name in err
+
+    def test_overflowing_first_component_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "witness.json"
+        run(capsys, FEASIBLE + ["--emit-witness", str(path)])
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["v_minus"][0] = doc["v_plus"][0] = doc["alpha"] = 1e200
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: v_minus = (1e+200, 3.3) has no finite momentum flux")
 
     def test_missing_file_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.json")])

@@ -191,6 +191,12 @@ class TestRiemannData:
         with pytest.raises(DomainError, match="rho_minus[*]v_minus2"):
             RiemannData(1e300, 1.0, (0.0, 1e5), (0.0, 0.0), Eos(1.0))
         RiemannData(1e-300, 1.0, (0.0, 1e150), (0.0, 0.0), Eos(1.0))
+        # The first component is checked the same way.
+        with pytest.raises(DomainError, match="no finite momentum flux rho_minus[*]v_minus1"):
+            RiemannData(1.0, 4.0, (1e200, 3.3), (1e200, 0.0), eos)
+        with pytest.raises(DomainError, match="no finite momentum flux rho_plus[*]v_plus1"):
+            RiemannData(1.0, 4.0, (0.0, 3.3), (1e200, 0.0), eos)
+        RiemannData(1e-300, 1.0, (1e150, 0.0), (0.0, 0.0), Eos(1.0))
 
 
 class TestDataFunctionals:

@@ -246,6 +246,14 @@ class TestRegionMapSweep:
         for cell in cells:
             assert cell.nonuniq is Nonuniq.NOT_APPLICABLE
 
+    def test_overflowing_first_component_is_a_cell_error(self):
+        cells = region_map_sweep(1.0, 3.3, GAMMA2, (3.9, 4.0, 2), (0.0, 0.1, 2), v1=1e200)
+        assert len(cells) == 4
+        for cell in cells:
+            assert cell.wave_kind is None and cell.nonuniq is Nonuniq.NOT_APPLICABLE
+            assert cell.error.startswith("v_minus = (1e+200, 3.3) has no finite momentum flux "
+                                         "rho_minus*v_minus1**2")
+
     def test_cell_errors_do_not_stop_the_sweep(self):
         # gamma = 1 with a huge receding gap drives the middle density
         # below the bracket floor; that cell records the failure and

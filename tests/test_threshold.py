@@ -18,8 +18,7 @@ from eulerfan import (DegenerateDensityError, DomainError, Eos, NumericalError,
                       witness_at)
 from eulerfan.subsolution import MiddleNodes, _window_arrays
 from eulerfan.threshold import (BISECTION_TOL, GRID, SCAN_OFFSET, SCAN_STEPS,
-                                _edge_intervals, _feasibility_grids, _first_seen,
-                                _initial_nodes)
+                                _edge_intervals, _feasibility_grids, _initial_nodes)
 
 GAMMA2 = Eos(2.0)
 SQRT_T = math.sqrt(45.0 / 4.0)
@@ -505,47 +504,97 @@ class TestBatchedScanMatchesSequential:
         assert compared >= 8, f"only {compared} data compared"
 
 
-class TestFirstSeen:
-    """Refinement segments with repeated values, which arise where the
-    inserted spacing falls below one ulp, keep np.unique's
-    first-occurrence rule: an end node wins over an inserted copy of
-    it, an earlier inserted node over a later one."""
+class TestEqualNodesGetEqualMasks:
+    """A node's mask is an elementwise function of its row's scalars and
+    its middle density, whichever kernel path evaluates it.  So nodes of
+    equal value get equal masks wherever they sit, and a refined grid,
+    where an inserted node can repeat a value, needs no rule for which
+    copy it keeps."""
 
-    def merged(self, values, masks):
-        """The segment merged the way the refined grid is: end nodes
-        first, then the inserted ones in order."""
-        order = [0, len(values) - 1, *range(1, len(values) - 1)]
-        nodes, first = np.unique(np.asarray(values)[order], return_index=True)
-        return nodes, np.asarray(masks)[order][first]
+    def test_repeated_values_in_every_path(self):
+        """Each pool value sits at many positions: of a one-row call
+        (Python-float row scalars), of a multi-row call ((k, 1) columns)
+        and, for start-grid nodes, of the cached start grid."""
+        rng = np.random.default_rng(89)
+        mixed = 0
+        for trial in range(20):
+            lo = float(10.0 ** rng.uniform(-1, 1))
+            hi = lo * float(10.0 ** rng.uniform(0.1, 1.5))
+            rho_minus, rho_plus = (hi, lo) if trial % 2 else (lo, hi)
+            eos = Eos((1.0, 1.4, 2.0, 3.0, 5.0)[trial // 2 % 5])
+            v_plus2 = float(rng.uniform(-3.0, 3.0))
+            sqrtT = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+            rows = [RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + f * sqrtT),
+                                (0.0, v_plus2), eos)
+                    for f in rng.uniform(0.5, 0.999, size=4)]
+            nodes, start = _initial_nodes(rho_minus, rho_plus, eos, 256)
+            pool = np.concatenate((nodes[::8], rng.uniform(nodes[0], nodes[-1], size=32)))
+            values = pool[rng.integers(0, pool.size, size=(len(rows), 256))]
+            on_start = eulerfan.subsolution.window_grid(rows, start)
+            multi = eulerfan.subsolution.window_grid(rows, values)
+            for i, data in enumerate(rows):
+                if multi.errors[i] is not None:
+                    continue
+                one = eulerfan.subsolution.window_grid([data], values[i]).feasible[0]
+                value = np.concatenate((values[i], values[i], nodes))
+                mask = np.concatenate((one, multi.feasible[i], on_start.feasible[i]))
+                order = np.lexsort((mask, value))
+                value, mask = value[order], mask[order]
+                same = value[1:] == value[:-1]
+                assert not (mask[1:] != mask[:-1])[same].any(), (trial, i)
+                mixed += bool(mask.any() and not mask.all())
+        assert mixed >= 20, f"only {mixed} rows mix feasible and infeasible nodes"
 
-    def transitions(self, values, masks):
-        """(a, b, mask at a) of each mask transition of the segment."""
-        _, k = np.nonzero(masks[:, 1:] != masks[:, :-1])
-        return list(zip(values[0, k].tolist(), values[0, k + 1].tolist(),
-                        masks[0, k].tolist()))
 
-    @pytest.mark.parametrize("values, masks", [
-        # Inserted copies of both end nodes, carrying the other mask.
-        ([1.0, 1.0, 1.5, 2.0, 2.0], [True, False, True, True, False]),
-        # A run of equal inserted nodes whose masks disagree.
-        ([1.0, 1.25, 1.25, 1.25, 1.5, 2.0], [True, False, True, True, True, False]),
-        # Everything collapsed onto the two end nodes.
-        ([1.0, 1.0, 1.0, 2.0, 2.0, 2.0], [False, True, True, False, False, True]),
+class TestMixedSegmentCounts:
+    """One refinement pass over rows with 1, 2 and 4 segments pads every
+    row to 4 segments and still gives each row the reference's refined
+    grid.  The data were found by seeded search: a gap just below
+    sqrt(T) feasible from the first node on (one flip), and two gaps
+    with one and two interior intervals."""
+
+    @pytest.mark.parametrize("rho_minus, rho_plus, gamma, v_plus2, fractions", [
+        (7.20270321214675, 294.7879683752838, 2.0, -6.582896779732074,
+         (0.99999999, 0.6804683544303798, 0.7601012658227848)),
+        (0.1939999818353972, 0.06454695182115748, 3.0, -5.187845092712148,
+         (0.9999993420667753, 0.999, 0.9996488808265784)),
     ])
-    def test_matches_np_unique_merge(self, values, masks):
-        values, masks = np.array([values]), np.array([masks])
-        seen = _first_seen(values, masks)
-        nodes, merged = self.merged(values[0], masks[0])
-        # Every entry carries the mask the merged grid keeps for its value.
-        assert seen[0].tolist() == [bool(merged[nodes == v][0]) for v in values[0]]
-        expected = [(float(a), float(b), bool(m)) for a, b, m
-                    in zip(nodes[:-1], nodes[1:], merged[:-1]) if m != merged[nodes == b][0]]
-        assert self.transitions(values, seen) == expected
+    def test_each_row_matches_the_reference(self, rho_minus, rho_plus, gamma, v_plus2,
+                                            fractions):
+        eos = Eos(gamma)
+        sqrtT = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+        # Seven copies of the three rows fill three kernel calls of a pass.
+        rows = [RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + f * sqrtT),
+                            (0.0, v_plus2), eos) for f in fractions] * 7
+        found = _feasibility_grids(rows, 256)
+        assert np.bincount(found.passes[0][0]).tolist() == [1, 2, 4] * 7
+        assert len(found.intervals) == len(rows)
+        for row, data in enumerate(rows):
+            nodes, mask = merged_grid(found, data, row)
+            ref_nodes, ref_mask = reference_grid(data, 256)
+            np.testing.assert_array_equal(nodes, ref_nodes)
+            np.testing.assert_array_equal(mask, ref_mask)
+            assert found.intervals[row] == reference_intervals(ref_nodes, ref_mask)
 
-    def test_distinct_values_keep_their_masks(self):
-        values = np.array([[1.0, 1.5, 2.0], [2.0, 2.5, 3.0]])
-        masks = np.array([[True, False, False], [False, False, True]])
-        assert _first_seen(values, masks) is masks
+
+class TestCloseDensities:
+    """Densities closer than about 1e-7 relative leave no room for the
+    start grid strictly inside their interval; that is an input error
+    that names the densities, not the internal grid."""
+
+    RHO_PLUS = 1.0 + 1e-8
+    MESSAGE = "densities 1.0 and 1.00000001 are too close to place a grid of 2048"
+
+    def test_every_search_names_the_densities(self):
+        data = RiemannData(1.0, self.RHO_PLUS, (0.0, 1e-9), (0.0, 0.0), GAMMA2)
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            threshold_V(1.0, self.RHO_PLUS, 0.0, GAMMA2)
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            feasible_for_gap(1.0, self.RHO_PLUS, 0.0, GAMMA2, 1e-9)
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            feasibility_scan(data)
+        with pytest.raises(DomainError, match="too close to place a grid of 64 "):
+            feasibility_scan(data, grid=64)
 
 
 class TestScanEvaluatesOnlyProbedGaps:
