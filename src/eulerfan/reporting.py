@@ -164,7 +164,8 @@ def parse_witness(doc: dict):
     The two slack variables are recomputed from their defining
     identities, so a hand-edited document is verified exactly as
     written.  A field (or velocity component) that is not a finite
-    number, or a velocity that is not a list, raises DomainError.
+    number, an alpha, beta or gamma_2 whose square is not a finite
+    float, or a velocity that is not a list, raises DomainError.
     """
     missing = [k for k in WITNESS_KEYS if k not in doc]
     if missing:
@@ -180,8 +181,12 @@ def parse_witness(doc: dict):
             raise DomainError(f"witness field {name} must be {kind}, got {value}")
         return value
 
-    def number(key, positive=False):
-        return read(key, doc[key], positive)
+    def number(key, positive=False, square=False):
+        value = read(key, doc[key], positive)
+        # The slacks and the verifier square alpha, beta and gamma_2.
+        if square and not math.isfinite(value * value):
+            raise DomainError(f"witness field {key} must have a finite square, got {value}")
+        return value
 
     def velocity(key):
         # The pair length is RiemannData's check.
@@ -193,13 +198,13 @@ def parse_witness(doc: dict):
                        rho_plus=number("rho_plus", positive=True),
                        v_minus=velocity("v_minus"), v_plus=velocity("v_plus"),
                        eos=Eos(gamma=number("gamma")))
-    alpha, beta = number("alpha"), number("beta")
+    alpha, beta = number("alpha", square=True), number("beta", square=True)
     gamma_1, C = number("gamma_1"), number("C")
     eps_1 = C / 2.0 - gamma_1 - beta ** 2
     eps_2 = C - alpha ** 2 - beta ** 2 - eps_1
     sub = FanSubsolution(nu_minus=number("nu_minus"), nu_plus=number("nu_plus"),
                          rho_1=number("rho_1", positive=True), alpha=alpha, beta=beta,
-                         gamma_1=gamma_1, gamma_2=number("gamma_2"), C=C,
+                         gamma_1=gamma_1, gamma_2=number("gamma_2", square=True), C=C,
                          eps_1=eps_1, eps_2=eps_2)
     return data, sub
 

@@ -72,12 +72,15 @@ def brent(f, a: float, b: float, *, rtol: float, maxiter: int = 100) -> float:
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                num, den = -fcur * (xcur - xpre), fcur - fpre
             else:
                 # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # A denominator that underflows to zero or is not finite gives
+            # no interpolation step: bisect instead, as Brent does.
+            stry = num / den if den != 0.0 and math.isfinite(den) else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

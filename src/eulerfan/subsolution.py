@@ -217,6 +217,10 @@ class MiddleNodes:
     far_ratio: np.ndarray      # far / rho_1
     far_weight: np.ndarray     # far * (far - rho_1) / rho_1**2
     R_rho: np.ndarray          # (near - far) * rho_1
+    d_minus: np.ndarray        # rho_minus - rho_1
+    d_plus: np.ndarray         # rho_plus - rho_1
+    rm_rho: np.ndarray         # rho_minus * rho_1
+    rp_rho: np.ndarray         # rho_plus * rho_1
     P_left: np.ndarray         # P(rho_minus, rho_1)
     P_right: np.ndarray        # P(rho_1, rho_plus)
 
@@ -239,7 +243,7 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     Returns
     -------
     MiddleNodes
-        13 read-only arrays of rho_1's size: 0.2 MB at 2048 nodes.
+        17 read-only arrays of rho_1's size: 0.28 MB at 2048 nodes.
 
     Raises DomainError, before any term is evaluated, when rho_1 leaves
     the open density interval.
@@ -263,6 +267,10 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
         far_ratio=far_ratio,
         far_weight=far * d_far / rho_1 ** 2,
         R_rho=(near - far) * rho_1,
+        d_minus=rm - rho_1,
+        d_plus=rp - rho_1,
+        rm_rho=rm * rho_1,
+        rp_rho=rp * rho_1,
         P_left=eos._p_dissipation(rm, rho_1),
         P_right=eos._p_dissipation(rho_1, rp),
     )
@@ -332,12 +340,21 @@ def _kinematics_arrays(rows, nodes):
     # The left mass balance nu*(r - rho_1) = r*v2 - rho_1*beta.  The
     # reflection x2 -> -x2 negates both sides, so the right balance is
     # the same formula on (nu_plus, rho_plus, v_plus2) without negations.
+    # The temporaries are reused in place, in the order of
+    # |lhs - lhs_mom| / max(1, max(|lhs|, |lhs_mom|)).
     rho_beta = rho_1 * beta
-    for name, nu, r, v2 in (("left", nu_minus, rm, vm2), ("right", nu_plus, rp, vp2)):
-        lhs = nu * (r - rho_1)
+    for name, nu, d, r, v2 in (("left", nu_minus, n.d_minus, rm, vm2),
+                               ("right", nu_plus, n.d_plus, rp, vp2)):
+        lhs = nu * d
         lhs_mom = r * v2 - rho_beta
-        denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs_mom)))
-        res = (np.abs(lhs - lhs_mom) / denom).max(axis=-1)
+        diff = lhs - lhs_mom
+        np.abs(diff, out=diff)
+        np.abs(lhs, out=lhs)
+        np.abs(lhs_mom, out=lhs_mom)
+        np.maximum(lhs, lhs_mom, out=lhs)
+        np.maximum(1.0, lhs, out=lhs)
+        diff /= lhs
+        res = diff.max(axis=-1)
         _record(errors, ~(res <= CONTINUITY_TOL), lambda i: NumericalError(
             f"{name} continuity self-check failed: residual {res[i]:.3e}"))
 
@@ -364,11 +381,20 @@ def _energy_constraints(data: RiemannData, vm2, n: MiddleNodes, beta, eps_1):
     forms the bounds."""
     eps_rho = eps_1 * n.rho_1
     coefficients = []
-    for r, v2, mid2, P in ((data.rho_minus, vm2, beta, n.P_left),
-                           (data.rho_plus, -data.v_plus[1], -beta, n.P_right)):
+    for r_rho, d, v2, mid2, P in ((n.rm_rho, n.d_minus, vm2, beta, n.P_left),
+                                  (n.rp_rho, n.d_plus, -data.v_plus[1], -beta, n.P_right)):
         bmv = mid2 - v2
-        a = r * n.rho_1 * bmv / (r - n.rho_1)
-        coefficients += (a, eps_rho * (v2 + mid2) - eps_1 * a - bmv * P)
+        a = r_rho * bmv
+        a /= d
+        # b in place, in the order of the rule; the product with eps_rho
+        # commutes exactly.
+        b = v2 + mid2
+        b *= eps_rho
+        term = eps_1 * a
+        b -= term
+        np.multiply(bmv, P, out=term)
+        b -= term
+        coefficients += (a, b)
     return coefficients
 
 
@@ -413,9 +439,10 @@ def window_grid(rows, nodes) -> WindowGrid:
     Memory: every temporary is a grid-sized array.  From about 8192
     nodes per call (4 rows of 2048) the temporaries are large enough
     that glibc's malloc returns them to the OS when the call frees them,
-    and the next call faults them in again: 224 minor page faults per
-    4 x 2048 call and 576 per 8 x 2048 call, none at 4096 nodes and
-    below (x86-64, Python 3.11, numpy from a wheel).  A call that is
+    and the next call faults them in again: 144 minor page faults per
+    4 x 2048 call and 512 per 8 x 2048 call, none at 2048, 4096 and
+    6144 nodes (repeated calls on a cached start grid; x86-64, Python
+    3.11, numpy 2.4 from a wheel, glibc 2.36).  A call that is
     repeated should therefore stay at or below 4096 nodes.  Raising
     MALLOC_TRIM_THRESHOLD_ and MALLOC_MMAP_THRESHOLD_ in the environment
     removes the faults and nearly halved the time of an 8 x 2048 call
@@ -597,18 +624,18 @@ def verify_subsolution(data: RiemannData, sub: FanSubsolution) -> VerificationRe
             nm * (rm * vm1 - r1 * al), rm * vm1 * vm2 - r1 * g2),
         "mom2_left": _relative_residual(
             nm * (rm * vm2 - r1 * be),
-            rm * vm2 ** 2 + r1 * g1 + pm - p1 - r1 * C / 2.0),
+            rm * (vm2 * vm2) + r1 * g1 + pm - p1 - r1 * C / 2.0),
         "cont_right": _relative_residual(
             np_ * (r1 - rp), r1 * be - rp * vp2),
         "mom1_right": _relative_residual(
             np_ * (r1 * al - rp * vp1), r1 * g2 - rp * vp1 * vp2),
         "mom2_right": _relative_residual(
             np_ * (r1 * be - rp * vp2),
-            -r1 * g1 - rp * vp2 ** 2 + p1 - pp + r1 * C / 2.0),
+            -r1 * g1 - rp * (vp2 * vp2) + p1 - pp + r1 * C / 2.0),
     }
 
-    vm_sq = vm1 ** 2 + vm2 ** 2
-    vp_sq = vp1 ** 2 + vp2 ** 2
+    vm_sq = vm1 * vm1 + vm2 * vm2
+    vp_sq = vp1 * vp1 + vp2 * vp2
     energy_left_lhs = (nm * (rm * em - r1 * e1)
                        + nm * (rm * vm_sq / 2.0 - r1 * C / 2.0))
     energy_left_rhs = ((rm * em + pm) * vm2 - (r1 * e1 + p1) * be
@@ -618,11 +645,14 @@ def verify_subsolution(data: RiemannData, sub: FanSubsolution) -> VerificationRe
     energy_right_rhs = ((r1 * e1 + p1) * be - (rp * ep + pp) * vp2
                         + r1 * be * C / 2.0 - rp * vp2 * vp_sq / 2.0)
 
+    # Squares are products: a Python float power raises OverflowError
+    # where a product gives inf, and a report is always returned.
+    mixed = g2 - al * be
     margins = {
         "speed_order": np_ - nm,
-        "trace": C - al ** 2 - be ** 2,
-        "determinant": ((C / 2.0 - al ** 2 + g1) * (C / 2.0 - be ** 2 - g1)
-                        - (g2 - al * be) ** 2),
+        "trace": C - al * al - be * be,
+        "determinant": ((C / 2.0 - al * al + g1) * (C / 2.0 - be * be - g1)
+                        - mixed * mixed),
         "energy_left": energy_left_rhs - energy_left_lhs,
         "energy_right": energy_right_rhs - energy_right_lhs,
     }

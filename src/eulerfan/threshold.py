@@ -16,26 +16,29 @@ Cost model.  Every probe starts from the same GRID middle densities.
 Their node terms (subsolution.middle_nodes: every log, power and square
 root that does not depend on the gap) are built once per density pair
 and pressure law and cached by _initial_nodes.  Whether a probe is
-feasible is decided on that start grid alone, by one window_grid call
-of one row, 1 x GRID nodes; no gap past the first infeasible one is
-evaluated.  Refinement then only moves the ends of the feasible
-intervals, so it runs once, after the whole scan: two passes that each
-evaluate the nodes inserted around the interval edges of every kept
-gap (about 128 per gap).  A pass pads every gap to its largest number
-of segments and evaluates whole gaps in calls of at most GRID nodes
-(one gap per call when a gap alone has more).  The intervals are read
-off the transitions inside the last pass's segments; no refined grid
-is merged or sorted.  The segments of every kept gap are held at once,
-about 1 KiB per gap and pass.  Calls of at most GRID nodes keep every
-temporary at or below 16 KiB, small enough that the allocator reuses
+feasible is decided on that start grid alone.  The scan evaluates two
+gaps per window_grid call, 2 x GRID nodes, the next gap speculatively:
+when the first gap of a call is infeasible, the second is dropped
+unread, so the scan reads no gap past the first infeasible one.
+Refinement then only moves the ends of the feasible intervals, so it
+runs once, after the whole scan: two passes that each evaluate the
+nodes inserted around the interval edges of every kept gap (about 128
+per gap).  A pass pads every gap to its largest number of segments and
+evaluates whole gaps in calls of at most GRID nodes (one gap per call
+when a gap alone has more).  The intervals are read off the
+transitions inside the last pass's segments; no refined grid is merged
+or sorted.  The segments of every kept gap are held at once, about
+1 KiB per gap and pass.  Calls of at most 2 x GRID nodes keep every
+temporary at or below 32 KiB, small enough that the allocator reuses
 it from call to call instead of returning it to the OS (see
-window_grid).  The cache keeps one start grid alive, about 0.2 MB at
+window_grid).  The cache keeps one start grid alive, about 0.3 MB at
 GRID.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import warnings
@@ -59,6 +62,10 @@ SCAN_OFFSET = 1e-6
 GRID = 2048
 
 _ENDPOINT_MARGIN = 1e-9
+# Start-grid nodes per scan call: two gaps at GRID.  Three per call ran
+# no faster and raised the peak memory; calls of 8192 nodes fault their
+# temporaries in anew each time (see window_grid).
+_SCAN_NODES = 4096
 _REFINE_POINTS = 64
 _REFINE_PASSES = 2
 _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
@@ -98,10 +105,10 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
 
     Returns the `grid` equispaced nodes strictly inside the density
     interval, read-only, and their middle_nodes.  The cache keeps the
-    last density pair, law and grid only: the nodes and their 13
-    node-stage arrays of `grid` floats (0.2 MB at GRID), so the one-row
-    start-grid call of every probe of a threshold_V call, scan and
-    bisection alike, shares them.
+    last density pair, law and grid only: the nodes and their 17
+    node-stage arrays of `grid` floats (0.3 MB at GRID), so the
+    start-grid calls of every probe of a threshold_V call, scan and
+    bisection alike, share them.
 
     Raises DomainError when the densities are too close for the
     endpoint margin to keep every node off the interval's ends (closer
@@ -137,33 +144,68 @@ class _Refinement(NamedTuple):
     passes: list
 
 
+def _start_grid_rows(rows, grid: int):
+    """Each row with its mask on the cached start grid and its error, in
+    row order.
+
+    rows is an iterable of RiemannData that differ in the gap only (see
+    window_grid).  Up to _SCAN_NODES // grid rows share a kernel call,
+    so a caller that stops at a row may leave later rows evaluated but
+    unread.  Nothing of those rows shows: not their masks or errors, not
+    an error raised while a row is built (it is raised when that row's
+    turn comes), and not a floating-point warning (a call of several
+    rows that would warn is redone one row at a time).
+    """
+    rows, per = iter(rows), max(1, _SCAN_NODES // grid)
+    start = late = None
+    while late is None:
+        block = []
+        try:
+            block.extend(itertools.islice(rows, per))
+        except EulerFanError as exc:
+            late = exc
+        if not block:
+            break
+        if start is None:
+            first = block[0]
+            start = _initial_nodes(first.rho_minus, first.rho_plus, first.eos, grid)[1]
+        if len(block) > 1:
+            try:
+                with np.errstate(all="raise"):
+                    window = window_grid(block, start)
+            except FloatingPointError:
+                pass
+            else:
+                yield from zip(block, window.feasible, window.errors)
+                continue
+        for data in block:
+            window = window_grid([data], start)
+            yield data, window.feasible[0], window.errors[0]
+    if late is not None:
+        raise late
+
+
 def _feasibility_grids(rows, grid: int) -> _Refinement:
     """Feasible middle-density intervals of the gap rows, in order, up to
     and including the first row with an error or no feasible node.
 
     rows is an iterable of RiemannData that differ in the gap only (see
     window_grid).  Each row is decided on `grid` equispaced nodes
-    strictly inside the density interval, one row per kernel call on
-    the cached start grid, and no row past the first infeasible one is
-    evaluated.  Then every kept row twice inserts _REFINE_POINTS extra
+    strictly inside the density interval, on the cached start grid
+    (_start_grid_rows), and no row past the first infeasible one is
+    read.  Then every kept row twice inserts _REFINE_POINTS extra
     nodes into each subinterval where its mask flips, sharpening the
     interval edges: a pass evaluates the inserted nodes of all kept rows
     together, whole rows in calls of at most GRID nodes.  The first
     error in row order is raised, so the outcome is that of evaluating
     the rows one by one until the first infeasible one.
     """
-    nodes = start = None
     kept, flips, lows, ends, error = [], [], [], [], None
-    for data in rows:
-        if start is None:
-            nodes, start = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)
-        window = window_grid([data], start)
-        error = window.errors[0]
+    for data, mask, error in _start_grid_rows(rows, grid):
         if error is not None:
             break
         # A row keeps where its mask flips, not the mask: a scan can keep
         # well over a hundred rows.
-        mask = window.feasible[0]
         flip = np.flatnonzero(mask[1:] != mask[:-1])
         kept.append(data)
         flips.append(flip)
@@ -173,6 +215,8 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
             break
     if not kept:
         raise error
+    # The cached start grid of the rows.
+    nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)[0]
     # The first row that failed; it and the rows after it are not refined.
     failed = len(kept)
     # Refine between neighbouring nodes a < b whose masks differ, low
@@ -367,12 +411,14 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     to BISECTION_TOL.  The returned V is the lowest gap probed feasible,
     so V < sqrt(T) always, and the probe just below V failed.
 
-    The scan decides each gap on the cached start grid, one kernel call
-    per gap, and stops at its first infeasible gap: later gaps are not
-    evaluated, so the probe trace, V and any error raised are those of
-    probing one gap at a time.  The kept gaps are refined together
-    after the scan, since refinement moves interval ends but decides no
-    gap.  Bisection probes go through feasible_for_gap one by one.
+    The scan decides its gaps on the cached start grid, two per kernel
+    call, and stops at its first infeasible gap.  A gap evaluated after
+    it in the same call is dropped unread, with its mask, its error and
+    any floating-point warning, so the probe trace, V and any error
+    raised are those of probing one gap at a time.  The kept gaps are
+    refined together after the scan, since refinement moves interval
+    ends but decides no gap.  Bisection probes go through
+    feasible_for_gap one by one.
 
     For gamma = 1 the existence guarantee does not apply; the search
     still runs, with a warning.

@@ -243,6 +243,21 @@ class TestWitnessWorkflow:
         assert out == ""
         assert f"{name} must be finite" in err
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma_2"])
+    def test_parameter_without_a_finite_square_is_an_input_error(self, capsys, tmp_path,
+                                                                 name):
+        """The verifier squares these; 1e200 is named as an input error
+        (exit 2), not an OverflowError traceback."""
+        path = tmp_path / "witness.json"
+        run(capsys, FEASIBLE + ["--emit-witness", str(path)])
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[name] = 1e200
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"{name} must have a finite square, got 1e+200" in err
+
     @pytest.mark.parametrize("name", ["v_minus", "v_plus"])
     @pytest.mark.parametrize("value", [["a", 3.3], 3.3, [1, 2, 3]])
     def test_malformed_velocity_is_an_input_error(self, capsys, tmp_path, name, value):

@@ -145,6 +145,9 @@ class TestWitnessDocuments:
         ("alpha", math.inf, "alpha must be finite"),
         ("rho_1", math.nan, "rho_1 must be positive and finite"),
         ("C", "many", "C must be a number"),
+        ("alpha", 1e200, "alpha must have a finite square"),
+        ("beta", -1e200, "beta must have a finite square"),
+        ("gamma_2", 1e200, "gamma_2 must have a finite square"),
     ])
     def test_bad_numbers_rejected(self, name, value, message):
         doc = witness_document(GOLDEN, reconstruct(GOLDEN, 2.0, 1.0, 0.0))

@@ -57,3 +57,10 @@ def test_exhausted_iterations_raise():
 def test_nan_value_raises():
     with pytest.raises(NumericalError, match="NaN"):
         brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, rtol=1e-12)
+
+
+def test_underflowing_interpolation_denominator_bisects():
+    """On this flat cubic the inverse-quadratic denominator underflows to
+    zero; Brent's safeguard takes a bisection step instead of dividing."""
+    root = brent(lambda x: 1e-200 * (x - 0.3) ** 3, 0.0, 1.0, rtol=1e-12)
+    assert abs(root - 0.3) <= 1e-12 * 0.3

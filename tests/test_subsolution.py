@@ -286,6 +286,16 @@ class TestReconstructAndVerify:
         assert not report.passed
         assert verify_subsolution(GOLDEN, sub).passed
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma_2"])
+    def test_fields_beyond_the_float_range_fail_without_raising(self, name):
+        """A field whose square overflows gives a failing report: the
+        verifier squares by products, which give inf where a float power
+        raises OverflowError."""
+        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0, 0.0), **{name: 1e200})
+        report = verify_subsolution(GOLDEN, sub)
+        assert not report.passed
+        assert report.min_inequality_margin == -math.inf
+
     def test_alpha_must_match_data(self):
         with pytest.raises(DomainError, match="alpha"):
             reconstruct(GOLDEN, 2.0, 1.0, 0.5)

@@ -598,9 +598,11 @@ class TestCloseDensities:
 
 
 class TestScanEvaluatesOnlyProbedGaps:
-    """The start grid is evaluated one gap per kernel call and only at the
-    gaps feasible_probe records, so no gap past the first infeasible one
-    is evaluated; bisection calls feasible_for_gap once per probe."""
+    """The scan reads the start grid only at the gaps feasible_probe
+    records.  Its kernel calls hold up to two gaps (4096 nodes at GRID),
+    so the gap after the first infeasible one may be evaluated too, but
+    it is dropped unread; bisection calls feasible_for_gap once per
+    probe."""
 
     @pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 4.0), (4.0, 1.0)])
     @pytest.mark.parametrize("v_plus2", COLUMNS)
@@ -611,6 +613,7 @@ class TestScanEvaluatesOnlyProbedGaps:
 
         def window_grid(rows, nodes):
             if isinstance(nodes, MiddleNodes):
+                assert len(rows) * nodes.rho_1.shape[-1] <= 4096
                 start_calls.append([data.v_minus[1] for data in rows])
             return kernel(rows, nodes)
 
@@ -620,13 +623,86 @@ class TestScanEvaluatesOnlyProbedGaps:
 
         monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
         monkeypatch.setattr(eulerfan.threshold, "feasible_for_gap", feasible_for_gap)
-        probes = threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2).feasible_probe
+        result = threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2)
+        probes = result.feasible_probe
 
-        assert all(len(call) == 1 for call in start_calls)
-        assert [call[0] for call in start_calls] == [v_plus2 + w for w, _ in probes]
         scanned = 1 + next(i for i, (_, intervals) in enumerate(probes) if not intervals)
+        evaluated = [v for call in start_calls for v in call]
+        scan_gaps = [v_plus2 + w for w, _ in probes[:scanned]]
+        bisect_gaps = [v_plus2 + w for w, _ in probes[scanned:]]
+        assert evaluated[:scanned] == scan_gaps
+        assert evaluated[len(evaluated) - len(bisect_gaps):] == bisect_gaps
+        dropped = evaluated[scanned:len(evaluated) - len(bisect_gaps)]
+        # At most one gap, the next one the scan would have probed.
+        next_gap = probes[scanned - 1][0] - result.sqrtT / SCAN_STEPS
+        assert dropped in ([], [v_plus2 + next_gap])
         assert len(bisected) == len(probes) - scanned > 0
         assert bisected == [w for w, _ in probes[scanned:]]
+
+    @pytest.mark.parametrize("injected", ["error", "feasible", "infeasible"])
+    def test_dropped_gap_changes_nothing(self, monkeypatch, injected):
+        """A patched kernel replaces the mask or error of every start-grid
+        row below the scan's first infeasible gap; the dropped gaps are
+        never read, so every threshold_V result is unchanged."""
+        expected = {(rho_minus, rho_plus, v_plus2): threshold_V(rho_minus, rho_plus, v_plus2,
+                                                                GAMMA2)
+                    for rho_minus, rho_plus in ((1.0, 4.0), (4.0, 1.0))
+                    for v_plus2 in COLUMNS}
+        kernel = eulerfan.threshold.window_grid
+        below = [math.inf]
+        touched = []
+
+        def window_grid(rows, nodes):
+            window = kernel(rows, nodes)
+            if not isinstance(nodes, MiddleNodes) or len(rows) == 1:
+                return window
+            drop = np.array([data.v_minus[1] < below[0] for data in rows])
+            touched.append(int(drop.sum()))
+            feasible, errors = window.feasible.copy(), list(window.errors)
+            feasible[drop] = injected == "feasible"
+            if injected == "error":
+                errors = [NumericalError("injected") if d else e for d, e in zip(drop, errors)]
+            return dataclasses.replace(window, feasible=feasible, errors=tuple(errors))
+
+        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
+        for (rho_minus, rho_plus, v_plus2), result in expected.items():
+            probes = result.feasible_probe
+            scanned = 1 + next(i for i, (_, intervals) in enumerate(probes) if not intervals)
+            below[0] = v_plus2 + probes[scanned - 1][0]
+            assert threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2) == result
+        assert sum(touched) > 0, "no column evaluated a gap past its last probe"
+
+    def test_rows_built_past_the_first_infeasible_one_are_not_raised(self):
+        """An error raised while a later row of a call is built is raised
+        only when that row's turn comes."""
+        def rows(first):
+            yield RiemannData(1.0, 4.0, (0.0, first), (0.0, 0.0), GAMMA2)
+            raise DomainError("built")
+
+        assert _feasibility_grids(rows(0.5), GRID).intervals == [[]]
+        with pytest.raises(DomainError, match="built"):
+            _feasibility_grids(rows(3.3), GRID)
+
+    def test_call_that_would_warn_is_redone_one_row_at_a_time(self, monkeypatch):
+        """A floating-point warning in a call of several rows could belong
+        to a row never read: that call is redone one row at a time, so
+        only a row that is read can warn.  The patched kernel overflows
+        in every call of several rows; the suite turns a RuntimeWarning
+        into an error."""
+        expected = threshold_V(1.0, 4.0, -2.0, GAMMA2)
+        kernel = eulerfan.threshold.window_grid
+        sizes = []
+
+        def window_grid(rows, nodes):
+            if isinstance(nodes, MiddleNodes):
+                sizes.append(len(rows))
+                if len(rows) > 1:
+                    np.multiply(np.float64(1e300), 1e300)
+            return kernel(rows, nodes)
+
+        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
+        assert threshold_V(1.0, 4.0, -2.0, GAMMA2) == expected
+        assert 2 in sizes and sizes.count(1) > sizes.count(2)
 
 
 @pytest.mark.parametrize("grid", [0, 1])
