@@ -169,7 +169,7 @@ def solve_middle_state(data: RiemannData):
                 f"no upper bracket below rho={_BRACKET_CEIL} for data "
                 f"(rho={rm}, {rp}; v2={vm2}, {vp2}; gamma={eos.gamma})"
             )
-    rho_mid = brent(curve_gap, lo, hi, rtol=1e-12, maxiter=200)
+    rho_mid = brent(curve_gap, lo, hi, rtol=1e-12)
 
     v_left = wave_curve(1, (rm, vm2), rho_mid, eos)
     v_right = wave_curve(3, (rp, vp2), rho_mid, eos)

@@ -104,12 +104,13 @@ def _cmd_feasibility(args) -> int:
         "intervals": intervals,
         "witness": None if sub is None else witness_document(data, sub),
     }
-    print(render_record(record))
+    # The witness file first: a stdout closed early must not lose it.
     if args.emit_witness:
         if sub is None:
             print("no witness to emit", file=sys.stderr)
         else:
             write_witness(args.emit_witness, data, sub)
+    print(render_record(record))
     return 0 if intervals else 1
 
 

@@ -4,7 +4,9 @@ A line-for-line port of the zero finder of R. P. Brent, Algorithms for
 Minimization without Derivatives (1973), ch. 4: inverse quadratic
 interpolation or a secant step while it stays well inside the bracket,
 bisection otherwise.  It keeps the sign change bracketed throughout and
-needs at most about (log2 of the bracket/tolerance ratio)**2 calls.
+needs at most about (k + 1)**2 calls, where k is the number of
+bisections that shrink the bracket to the tolerance; that bound is the
+default iteration cap.
 """
 
 from __future__ import annotations
@@ -18,7 +20,17 @@ from .errors import NumericalError
 _XTOL = 1e-300
 
 
-def brent(f, a: float, b: float, *, rtol: float, maxiter: int = 100) -> float:
+def _iteration_cap(a: float, b: float, rtol: float) -> int:
+    """(k + 1)**2 for the k bisections that shrink [a, b] below the
+    tolerance at its point nearest zero, the smallest it takes."""
+    nearest = 0.0 if (a < 0.0) != (b < 0.0) else min(abs(a), abs(b))
+    # log2 of the width, halved first so that it stays finite.
+    width = math.log2(max(abs(0.5 * b - 0.5 * a), _XTOL)) + 1.0
+    k = max(0, math.ceil(width - math.log2(_XTOL + rtol * nearest)))
+    return (k + 1) ** 2
+
+
+def brent(f, a: float, b: float, *, rtol: float, maxiter: int | None = None) -> float:
     """
     Find a zero of f in the bracket [a, b].
 
@@ -30,8 +42,10 @@ def brent(f, a: float, b: float, *, rtol: float, maxiter: int = 100) -> float:
         them is exactly zero, in which case that end is returned.
     rtol : float
         The returned x is within 1e-300 + rtol*|x| of a sign change.
-    maxiter : int
-        Iterations allowed after the two end evaluations.
+    maxiter : int, optional
+        Iterations allowed after the two end evaluations.  Default:
+        Brent's bound for the bracket and rtol (see the module
+        docstring).
 
     Raises
     ------
@@ -55,6 +69,8 @@ def brent(f, a: float, b: float, *, rtol: float, maxiter: int = 100) -> float:
         raise NumericalError(
             f"root solve: no sign change on [{a}, {b}] (f = {fpre}, {fcur})")
     xblk = fblk = spre = scur = 0.0
+    if maxiter is None:
+        maxiter = _iteration_cap(a, b, rtol)
 
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):

@@ -164,24 +164,29 @@ def _gap_columns(rows):
 
     Returns the error each datum raises before any node is evaluated
     (None when it passes) and the columns (see _column) v_minus2, A,
-    sqrt(-B), K and L, which are NaN on rows with an error.
+    sqrt(-B), K and L, which are NaN on rows with an error.  A row that
+    is the same object as the row before it reuses that row's error and
+    scalars, so a datum repeated over consecutive rows costs one
+    data_functionals.
     """
     if not rows:
         raise DomainError("window_grid needs at least one datum")
     first = rows[0]
     shared = (first.rho_minus, first.rho_plus, first.v_plus, first.eos)
-    errors, columns = [], []
+    errors, columns, previous = [], [], None
     for data in rows:
-        if (data.rho_minus, data.rho_plus, data.v_plus, data.eos) != shared:
-            raise DomainError("window_grid data must differ in v_minus only")
-        try:
-            f = _require_subsolution_data(data)
-        except EulerFanError as exc:
-            errors.append(exc)
-            columns.append((math.nan,) * 5)
-        else:
-            errors.append(None)
-            columns.append((data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L))
+        if data is not previous:
+            previous = data
+            if (data.rho_minus, data.rho_plus, data.v_plus, data.eos) != shared:
+                raise DomainError("window_grid data must differ in v_minus only")
+            try:
+                f = _require_subsolution_data(data)
+            except EulerFanError as exc:
+                error, column = exc, (math.nan,) * 5
+            else:
+                error, column = None, (data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L)
+        errors.append(error)
+        columns.append(column)
     return errors, [_column(c) for c in zip(*columns)]
 
 

@@ -23,16 +23,20 @@ unread, so the scan reads no gap past the first infeasible one.
 Refinement then only moves the ends of the feasible intervals, so it
 runs once, after the whole scan: two passes that each evaluate the
 nodes inserted around the interval edges of every kept gap (about 128
-per gap).  A pass pads every gap to its largest number of segments and
-evaluates whole gaps in calls of at most GRID nodes (one gap per call
-when a gap alone has more).  The intervals are read off the
-transitions inside the last pass's segments; no refined grid is merged
-or sorted.  The segments of every kept gap are held at once, about
-1 KiB per gap and pass.  Calls of at most 2 x GRID nodes keep every
-temporary at or below 32 KiB, small enough that the allocator reuses
-it from call to call instead of returning it to the OS (see
-window_grid).  The cache keeps one start grid alive, about 0.3 MB at
-GRID.
+per gap).  A segment is the 64 nodes inserted between two neighbouring
+nodes whose masks differ, and a pass evaluates one kernel row per
+segment, up to 32 segments (GRID nodes) per window_grid call.  A call
+mixes the segments of several gaps and evaluates each gap's
+data_functionals once.  A gap that fails in a pass raises the error of
+all its inserted nodes of that pass evaluated together in one kernel
+row, as a self-check names the worst node of its row.  The intervals
+are read off the transitions inside the last pass's segments; no
+refined grid is merged or sorted.  The segments of every kept gap are
+held at once, about 1 KiB per gap and pass.  Calls of at most
+2 x GRID nodes keep every temporary at or below 32 KiB, small enough
+that the allocator reuses it from call to call instead of returning it
+to the OS (see window_grid).  The cache keeps one start grid alive,
+about 0.3 MB at GRID.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ _ENDPOINT_MARGIN = 1e-9
 # temporaries in anew each time (see window_grid).
 _SCAN_NODES = 4096
 _REFINE_POINTS = 64
+# Segments per refinement call: GRID nodes.
+_REFINE_SEGMENTS = GRID // _REFINE_POINTS
 _REFINE_PASSES = 2
 _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
 
@@ -136,7 +142,8 @@ class _Refinement(NamedTuple):
     refinement pass: segment j of the pass belongs to row[j], and
     values[j] are the two neighbouring nodes it refines with the
     _REFINE_POINTS nodes inserted between them, masks[j] their
-    feasibility.
+    feasibility.  The pass evaluated values[j] without its two ends as
+    one kernel row; row is nondecreasing.
     """
 
     intervals: list
@@ -195,10 +202,12 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
     (_start_grid_rows), and no row past the first infeasible one is
     read.  Then every kept row twice inserts _REFINE_POINTS extra
     nodes into each subinterval where its mask flips, sharpening the
-    interval edges: a pass evaluates the inserted nodes of all kept rows
-    together, whole rows in calls of at most GRID nodes.  The first
-    error in row order is raised, so the outcome is that of evaluating
-    the rows one by one until the first infeasible one.
+    interval edges.  Such a segment of inserted nodes is one kernel row,
+    and a pass evaluates the segments of all kept rows in row order,
+    _REFINE_SEGMENTS per call.  The first error in row order is raised,
+    for a pass the error of the row's inserted nodes evaluated together,
+    so the outcome is that of evaluating the rows one by one until the
+    first infeasible one.
     """
     kept, flips, lows, ends, error = [], [], [], [], None
     for data, mask, error in _start_grid_rows(rows, grid):
@@ -217,41 +226,39 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
         raise error
     # The cached start grid of the rows.
     nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)[0]
-    # The first row that failed; it and the rows after it are not refined.
-    failed = len(kept)
     # Refine between neighbouring nodes a < b whose masks differ, low
     # being the mask at a, seg_row their row: first on the start grid,
     # then inside the segments each pass inserts.
-    seg_row = np.repeat(np.arange(failed), [flip.size for flip in flips])
+    seg_row = np.repeat(np.arange(len(kept)), [flip.size for flip in flips])
     k = np.concatenate(flips)
     a, b, low = nodes[k], nodes[k + 1], np.concatenate(lows)
     passes = []
     for _ in range(_REFINE_PASSES):
         if not seg_row.size:
             break
-        # Pad every row to the pass's largest segment count m with copies
-        # of its last segment, which move none of its checks, so that
-        # whole rows reshape into kernel calls; the copies are dropped
-        # again before the transitions are read.  seg_row is
-        # nondecreasing, so a row's segments start where it steps.
-        starts = np.flatnonzero(np.diff(seg_row, prepend=-1))
-        counts = np.diff(starts, append=seg_row.size)
-        m, real = int(counts.max()), slice(None)
-        if counts.min() < m:
-            slot = np.arange(m)
-            take = (starts[:, None] + np.minimum(slot, counts[:, None] - 1)).ravel()
-            real = (slot < counts[:, None]).ravel()
-            seg_row, a, b, low = seg_row[take], a[take], b[take], low[take]
         # The arithmetic of np.linspace(a, b, _REFINE_POINTS + 2) for
         # every flip at once.
         values = np.concatenate(
             (a[:, None], _REFINE_STEPS * ((b - a) / (_REFINE_POINTS + 1))[:, None] + a[:, None],
              b[:, None]), axis=1)
-        new, errors = _inserted_masks(kept, seg_row[::m].tolist(), values[:, 1:-1])
-        seg_masks = np.concatenate((low[:, None], new, ~low[:, None]), axis=1)
-        seg_row, values, seg_masks = seg_row[real], values[real], seg_masks[real]
-        if errors and errors[0][0] < failed:
-            failed, error = errors[0]
+        # One kernel row per segment, _REFINE_SEGMENTS segments per call;
+        # consecutive segments of a row share its datum.
+        owners = seg_row.tolist()
+        new, errors = [], []
+        for i in range(0, len(owners), _REFINE_SEGMENTS):
+            window = window_grid([kept[r] for r in owners[i:i + _REFINE_SEGMENTS]],
+                                 values[i:i + _REFINE_SEGMENTS, 1:-1])
+            new.append(window.feasible)
+            errors += window.errors
+        seg_masks = np.concatenate((low[:, None], np.concatenate(new), ~low[:, None]), axis=1)
+        failing = [r for r, e in zip(owners, errors) if e is not None]
+        if failing:
+            # The first failing row raises the error of all its inserted
+            # nodes evaluated together: a check names the worst node of
+            # the row, not of one segment.
+            failed = failing[0]
+            error = window_grid([kept[failed]],
+                                values[seg_row == failed, 1:-1].reshape(1, -1)).errors[0]
             keep = seg_row < failed
             seg_row, values, seg_masks = seg_row[keep], values[keep], seg_masks[keep]
         passes.append((seg_row, values, seg_masks))
@@ -260,28 +267,6 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
     if error is not None:
         raise error
     return _Refinement(_edge_intervals(ends, nodes, seg_row, a, b, low), nodes, passes)
-
-
-def _inserted_masks(rows, members, inserted):
-    """Feasibility of the nodes inserted into the segments of a pass.
-
-    inserted holds one row of nodes per segment, in blocks of the same
-    number m of segments per row, and members names the row of each
-    block in row order.  Blocks of whole rows share a kernel call of at
-    most GRID nodes, or of one row when a row alone has more.  Returns
-    the masks, shaped as inserted, and the (row, error) pairs of the
-    rows that failed, in row order.
-    """
-    m = len(inserted) // len(members)
-    per = max(1, GRID // inserted[:m].size)
-    masks, errors = [], []
-    for i in range(0, len(members), per):
-        chunk = members[i:i + per]
-        window = window_grid([rows[r] for r in chunk],
-                             inserted[i * m:(i + per) * m].reshape(len(chunk), -1))
-        masks.append(window.feasible)
-        errors += [(r, e) for r, e in zip(chunk, window.errors) if e is not None]
-    return np.concatenate(masks).reshape(inserted.shape), errors
 
 
 def _edge_intervals(ends, nodes, row, a, b, low):

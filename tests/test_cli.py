@@ -203,6 +203,24 @@ class TestWitnessWorkflow:
         assert doc["passed"] is True
         assert doc["max_equality_residual"] <= 1e-9
 
+    def test_witness_is_written_when_stdout_is_closed(self, capsys, monkeypatch, tmp_path):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        path = tmp_path / "witness.json"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = run_cli(FEASIBLE + ["--emit-witness", str(path)])
+        monkeypatch.undo()
+        assert code == 2
+        assert "Broken pipe" in capsys.readouterr().err
+        code, out, _ = run(capsys, ["verify", str(path)])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_tampered_witness_fails(self, capsys, tmp_path):
         path = tmp_path / "witness.json"
         run(capsys, FEASIBLE + ["--emit-witness", str(path)])

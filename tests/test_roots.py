@@ -64,3 +64,11 @@ def test_underflowing_interpolation_denominator_bisects():
     zero; Brent's safeguard takes a bisection step instead of dividing."""
     root = brent(lambda x: 1e-200 * (x - 0.3) ** 3, 0.0, 1.0, rtol=1e-12)
     assert abs(root - 0.3) <= 1e-12 * 0.3
+
+
+def test_flat_cubic_converges_within_brents_bound():
+    """Near this flat triple root the interpolation steps creep: the
+    solve takes more than 100 iterations, which the default cap, Brent's
+    bound for the bracket and rtol, allows."""
+    root = brent(lambda x: 5.47e-20 * (x - 0.2685) ** 3, 0.0, 1.0, rtol=2.6e-12)
+    assert abs(root - 0.2685) <= 2.6e-12 * 0.2685

@@ -2,6 +2,7 @@
 threshold search over gaps."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -504,6 +505,76 @@ class TestBatchedScanMatchesSequential:
         assert compared >= 8, f"only {compared} data compared"
 
 
+class TestPinnedReferenceColumns:
+    """Exact results of the seven reference columns in both density
+    orderings: V, the number of probes and a digest of feasible_probe.
+    The sequential reference evaluates the same kernel, so only pinned
+    values show a drift that both share.  Recorded on x86-64 with numpy
+    2.4 and glibc 2.36; a platform whose libm rounds a log or a power
+    differently may move the last bits."""
+
+    @pytest.mark.parametrize("rho_minus, rho_plus, v_plus2, V, probes, digest", [
+        (1.0, 4.0, 0.1, 2.737203535315304, 53, "6373ee26d564b720"),
+        (1.0, 4.0, 1.0, 2.9549391874776947, 40, "0a160f59614640f8"),
+        (1.0, 4.0, 2.0, 3.047610994001249, 35, "f924c6b02015e97e"),
+        (1.0, 4.0, 0.0, 2.691268367807856, 56, "cc684aac4f8b25ea"),
+        (1.0, 4.0, -0.1, 2.63994245994236, 59, "bf232d7294b57fea"),
+        (1.0, 4.0, -1.0, 1.7997014303869434, 109, "6dc1872dd6b95a0e"),
+        (1.0, 4.0, -2.0, 1.0047189748942449, 157, "aa0d895f014d63dc"),
+        (4.0, 1.0, 0.1, 1.314384330331431, 138, "def462433cc65ccf"),
+        (4.0, 1.0, 1.0, 1.0020724811705697, 157, "5ed9f1818bb5716e"),
+        (4.0, 1.0, 2.0, 0.8147021585613363, 168, "98ddc22d5f129bde"),
+        (4.0, 1.0, 0.0, 1.3613354115966618, 135, "28e46804928672c2"),
+        (4.0, 1.0, -0.1, 1.4094789760133448, 132, "df0744e7582024af"),
+        (4.0, 1.0, -1.0, 1.9166098172195982, 102, "54e2d8a2c60dcabf"),
+        (4.0, 1.0, -2.0, 2.428335045228681, 72, "d7476178444e470a"),
+    ])
+    def test_column(self, rho_minus, rho_plus, v_plus2, V, probes, digest):
+        result = threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2)
+        assert repr(result.V) == repr(V)
+        assert len(result.feasible_probe) == probes
+        got = hashlib.sha256(repr(result.feasible_probe).encode()).hexdigest()[:16]
+        assert got == digest
+
+
+class TestRefinementErrors:
+    """A refinement pass evaluates one kernel row per segment.  A row
+    that fails there raises the error of all its inserted nodes
+    evaluated together in one kernel row, whose checks read the worst
+    node of the row, not of its first failing segment."""
+
+    def test_error_names_the_worst_node_of_the_row(self, monkeypatch):
+        """The patched kernel fails the target datum on every refinement
+        row and, like the kernel's self-checks, names that row's worst
+        node.  The target's two segments fail with different nodes; the
+        raised error names the worst of both."""
+        kernel = eulerfan.threshold.window_grid
+        before, target, after = (RiemannData(1.0, 4.0, (0.0, w), (0.0, 0.0), GAMMA2)
+                                 for w in (3.35, 3.3, 3.25))
+        segments = []
+
+        def window_grid(rows, nodes):
+            window = kernel(rows, nodes)
+            if isinstance(nodes, MiddleNodes):
+                return window
+            errors = list(window.errors)
+            for i, data in enumerate(rows):
+                if data is target:
+                    errors[i] = NumericalError(
+                        f"check failed at rho_1 = {nodes[i].max()!r} of {nodes[i].size} nodes")
+                    if nodes[i].size == 64:
+                        segments.append((nodes[i], str(errors[i])))
+            return dataclasses.replace(window, errors=tuple(errors))
+
+        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
+        with pytest.raises(NumericalError) as got:
+            _feasibility_grids([before, target, after], GRID)
+        assert len(segments) == 2 and segments[0][1] != segments[1][1]
+        inserted = np.concatenate([values for values, _ in segments])
+        assert str(got.value) == (
+            f"check failed at rho_1 = {inserted.max()!r} of {inserted.size} nodes")
+
+
 class TestEqualNodesGetEqualMasks:
     """A node's mask is an elementwise function of its row's scalars and
     its middle density, whichever kernel path evaluates it.  So nodes of
@@ -547,11 +618,12 @@ class TestEqualNodesGetEqualMasks:
 
 
 class TestMixedSegmentCounts:
-    """One refinement pass over rows with 1, 2 and 4 segments pads every
-    row to 4 segments and still gives each row the reference's refined
-    grid.  The data were found by seeded search: a gap just below
-    sqrt(T) feasible from the first node on (one flip), and two gaps
-    with one and two interior intervals."""
+    """One refinement pass over rows with 1, 2 and 4 segments evaluates
+    one kernel row per segment, in calls of at most 2048 nodes that mix
+    the segments of several rows, and still gives each row the
+    reference's refined grid.  The data were found by seeded search: a
+    gap just below sqrt(T) feasible from the first node on (one flip),
+    and two gaps with one and two interior intervals."""
 
     @pytest.mark.parametrize("rho_minus, rho_plus, gamma, v_plus2, fractions", [
         (7.20270321214675, 294.7879683752838, 2.0, -6.582896779732074,
@@ -559,15 +631,28 @@ class TestMixedSegmentCounts:
         (0.1939999818353972, 0.06454695182115748, 3.0, -5.187845092712148,
          (0.9999993420667753, 0.999, 0.9996488808265784)),
     ])
-    def test_each_row_matches_the_reference(self, rho_minus, rho_plus, gamma, v_plus2,
-                                            fractions):
+    def test_each_row_matches_the_reference(self, monkeypatch, rho_minus, rho_plus, gamma,
+                                            v_plus2, fractions):
         eos = Eos(gamma)
         sqrtT = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
-        # Seven copies of the three rows fill three kernel calls of a pass.
+        kernel = eulerfan.threshold.window_grid
+        calls = []
+
+        def window_grid(rows, nodes):
+            window = kernel(rows, nodes)
+            if not isinstance(nodes, MiddleNodes):
+                calls.append((window.feasible.size, len({id(data) for data in rows})))
+            return window
+
+        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
+        # Seven copies of the three rows: 49 segments, two kernel calls
+        # of the first pass.
         rows = [RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + f * sqrtT),
                             (0.0, v_plus2), eos) for f in fractions] * 7
         found = _feasibility_grids(rows, 256)
         assert np.bincount(found.passes[0][0]).tolist() == [1, 2, 4] * 7
+        assert calls and all(size <= 2048 for size, _ in calls)
+        assert calls[0] == (2048, 3)
         assert len(found.intervals) == len(rows)
         for row, data in enumerate(rows):
             nodes, mask = merged_grid(found, data, row)
