@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_density
+from .errors import DomainError, check_density, check_density_pair
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,12 @@ def two_shock_T(eos: Eos, r, s):
 
     For the two initial densities, sqrt(T) is the two-shock bound on
     the velocity gap; for an anchor density r, sqrt(T(r, s)) is the
-    Hugoniot velocity jump to density s.
+    Hugoniot velocity jump to density s.  Raises DomainError when r*s
+    is not a positive normal float (errors.check_density_pair).
     """
     check_density(eos, r, "r")
     check_density(eos, s, "s")
+    check_density_pair(r, s)
     return eos._two_shock_T(r, s)
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the density checks
-shared by the eos, functionals and classifier modules."""
+shared by the eos, functionals, subsolution and classifier modules."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -62,3 +63,21 @@ def check_density(eos, rho, name="rho"):
     if not finite:
         raise DomainError(f"{name} = {rho} has no finite pressure "
                           f"{name}**gamma at gamma = {eos.gamma}")
+
+
+def check_density_pair(r, s, names=("r", "s")):
+    """Raise DomainError unless every product r*s of two densities is a
+    positive normal float.  The formulas of a density pair divide by
+    r*s (eos.two_shock_T); a product that underflows to 0 or to a
+    subnormal, or overflows, leaves them with no float meaning."""
+    if isinstance(r, (int, float)) and isinstance(s, (int, float)):
+        normal = sys.float_info.min <= r * s <= sys.float_info.max
+    else:
+        with np.errstate(over="ignore", under="ignore"):
+            product = np.multiply(r, s)
+        normal = bool(np.all((product >= sys.float_info.min)
+                             & (product <= sys.float_info.max)))
+    if not normal:
+        rn, sn = names
+        raise DomainError(f"densities {rn} = {r} and {sn} = {s} have no positive "
+                          f"normal float product {rn}*{sn}")

@@ -7,11 +7,12 @@ formula is written down exactly once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .eos import Eos
-from .errors import DomainError, check_density
+from .errors import DomainError, check_density, check_density_pair
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,9 @@ class RiemannData:
     v_minus and v_plus are the full velocity pairs (first and second
     components).  The subsolution analysis additionally requires the
     first components to agree; that is enforced by the operations that
-    need it, not here, so the classifier accepts general data.
+    need it, not here, so the classifier accepts general data.  The
+    densities must have a positive normal float product
+    (errors.check_density_pair).
     """
 
     rho_minus: float
@@ -44,6 +47,14 @@ class RiemannData:
                 if not math.isfinite(rho * (c * c)):
                     raise DomainError(f"{name} = {vec} has no finite momentum flux "
                                       f"{rho_name}*{name}{i}**2 with {rho_name} = {rho}")
+        check_density_pair(self.rho_minus, self.rho_plus, ("rho_minus", "rho_plus"))
+
+    @functools.cached_property
+    def functionals(self) -> DataFunctionals:
+        """data_functionals of this datum, formed on first use and kept:
+        the datum is frozen, so every kernel call that evaluates it
+        shares one DataFunctionals."""
+        return data_functionals(self)
 
     @property
     def gap(self) -> float:
@@ -100,7 +111,9 @@ def data_functionals(data: RiemannData) -> DataFunctionals:
 
     R = rm - rp
     A = rm * vm2 - rp * vp2
-    H = rm * vm2 ** 2 - rp * vp2 ** 2 + eos._pressure(rm) - eos._pressure(rp)
+    # Squares are products: Python's x ** 2 calls libm pow, which is not
+    # correctly rounded for every x on every platform.
+    H = rm * (vm2 * vm2) - rp * (vp2 * vp2) + eos._pressure(rm) - eos._pressure(rp)
     u = vp2 - vm2
     B = A * A - R * H
     T = eos._two_shock_T(rm, rp)

@@ -183,7 +183,8 @@ def parse_witness(doc: dict):
 
     def number(key, positive=False, square=False):
         value = read(key, doc[key], positive)
-        # The slacks and the verifier square alpha, beta and gamma_2.
+        # The slacks and the verifier square alpha, beta and gamma_2, by
+        # products: x ** 2 calls libm pow, not correctly rounded everywhere.
         if square and not math.isfinite(value * value):
             raise DomainError(f"witness field {key} must have a finite square, got {value}")
         return value
@@ -200,8 +201,8 @@ def parse_witness(doc: dict):
                        eos=Eos(gamma=number("gamma")))
     alpha, beta = number("alpha", square=True), number("beta", square=True)
     gamma_1, C = number("gamma_1"), number("C")
-    eps_1 = C / 2.0 - gamma_1 - beta ** 2
-    eps_2 = C - alpha ** 2 - beta ** 2 - eps_1
+    eps_1 = C / 2.0 - gamma_1 - beta * beta
+    eps_2 = C - alpha * alpha - beta * beta - eps_1
     sub = FanSubsolution(nu_minus=number("nu_minus"), nu_plus=number("nu_plus"),
                          rho_1=number("rho_1", positive=True), alpha=alpha, beta=beta,
                          gamma_1=gamma_1, gamma_2=number("gamma_2", square=True), C=C,

@@ -16,7 +16,7 @@ one-node wrappers around it.  Everything here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from .errors import (
     EulerFanError,
     NumericalError,
     VelocityGapError,
+    check_density_pair,
 )
-from .functionals import RiemannData, data_functionals
+from .functionals import RiemannData
 from .roots import brent
 
 # Cross-check and self-check tolerances (relative, scale max(1, |value|)).
@@ -132,7 +133,9 @@ class WindowGrid:
 
 
 def _require_subsolution_data(data: RiemannData):
-    """Common preconditions of the middle-wedge analysis."""
+    """Common preconditions of the middle-wedge analysis; returns the
+    datum's DataFunctionals (RiemannData.functionals, formed once per
+    datum)."""
     if data.rho_minus == data.rho_plus:
         raise DegenerateDensityError(
             "equal initial densities: no middle density interval to probe")
@@ -140,7 +143,7 @@ def _require_subsolution_data(data: RiemannData):
         raise DomainError(
             "the analysis assumes equal first velocity components, got "
             f"{data.v_minus[0]} and {data.v_plus[0]}")
-    f = data_functionals(data)
+    f = data.functionals
     if not math.isfinite(f.B):
         raise DomainError(
             f"B = A*A - R*H = {f.B} is not a finite float: the data "
@@ -152,42 +155,36 @@ def _require_subsolution_data(data: RiemannData):
     return f
 
 
-def _column(values):
-    """Per-row scalars as a (k, 1) column.  A single row keeps its Python
-    number, which numpy combines with an array faster and to the same
-    bits."""
-    return values[0] if len(values) == 1 else np.array(values, dtype=float)[:, None]
-
-
 def _gap_columns(rows):
     """Preconditions of each datum and the per-gap scalars as columns.
 
     Returns the error each datum raises before any node is evaluated
-    (None when it passes) and the columns (see _column) v_minus2, A,
-    sqrt(-B), K and L, which are NaN on rows with an error.  A row that
-    is the same object as the row before it reuses that row's error and
-    scalars, so a datum repeated over consecutive rows costs one
-    data_functionals.
+    (None when it passes) and the per-row scalars v_minus2, A, sqrt(-B),
+    K and L as (k, 1) columns (Python numbers for a single row), which
+    are NaN on rows with an error.  Each datum forms its
+    data_functionals once, on its first kernel call
+    (RiemannData.functionals); a datum repeated over rows or calls
+    reuses them.
     """
     if not rows:
         raise DomainError("window_grid needs at least one datum")
-    first = rows[0]
-    shared = (first.rho_minus, first.rho_plus, first.v_plus, first.eos)
-    errors, columns, previous = [], [], None
+    shared = (rows[0].rho_minus, rows[0].rho_plus, rows[0].v_plus, rows[0].eos)
+    errors, columns = [], []
     for data in rows:
-        if data is not previous:
-            previous = data
-            if (data.rho_minus, data.rho_plus, data.v_plus, data.eos) != shared:
-                raise DomainError("window_grid data must differ in v_minus only")
-            try:
-                f = _require_subsolution_data(data)
-            except EulerFanError as exc:
-                error, column = exc, (math.nan,) * 5
-            else:
-                error, column = None, (data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L)
+        if (data.rho_minus, data.rho_plus, data.v_plus, data.eos) != shared:
+            raise DomainError("window_grid data must differ in v_minus only")
+        try:
+            f = _require_subsolution_data(data)
+        except EulerFanError as exc:
+            error, column = exc, (math.nan,) * 5
+        else:
+            error, column = None, (data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L)
         errors.append(error)
         columns.append(column)
-    return errors, [_column(c) for c in zip(*columns)]
+    # A single row keeps its Python numbers, which numpy combines with an
+    # array faster and to the same bits.
+    return errors, (list(columns[0]) if len(rows) == 1
+                    else [np.array(c, dtype=float)[:, None] for c in zip(*columns)])
 
 
 def _record(errors: list, failing: np.ndarray, error) -> None:
@@ -305,8 +302,7 @@ def _kinematics_arrays(rows, nodes):
     """
     errors, (vm2, A, sqrt_nB, K, L) = _gap_columns(rows)
     data = rows[0]
-    rm, rp, eos = data.rho_minus, data.rho_plus, data.eos
-    vp2 = data.v_plus[1]
+    rm, rp, eos, vp2 = data.rho_minus, data.rho_plus, data.eos, data.v_plus[1]
     if not isinstance(nodes, MiddleNodes):
         try:
             nodes = middle_nodes(data, nodes)
@@ -423,7 +419,11 @@ def window_grid(rows, nodes) -> WindowGrid:
     rows : sequence of RiemannData
         Data that differ in v_minus only, one per row of the grid.  The
         per-gap scalars (v_minus2, A, B, K, L) come from each datum's
-        own data_functionals and enter as (k, 1) columns.
+        own data_functionals, formed on the datum's first kernel call
+        and reused by every later one (RiemannData.functionals), and
+        enter as (k, 1) columns.  The 452 calls of a threshold search
+        over the seven reference columns form 511 DataFunctionals, one
+        per datum they evaluate; forming them per call took 1393.
     nodes : MiddleNodes or array_like
         The middle densities: a MiddleNodes built for the rows' densities
         and pressure law, or plain densities strictly inside the density
@@ -473,13 +473,13 @@ def window_grid(rows, nodes) -> WindowGrid:
                       errors=tuple(errors))
 
 
-def _window_arrays(data: RiemannData, rho_1) -> WindowGrid:
-    """window_grid of one datum, with 1-D arrays; raises its error."""
-    grid = window_grid([data], rho_1)
+def _window_at(data: RiemannData, rho_1: float) -> WindowGrid:
+    """window_grid of one datum at one middle density, every array of
+    shape (1, 1); raises the datum's error."""
+    grid = window_grid([data], np.asarray([float(rho_1)]))
     if grid.errors[0] is not None:
         raise grid.errors[0]
-    return replace(grid, **{f.name: getattr(grid, f.name)[0]
-                            for f in fields(grid) if f.name != "errors"})
+    return grid
 
 
 def kinematics(data: RiemannData, rho_1: float):
@@ -501,8 +501,8 @@ def kinematics(data: RiemannData, rho_1: float):
     (nu_minus, nu_plus, beta, eps_1) : tuple of float
         nu_minus < nu_plus always.
     """
-    w = _window_arrays(data, np.asarray([float(rho_1)]))
-    return tuple(float(v[0]) for v in (w.nu_minus, w.nu_plus, w.beta, w.eps_1))
+    w = _window_at(data, rho_1)
+    return tuple(v.item() for v in (w.nu_minus, w.nu_plus, w.beta, w.eps_1))
 
 
 def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:
@@ -513,20 +513,19 @@ def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:
     is True when eps_1 > 0 and the window intersected with (0, inf) has
     nonempty interior.
     """
-    w = _window_arrays(data, np.asarray([float(rho_1)]))
-    vm2, vp2 = data.v_minus[1], data.v_plus[1]
-    beta = float(w.beta[0])
+    w = _window_at(data, rho_1)
+    beta = w.beta.item()
     return FeasibilityRecord(
         rho_1=float(rho_1),
-        nu_minus=float(w.nu_minus[0]),
-        nu_plus=float(w.nu_plus[0]),
+        nu_minus=w.nu_minus.item(),
+        nu_plus=w.nu_plus.item(),
         beta=beta,
-        eps_1=float(w.eps_1[0]),
-        sign_beta_minus=int(np.sign(beta - vm2)),
-        sign_plus_beta=int(np.sign(vp2 - beta)),
-        eps2_lower=float(w.lower[0]),
-        eps2_upper=float(w.upper[0]),
-        feasible=bool(w.feasible[0]),
+        eps_1=w.eps_1.item(),
+        sign_beta_minus=int(np.sign(beta - data.v_minus[1])),
+        sign_plus_beta=int(np.sign(data.v_plus[1] - beta)),
+        eps2_lower=w.lower.item(),
+        eps2_upper=w.upper.item(),
+        feasible=w.feasible.item(),
     )
 
 
@@ -545,8 +544,7 @@ def reconstruct(data: RiemannData, rho_1: float, eps_2: float, alpha: float,
         raise DomainError(
             f"alpha = {alpha} must equal the common first velocity "
             f"component {data.v_minus[0]}")
-    return _assemble(_window_arrays(data, np.asarray([float(rho_1)])),
-                     rho_1, eps_2, alpha, check)
+    return _assemble(_window_at(data, rho_1), rho_1, eps_2, alpha, check)
 
 
 def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
@@ -559,9 +557,9 @@ def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
     first velocity component.  Raises ConstraintError, as reconstruct
     does, when rho_1 admits no such subsolution.
     """
-    w = _window_arrays(data, np.asarray([float(rho_1)]))
-    lower = max(float(w.lower[0]), 0.0)
-    upper = float(w.upper[0])
+    w = _window_at(data, rho_1)
+    lower = max(w.lower.item(), 0.0)
+    upper = w.upper.item()
     eps_2 = 0.5 * (lower + upper) if math.isfinite(upper) else lower + 1.0
     return _assemble(w, rho_1, eps_2, data.v_plus[0], check=True)
 
@@ -569,7 +567,7 @@ def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
 def _assemble(w: WindowGrid, rho_1: float, eps_2: float, alpha: float,
               check: bool) -> FanSubsolution:
     """The subsolution of reconstruct from the one-node window w at rho_1."""
-    eps_1 = float(w.eps_1[0])
+    eps_1 = w.eps_1.item()
     if check:
         if not eps_1 > 0.0:
             raise ConstraintError(
@@ -579,16 +577,16 @@ def _assemble(w: WindowGrid, rho_1: float, eps_2: float, alpha: float,
                 f"second slack condition violated: eps_2 = {eps_2} <= 0")
         for side, a, b in (("left", w.a_left, w.b_left),
                            ("right", w.a_right, w.b_right)):
-            margin = float(b[0] - a[0] * eps_2)
+            margin = float(b[0, 0] - a[0, 0] * eps_2)
             if not margin > 0.0:
                 raise ConstraintError(
                     f"{side} interface energy inequality violated: "
                     f"margin = {margin}")
-    beta = float(w.beta[0])
+    beta = w.beta.item()
     C = alpha ** 2 + beta ** 2 + eps_1 + eps_2
     gamma_1 = C / 2.0 - beta ** 2 - eps_1
     return FanSubsolution(
-        nu_minus=float(w.nu_minus[0]), nu_plus=float(w.nu_plus[0]),
+        nu_minus=w.nu_minus.item(), nu_plus=w.nu_plus.item(),
         rho_1=float(rho_1), alpha=float(alpha), beta=beta,
         gamma_1=gamma_1, gamma_2=float(alpha) * beta, C=C,
         eps_1=eps_1, eps_2=float(eps_2))
@@ -689,8 +687,7 @@ def epsilon1_sign_change(data: RiemannData) -> float:
     def slack(x):
         return kinematics(data, x)[3]
 
-    lo = f.rho_tilde
-    hi = far - 1e-12 * (far - near)
+    lo, hi = f.rho_tilde, far - 1e-12 * (far - near)
     s_lo, s_hi = slack(lo), slack(hi)
     if not (s_lo > 0.0 and s_hi < 0.0):
         raise NumericalError(
@@ -729,6 +726,7 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     near, far = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     if not near <= rho_1 <= far:
         raise DomainError(f"rho_1 must lie in [{near}, {far}]")
+    check_density_pair(rho_minus, rho_plus, ("rho_minus", "rho_plus"))
 
     rm, rp, r1 = rho_minus, rho_plus, rho_1
     R = rm - rp

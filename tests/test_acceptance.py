@@ -8,6 +8,7 @@ defining formulas (worked-example window edge).  Nothing here asserts a
 value that was read off the implementation itself.
 """
 
+import dataclasses
 import math
 import time
 
@@ -18,7 +19,17 @@ from eulerfan import (Eos, RiemannData, WaveKind, classify, data_functionals,
                       epsilon1_sign_change, eps2_window, feasible_for_gap,
                       kinematics, limit_quantities, pressure, reconstruct,
                       subsolution_witness, threshold_V, verify_subsolution)
-from eulerfan.subsolution import _window_arrays
+from eulerfan.subsolution import window_grid
+
+
+def window_row(data, nodes):
+    """window_grid of one datum with 1-D arrays; raises the datum's error."""
+    grid = window_grid([data], nodes)
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    return dataclasses.replace(grid, **{f.name: getattr(grid, f.name)[0]
+                                        for f in dataclasses.fields(grid) if f.name != "errors"})
+
 
 GAMMA2 = Eos(2.0)
 GOLDEN = RiemannData(1.0, 4.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
@@ -109,7 +120,7 @@ def test_first_slack_shape_suite():
         data = approaching(rho_minus, rho_plus, v_plus2, w, eos)
         lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
         grid = np.linspace(lo, hi, 10_002)[1:-1]
-        eps_1 = _window_arrays(data, grid).eps_1
+        eps_1 = window_row(data, grid).eps_1
         flips = int(np.sum(np.sign(eps_1[:-1]) != np.sign(eps_1[1:])))
         assert flips == 1, f"{flips} slack sign changes for {data}"
 
@@ -119,7 +130,7 @@ def test_first_slack_shape_suite():
         assert f.rho_tilde < rho_bar
 
         nodes = np.linspace(lo + 1e-6 * (hi - lo), f.rho_tilde, 64)
-        weighted = nodes * _window_arrays(data, nodes).eps_1
+        weighted = nodes * window_row(data, nodes).eps_1
         h = nodes[1] - nodes[0]
         second = (weighted[:-2] - 2.0 * weighted[1:-1] + weighted[2:]) / h**2
         assert np.all(second <= 1e-9), f"convexity spike for {data}"
@@ -227,7 +238,7 @@ def test_sign_regime_zero_downstream_velocity():
         assert rho_minus < f.rho_T < rho_plus
 
         grid = np.linspace(rho_minus, rho_plus, 10_002)[1:-1]
-        window = _window_arrays(data, grid)
+        window = window_row(data, grid)
         above = grid > f.rho_T
         assert not np.any(window.feasible & above), (
             f"feasible node above the crossover for {data}")
@@ -303,7 +314,7 @@ def test_reconstruction_verifier_equivalence():
 
         lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
         grid = np.linspace(lo, hi, 194)[1:-1]
-        window = _window_arrays(data, grid)
+        window = window_row(data, grid)
         candidates = np.nonzero(window.feasible)[0]
         if candidates.size == 0:
             continue

@@ -2,6 +2,7 @@
 scalar functionals of two-state data."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ class TestTwoShockT:
             two_shock_T(Eos(2.0), bad, 1.0)
         with pytest.raises(DomainError):
             two_shock_T(Eos(2.0), 1.0, bad)
+
+    def test_density_product_outside_the_normal_range_rejected(self):
+        """T divides by r*s: a product that underflows to 0 or to a
+        subnormal, or overflows, is a DomainError naming both densities,
+        not a ZeroDivisionError or a meaningless T."""
+        with pytest.raises(DomainError, match="r = 1e-200 and s = 1e-200"):
+            two_shock_T(Eos(2.0), 1e-200, 1e-200)
+        with pytest.raises(DomainError, match="r = 1e[+]200 and s = 1e[+]200"):
+            two_shock_T(Eos(1.0), 1e200, 1e200)
+        with pytest.raises(DomainError, match="no positive normal float product"):
+            two_shock_T(Eos(2.0), np.array([1.0, 2.0 ** -1023]), 1.0)
+        tiny = sys.float_info.min
+        with pytest.raises(DomainError):
+            two_shock_T(Eos(2.0), tiny / 2.0, 1.0)
+        # The smallest normal product still has a T.
+        assert math.isfinite(two_shock_T(Eos(2.0), tiny, 1.0))
+        assert np.all(np.isfinite(two_shock_T(Eos(2.0), np.array([tiny, 1.0]), 1.0)))
 
     def test_only_checked_functions_are_public(self):
         """The unchecked formulas are private Eos methods, so no public
@@ -198,6 +216,17 @@ class TestRiemannData:
             RiemannData(1.0, 4.0, (0.0, 3.3), (1e200, 0.0), eos)
         RiemannData(1e-300, 1.0, (1e150, 0.0), (0.0, 0.0), Eos(1.0))
 
+    def test_underflowing_density_product_rejected(self):
+        """A fuzz of the window path reached the division by
+        rho_minus*rho_plus in T from every public function with these
+        data; the datum itself now refuses them."""
+        with pytest.raises(DomainError,
+                           match="rho_minus = 5e-324 and rho_plus = 1e-08 have no positive"):
+            RiemannData(5e-324, 1e-8, (0.0, -1.848591058941392), (0.0, 2.0), Eos(1.4))
+        # A velocity error found first keeps its message.
+        with pytest.raises(DomainError, match="v_minus must be a finite velocity pair"):
+            RiemannData(5e-324, 1e-8, (0.0, math.nan), (0.0, 2.0), Eos(1.4))
+
 
 class TestDataFunctionals:
     def test_worked_example(self):
@@ -234,6 +263,29 @@ class TestDataFunctionals:
         # equal densities: no rho_T either
         f = data_functionals(RiemannData(2.0, 2.0, (0.0, 1.0), (0.0, 0.0), eos))
         assert f.rho_T is None and f.K is None
+
+    def test_squares_are_products(self):
+        """H squares the velocities by products.  Python's x ** 2 calls
+        libm pow, which glibc 2.36 does not round correctly for every x;
+        the x tried here are those where the two forms of H differ.  The
+        pressure terms are integers, which x*x (about 1e6) absorbs
+        exactly, so a one-ulp difference in the square reaches H."""
+        eos = Eos(2.0)
+        rng = np.random.default_rng(20261019)
+
+        def product_form(x):
+            return 1.0 * (x * x) - 4.0 * (0.0 * 0.0) + pressure(eos, 1.0) - pressure(eos, 4.0)
+
+        def power_form(x):
+            return 1.0 * x ** 2 - 4.0 * 0.0 ** 2 + pressure(eos, 1.0) - pressure(eos, 4.0)
+
+        xs = [x for x in rng.uniform(1e3, 2e3, 100_000).tolist()
+              if product_form(x) != power_form(x)][:20]
+        if not xs:
+            pytest.skip("x ** 2 equals x * x on every sample: pow is correctly rounded here")
+        for x in xs:
+            f = data_functionals(RiemannData(1.0, 4.0, (0.0, x), (0.0, 0.0), eos))
+            assert f.H == product_form(x), x
 
     @given(
         rho_minus=density, ratio=st.floats(min_value=1.05, max_value=20.0),

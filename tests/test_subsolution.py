@@ -17,8 +17,17 @@ from eulerfan import (ConstraintError, DegenerateDensityError, DomainError,
                       eps2_window, epsilon1_sign_change, feasibility_scan,
                       kinematics, limit_quantities, reconstruct,
                       verify_subsolution)
-from eulerfan.subsolution import (EQUALITY_TOL, MiddleNodes, _window_arrays,
-                                  middle_nodes, window_grid)
+from eulerfan.subsolution import EQUALITY_TOL, MiddleNodes, middle_nodes, window_grid
+
+
+def window_row(data, nodes):
+    """window_grid of one datum with 1-D arrays; raises the datum's error."""
+    grid = window_grid([data], nodes)
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    return dataclasses.replace(grid, **{f.name: getattr(grid, f.name)[0]
+                                        for f in dataclasses.fields(grid) if f.name != "errors"})
+
 
 GAMMA2 = Eos(2.0)
 
@@ -135,8 +144,8 @@ class TestKinematics:
             lo = min(data.rho_minus, data.rho_plus)
             hi = max(data.rho_minus, data.rho_plus)
             grid = np.linspace(lo, hi, 34)[1:-1]
-            base = _window_arrays(data, grid)
-            moved = _window_arrays(shifted, grid)
+            base = window_row(data, grid)
+            moved = window_row(shifted, grid)
 
             def close(got, want):
                 scale = np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
@@ -167,8 +176,8 @@ class TestReflection:
             lo = min(data.rho_minus, data.rho_plus)
             hi = max(data.rho_minus, data.rho_plus)
             grid = np.linspace(lo, hi, 34)[1:-1]
-            base = _window_arrays(data, grid)
-            refl = _window_arrays(mirror, grid)
+            base = window_row(data, grid)
+            refl = window_row(mirror, grid)
             assert close(refl.nu_minus, -base.nu_plus, 1e-12)
             assert close(refl.nu_plus, -base.nu_minus, 1e-12)
             assert close(refl.beta, -base.beta, 1e-12)
@@ -240,10 +249,10 @@ class TestEps2Window:
         """The window is computed from (rho, v2) data only, so changing
         the common first velocity component must not move a single bit."""
         grid = np.linspace(1.0, 4.0, 34)[1:-1]
-        base = _window_arrays(GOLDEN, grid)
+        base = window_row(GOLDEN, grid)
         for v1 in (1.0, -2.5, 10.0):
             data = RiemannData(1.0, 4.0, (v1, 3.3), (v1, 0.0), GAMMA2)
-            other = _window_arrays(data, grid)
+            other = window_row(data, grid)
             np.testing.assert_array_equal(other.lower, base.lower)
             np.testing.assert_array_equal(other.upper, base.upper)
             np.testing.assert_array_equal(other.eps_1, base.eps_1)
@@ -389,7 +398,7 @@ class TestWindowGrid:
                 grid = window_grid(rows, nodes)
                 assert grid.errors == (None, None, None)
                 for i, row in enumerate(rows):
-                    one = _window_arrays(row, nodes if nodes.ndim == 1 else nodes[i])
+                    one = window_row(row, nodes if nodes.ndim == 1 else nodes[i])
                     for field in dataclasses.fields(one):
                         if field.name != "errors":
                             np.testing.assert_array_equal(
@@ -485,7 +494,7 @@ class TestDeliberateViolations:
 
     def test_crossing_the_upper_bound_breaks_one_energy_inequality(self):
         rec = eps2_window(GOLDEN, 2.0)
-        win = _window_arrays(GOLDEN, np.asarray([2.0]))
+        win = window_row(GOLDEN, np.asarray([2.0]))
         # The finite upper bound comes from the positive-slope side,
         # here the left interface.
         assert win.a_left[0] > 0.0 and win.a_right[0] < 0.0
@@ -496,7 +505,7 @@ class TestDeliberateViolations:
         data, rho_1 = POSITIVE_LOWER_DATA, POSITIVE_LOWER_RHO1
         rec = eps2_window(data, rho_1)
         assert rec.feasible and rec.eps2_lower > 0.0
-        win = _window_arrays(data, np.asarray([rho_1]))
+        win = window_row(data, np.asarray([rho_1]))
         assert win.a_right[0] < 0.0, "lower bound should come from the right"
         sub = reconstruct(data, rho_1, rec.eps2_lower * 0.5, 0.0, check=False)
         self.assert_single_violation(data, sub, "energy_right")
@@ -562,7 +571,7 @@ class TestSlackShape:
             lo = min(data.rho_minus, data.rho_plus)
             hi = max(data.rho_minus, data.rho_plus)
             grid = np.linspace(lo, hi, 10_002)[1:-1]
-            eps_1 = _window_arrays(data, grid).eps_1
+            eps_1 = window_row(data, grid).eps_1
             flips = int(np.sum(np.sign(eps_1[:-1]) != np.sign(eps_1[1:])))
             assert flips == 1, f"{flips} sign changes for {data}"
             rho_bar = epsilon1_sign_change(data)
@@ -579,7 +588,7 @@ class TestSlackShape:
     def test_weighted_slack_concavity_golden(self):
         f = data_functionals(GOLDEN)
         grid = np.linspace(1.0 + 3e-6, f.rho_tilde, 64)
-        weighted = grid * _window_arrays(GOLDEN, grid).eps_1
+        weighted = grid * window_row(GOLDEN, grid).eps_1
         h = grid[1] - grid[0]
         second = (weighted[:-2] - 2.0 * weighted[1:-1] + weighted[2:]) / h**2
         assert np.all(second <= 1e-9)
@@ -597,7 +606,7 @@ class TestSlackShape:
 
     def test_production_slack_matches_oracle(self):
         grid = np.linspace(1.3, 3.9, 9)
-        eps_1 = _window_arrays(GOLDEN, grid).eps_1
+        eps_1 = window_row(GOLDEN, grid).eps_1
         for r, got in zip(grid, eps_1):
             assert got == pytest.approx(float(_golden_slack_50digit(r)),
                                         rel=1e-12, abs=1e-12)
@@ -661,3 +670,10 @@ class TestLimitQuantities:
             limit_quantities(2.0, 2.0, 0.0, GAMMA2, 2.0)
         with pytest.raises(DomainError):
             limit_quantities(-1.0, 4.0, 0.0, GAMMA2, 2.0)
+
+    def test_rejects_an_underflowing_density_product(self):
+        """The limits divide by rho_minus*rho_plus, which underflows to 0
+        here: a DomainError naming both densities, not a
+        ZeroDivisionError."""
+        with pytest.raises(DomainError, match="rho_minus = 5e-324 and rho_plus = 1.0"):
+            limit_quantities(5e-324, 1.0, 0.0, GAMMA2, 0.5)

@@ -10,16 +10,26 @@ import pytest
 
 import eulerfan.subsolution
 import eulerfan.threshold
-from eulerfan import (DegenerateDensityError, DomainError, Eos, NumericalError,
-                      RiemannData, ThresholdResult, ThresholdRow,
+from eulerfan import (DataFunctionals, DegenerateDensityError, DomainError, Eos,
+                      NumericalError, RiemannData, ThresholdResult, ThresholdRow,
                       VelocityGapError, data_functionals, eps2_window,
                       epsilon1_sign_change, feasibility_scan, feasible_for_gap,
-                      reconstruct, subsolution_witness, threshold_V,
+                      kinematics, reconstruct, subsolution_witness, threshold_V,
                       threshold_table, two_shock_T, verify_subsolution,
                       witness_at)
-from eulerfan.subsolution import MiddleNodes, _window_arrays
+from eulerfan.subsolution import MiddleNodes, window_grid
 from eulerfan.threshold import (BISECTION_TOL, GRID, SCAN_OFFSET, SCAN_STEPS,
                                 _edge_intervals, _feasibility_grids, _initial_nodes)
+
+
+def window_row(data, nodes):
+    """window_grid of one datum with 1-D arrays; raises the datum's error."""
+    grid = window_grid([data], nodes)
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    return dataclasses.replace(grid, **{f.name: getattr(grid, f.name)[0]
+                                        for f in dataclasses.fields(grid) if f.name != "errors"})
+
 
 GAMMA2 = Eos(2.0)
 SQRT_T = math.sqrt(45.0 / 4.0)
@@ -36,14 +46,14 @@ def reference_grid(data, grid=2048):
     """Sequential reference grid: every refinement pass recomputes all nodes."""
     lo, hi = sorted((data.rho_minus, data.rho_plus))
     nodes = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), grid)
-    mask = _window_arrays(data, nodes).feasible
+    mask = window_row(data, nodes).feasible
     for _ in range(2):
         flips = np.nonzero(mask[:-1] != mask[1:])[0]
         if flips.size == 0:
             break
         extra = [np.linspace(nodes[i], nodes[i + 1], 66)[1:-1] for i in flips]
         nodes = np.unique(np.concatenate([nodes, *extra]))
-        mask = _window_arrays(data, nodes).feasible
+        mask = window_row(data, nodes).feasible
     return nodes, mask
 
 
@@ -57,7 +67,7 @@ def merged_grid(found, data, row=0):
     in by np.unique, earlier nodes first."""
     nodes = [found.nodes, *(values[rows == row, 1:-1].ravel()
                             for rows, values, _ in found.passes)]
-    masks = [_window_arrays(data, found.nodes).feasible,
+    masks = [window_row(data, found.nodes).feasible,
              *(masks[rows == row, 1:-1].ravel() for rows, _, masks in found.passes)]
     merged, first = np.unique(np.concatenate(nodes), return_index=True)
     return merged, np.concatenate(masks)[first]
@@ -680,6 +690,58 @@ class TestCloseDensities:
             feasibility_scan(data)
         with pytest.raises(DomainError, match="too close to place a grid of 64 "):
             feasibility_scan(data, grid=64)
+
+
+class TestFunctionalsFormedOncePerDatum:
+    """A datum forms its DataFunctionals on its first kernel call, and
+    every later call that evaluates it (start grid, refinement passes,
+    the one-node wrappers, each root step) reuses them."""
+
+    @staticmethod
+    def built(monkeypatch, cls):
+        """A list that grows by one for each instance of cls built."""
+        instances, init = [], cls.__init__
+
+        def counted(self, *args, **kwargs):
+            instances.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        return instances
+
+    def test_threshold_columns_build_at_most_one_per_datum(self, monkeypatch):
+        _initial_nodes.cache_clear()
+        data = self.built(monkeypatch, RiemannData)
+        functionals = self.built(monkeypatch, DataFunctionals)
+        for v_plus2 in COLUMNS:
+            threshold_V(1.0, 4.0, v_plus2, GAMMA2)
+        assert 0 < len(functionals) <= len(data)
+
+    @pytest.mark.parametrize("search", [
+        epsilon1_sign_change,
+        subsolution_witness,
+        lambda data: (kinematics(data, 2.0), eps2_window(data, 2.0), witness_at(data, 2.0),
+                      reconstruct(data, 2.0, 0.1, 0.0)),
+    ], ids=["epsilon1_sign_change", "subsolution_witness", "one_node_wrappers"])
+    def test_one_datum_builds_one(self, monkeypatch, search):
+        data = RiemannData(1.0, 4.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
+        functionals = self.built(monkeypatch, DataFunctionals)
+        search(data)
+        assert len(functionals) == 1
+
+
+class TestUnderflowingDensityProduct:
+    """Densities whose product underflows raise DomainError naming both,
+    where the division by rho_minus*rho_plus in T raised
+    ZeroDivisionError."""
+
+    def test_every_search_names_the_densities(self):
+        eos = Eos(1.4)
+        message = "rho_minus = 5e-324 and rho_plus = 1e-08 have no positive normal"
+        with pytest.raises(DomainError, match=message):
+            feasible_for_gap(5e-324, 1e-8, 2.0, eos, 1e-3)
+        with pytest.raises(DomainError, match=message):
+            threshold_V(5e-324, 1e-8, 2.0, eos)
 
 
 class TestScanEvaluatesOnlyProbedGaps:
