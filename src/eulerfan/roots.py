@@ -6,7 +6,7 @@ interpolation or a secant step while it stays well inside the bracket,
 bisection otherwise.  It keeps the sign change bracketed throughout and
 needs at most about (k + 1)**2 calls, where k is the number of
 bisections that shrink the bracket to the tolerance; that bound is the
-default iteration cap.
+iteration cap.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def _iteration_cap(a: float, b: float, rtol: float) -> int:
     return (k + 1) ** 2
 
 
-def brent(f, a: float, b: float, *, rtol: float, maxiter: int | None = None) -> float:
+def brent(f, a: float, b: float, *, rtol: float) -> float:
     """
     Find a zero of f in the bracket [a, b].
 
@@ -42,16 +42,14 @@ def brent(f, a: float, b: float, *, rtol: float, maxiter: int | None = None) -> 
         them is exactly zero, in which case that end is returned.
     rtol : float
         The returned x is within 1e-300 + rtol*|x| of a sign change.
-    maxiter : int, optional
-        Iterations allowed after the two end evaluations.  Default:
-        Brent's bound for the bracket and rtol (see the module
-        docstring).
+        With the bracket it sets the iterations allowed after the two
+        end evaluations: Brent's bound (see the module docstring).
 
     Raises
     ------
     NumericalError
         If f(a) and f(b) have the same sign, f returns NaN, or the
-        bracket is not resolved within maxiter iterations.
+        bracket is not resolved within Brent's bound.
     """
     def call(x):
         fx = f(x)
@@ -69,8 +67,7 @@ def brent(f, a: float, b: float, *, rtol: float, maxiter: int | None = None) -> 
         raise NumericalError(
             f"root solve: no sign change on [{a}, {b}] (f = {fpre}, {fcur})")
     xblk = fblk = spre = scur = 0.0
-    if maxiter is None:
-        maxiter = _iteration_cap(a, b, rtol)
+    maxiter = _iteration_cap(a, b, rtol)
 
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):

@@ -8,14 +8,18 @@ which must lie strictly between the two initial densities.  The
 formulas are written once, in an array-first kernel of two stages: the
 node stage middle_nodes holds every term of a grid of middle densities
 (columns) that does not depend on the velocity gap, and the row stage
-window_grid combines it with several gaps (rows) in one call.
-kinematics, eps2_window, reconstruct and witness_at are one-row,
-one-node wrappers around it.  Everything here is pure.
+window_grid combines it with several gaps (rows) in one call.  The row
+stage takes middle densities only as a MiddleNodes, so every caller
+builds its nodes with middle_nodes.  kinematics, eps2_window,
+reconstruct and witness_at are one-row, one-node wrappers around it;
+reconstruct and witness_at always enforce the slack and energy
+conditions.  Everything here is pure.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ from .errors import (
     EulerFanError,
     NumericalError,
     VelocityGapError,
+    check_density,
     check_density_pair,
 )
 from .functionals import RiemannData
@@ -51,6 +56,10 @@ class FanSubsolution:
 
         eps_1 = C/2 - gamma_1 - beta**2
         eps_2 = C - alpha**2 - beta**2 - eps_1
+
+    and gamma_2 = alpha*beta.  reconstruct builds only subsolutions
+    whose slacks and energy inequalities hold; these identities build
+    any other.
     """
 
     nu_minus: float
@@ -182,7 +191,9 @@ def _gap_columns(rows):
         errors.append(error)
         columns.append(column)
     # A single row keeps its Python numbers, which numpy combines with an
-    # array faster and to the same bits.
+    # array faster and to the same bits: (1, 1) columns made a 1 x 2048
+    # call about 8% slower and eps2_window about 3% (x86-64, Python
+    # 3.11, numpy 2.4).
     return errors, (list(columns[0]) if len(rows) == 1
                     else [np.array(c, dtype=float)[:, None] for c in zip(*columns)])
 
@@ -281,12 +292,12 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     return MiddleNodes(rho_minus=rm, rho_plus=rp, eos=eos, **terms)
 
 
-def _kinematics_arrays(rows, nodes):
+def _kinematics_arrays(rows, n: MiddleNodes):
     """The first half of the row stage: interface speeds, middle velocity
-    and first slack of each row on its nodes, with one error slot per
-    row.  Returns (errors, nodes, v_minus2, nu_minus, nu_plus, beta,
-    eps_1), nodes as a MiddleNodes and v_minus2 the column of
-    _gap_columns; window_grid documents the arguments and the errors.
+    and first slack of each row on its nodes n, with one error slot per
+    row.  Returns (errors, v_minus2, nu_minus, nu_plus, beta, eps_1),
+    v_minus2 the column of _gap_columns; window_grid documents the
+    arguments and the errors.
 
     The first slack is evaluated in its K/L square-root form and
     cross-checked against the independent interface-speed form; the two
@@ -300,20 +311,17 @@ def _kinematics_arrays(rows, nodes):
     nu_minus, nu_plus -> -nu_plus, -nu_minus and beta -> -beta; A, B, K,
     L and the first slack are invariant.
     """
+    if not isinstance(n, MiddleNodes):
+        raise DomainError("window_grid takes its middle densities as the "
+                          f"MiddleNodes of middle_nodes, got {type(n).__name__}")
     errors, (vm2, A, sqrt_nB, K, L) = _gap_columns(rows)
     data = rows[0]
     rm, rp, eos, vp2 = data.rho_minus, data.rho_plus, data.eos, data.v_plus[1]
-    if not isinstance(nodes, MiddleNodes):
-        try:
-            nodes = middle_nodes(data, nodes)
-        except DomainError as exc:
-            raise (errors[0] or exc) from None
-    elif (nodes.rho_minus, nodes.rho_plus, nodes.eos) != (rm, rp, eos):
+    if (n.rho_minus, n.rho_plus, n.eos) != (rm, rp, eos):
         raise DomainError(
             "middle nodes built for other densities or another pressure law: "
-            f"({nodes.rho_minus}, {nodes.rho_plus}, {nodes.eos}), "
+            f"({n.rho_minus}, {n.rho_plus}, {n.eos}), "
             f"the data have ({rm}, {rp}, {eos})")
-    n = nodes
     rho_1 = n.rho_1
     flip = rm > rp
     near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
@@ -361,7 +369,7 @@ def _kinematics_arrays(rows, nodes):
 
     _record(errors, (nu_minus >= nu_plus).any(axis=-1), lambda i: NumericalError(
         "interface speed ordering violated on the grid"))
-    return errors, n, vm2, nu_minus, nu_plus, beta, eps_1
+    return errors, vm2, nu_minus, nu_plus, beta, eps_1
 
 
 def _energy_constraints(data: RiemannData, vm2, n: MiddleNodes, beta, eps_1):
@@ -399,7 +407,7 @@ def _energy_constraints(data: RiemannData, vm2, n: MiddleNodes, beta, eps_1):
     return coefficients
 
 
-def window_grid(rows, nodes) -> WindowGrid:
+def window_grid(rows, nodes: MiddleNodes) -> WindowGrid:
     """
     Kinematics and second-slack window for several velocity gaps at once.
 
@@ -421,14 +429,11 @@ def window_grid(rows, nodes) -> WindowGrid:
         per-gap scalars (v_minus2, A, B, K, L) come from each datum's
         own data_functionals, formed on the datum's first kernel call
         and reused by every later one (RiemannData.functionals), and
-        enter as (k, 1) columns.  The 452 calls of a threshold search
-        over the seven reference columns form 511 DataFunctionals, one
-        per datum they evaluate; forming them per call took 1393.
-    nodes : MiddleNodes or array_like
-        The middle densities: a MiddleNodes built for the rows' densities
-        and pressure law, or plain densities strictly inside the density
-        interval (one 1-D array for every row, or a 2-D array with one
-        row per datum), which are passed through middle_nodes.
+        enter as (k, 1) columns.
+    nodes : MiddleNodes
+        The middle densities with their node terms, built by
+        middle_nodes for the rows' densities and pressure law: one row
+        of nodes for every datum, or one row per datum.
 
     Returns
     -------
@@ -436,10 +441,9 @@ def window_grid(rows, nodes) -> WindowGrid:
         Arrays of shape (len(rows), n).  A datum whose preconditions or
         self-checks fail does not raise: its error is in errors.
 
-    Raises DomainError when the data differ in more than v_minus, when a
-    MiddleNodes belongs to other densities or another pressure law, or
-    when plain densities leave the open interval (then the first datum's
-    own error, if any, is raised instead).
+    Raises DomainError when nodes is not a MiddleNodes, when it belongs
+    to other densities or another pressure law, or when the data differ
+    in more than v_minus.
 
     Memory: every temporary is a grid-sized array.  From about 8192
     nodes per call (4 rows of 2048) the temporaries are large enough
@@ -453,8 +457,8 @@ def window_grid(rows, nodes) -> WindowGrid:
     removes the faults and nearly halved the time of an 8 x 2048 call
     (2.4 ms to 1.3 ms), but the package does not set malloc options.
     """
-    errors, n, vm2, nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(rows, nodes)
-    a_left, b_left, a_right, b_right = _energy_constraints(rows[0], vm2, n, beta, eps_1)
+    errors, vm2, nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(rows, nodes)
+    a_left, b_left, a_right, b_right = _energy_constraints(rows[0], vm2, nodes, beta, eps_1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         q_left, q_right = b_left / a_left, b_right / a_right
@@ -475,8 +479,14 @@ def window_grid(rows, nodes) -> WindowGrid:
 
 def _window_at(data: RiemannData, rho_1: float) -> WindowGrid:
     """window_grid of one datum at one middle density, every array of
-    shape (1, 1); raises the datum's error."""
-    grid = window_grid([data], np.asarray([float(rho_1)]))
+    shape (1, 1); raises the datum's error, a failed precondition before
+    a middle density outside the interval."""
+    try:
+        nodes = middle_nodes(data, [float(rho_1)])
+    except DomainError:
+        _require_subsolution_data(data)
+        raise
+    grid = window_grid([data], nodes)
     if grid.errors[0] is not None:
         raise grid.errors[0]
     return grid
@@ -529,22 +539,21 @@ def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:
     )
 
 
-def reconstruct(data: RiemannData, rho_1: float, eps_2: float, alpha: float,
-                check: bool = True) -> FanSubsolution:
+def reconstruct(data: RiemannData, rho_1: float, eps_2: float,
+                alpha: float) -> FanSubsolution:
     """
     Assemble the full subsolution from a feasible (rho_1, eps_2, alpha).
 
     alpha must equal the common first velocity component of the data.
-    With check=True (default) the slack positivity and both interface
-    energy constraints are enforced, naming the violated condition;
-    check=False skips that and is meant for deliberately building
-    invalid inputs to feed the verifier.
+    Both slacks must be positive and both interface energy inequalities
+    must hold strictly; a ConstraintError names the first violated
+    condition.
     """
     if alpha != data.v_minus[0]:
         raise DomainError(
             f"alpha = {alpha} must equal the common first velocity "
             f"component {data.v_minus[0]}")
-    return _assemble(_window_at(data, rho_1), rho_1, eps_2, alpha, check)
+    return _assemble(_window_at(data, rho_1), rho_1, eps_2, alpha)
 
 
 def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
@@ -561,27 +570,26 @@ def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
     lower = max(w.lower.item(), 0.0)
     upper = w.upper.item()
     eps_2 = 0.5 * (lower + upper) if math.isfinite(upper) else lower + 1.0
-    return _assemble(w, rho_1, eps_2, data.v_plus[0], check=True)
+    return _assemble(w, rho_1, eps_2, data.v_plus[0])
 
 
-def _assemble(w: WindowGrid, rho_1: float, eps_2: float, alpha: float,
-              check: bool) -> FanSubsolution:
-    """The subsolution of reconstruct from the one-node window w at rho_1."""
+def _assemble(w: WindowGrid, rho_1: float, eps_2: float, alpha: float) -> FanSubsolution:
+    """The checked subsolution of reconstruct from the one-node window w
+    at rho_1."""
     eps_1 = w.eps_1.item()
-    if check:
-        if not eps_1 > 0.0:
+    if not eps_1 > 0.0:
+        raise ConstraintError(
+            f"first slack condition violated: eps_1 = {eps_1} <= 0")
+    if not eps_2 > 0.0:
+        raise ConstraintError(
+            f"second slack condition violated: eps_2 = {eps_2} <= 0")
+    for side, a, b in (("left", w.a_left, w.b_left),
+                       ("right", w.a_right, w.b_right)):
+        margin = float(b[0, 0] - a[0, 0] * eps_2)
+        if not margin > 0.0:
             raise ConstraintError(
-                f"first slack condition violated: eps_1 = {eps_1} <= 0")
-        if not eps_2 > 0.0:
-            raise ConstraintError(
-                f"second slack condition violated: eps_2 = {eps_2} <= 0")
-        for side, a, b in (("left", w.a_left, w.b_left),
-                           ("right", w.a_right, w.b_right)):
-            margin = float(b[0, 0] - a[0, 0] * eps_2)
-            if not margin > 0.0:
-                raise ConstraintError(
-                    f"{side} interface energy inequality violated: "
-                    f"margin = {margin}")
+                f"{side} interface energy inequality violated: "
+                f"margin = {margin}")
     beta = w.beta.item()
     C = alpha ** 2 + beta ** 2 + eps_1 + eps_2
     gamma_1 = C / 2.0 - beta ** 2 - eps_1
@@ -716,6 +724,10 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     finite one-sided limit at rho_1 = rho_minus and rho_1 = rho_plus
     (the dissipation factor P(r, r) tends to 0 there, cancelling the
     vanishing density gap), and eps1_bar vanishes at both endpoints.
+
+    Raises DomainError, naming the input, when a pressure, a product of
+    two densities, the square of rho_minus - rho_plus, or the divisors
+    (rho_1*(rho_minus - rho_plus))**2 and T leave the float range.
     """
     if not (0.0 < rho_minus < math.inf and 0.0 < rho_plus < math.inf):
         raise DomainError("densities must be positive and finite")
@@ -726,11 +738,24 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     near, far = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     if not near <= rho_1 <= far:
         raise DomainError(f"rho_1 must lie in [{near}, {far}]")
+    check_density(eos, rho_minus, "rho_minus")
+    check_density(eos, rho_plus, "rho_plus")
     check_density_pair(rho_minus, rho_plus, ("rho_minus", "rho_plus"))
+    check_density_pair(rho_1, rho_minus, ("rho_1", "rho_minus"))
+    check_density_pair(rho_1, rho_plus, ("rho_1", "rho_plus"))
 
     rm, rp, r1 = rho_minus, rho_plus, rho_1
     R = rm - rp
+    # A Python float power raises OverflowError where the product gives
+    # inf, so the product decides and the powers below keep their bits.
+    # rho_1**2 and near**2 are at most rho_1*far, checked above.
+    if not math.isfinite(R * R):
+        raise DomainError(f"rho_minus - rho_plus = {R} has no finite float square")
     T = eos._two_shock_T(rm, rp)
+    # The limits divide by (rho_1*R)**2 and by sqrt(T).
+    if not ((r1 * R) * (r1 * R) >= sys.float_info.min and T > 0.0):
+        raise DomainError(f"densities rho_minus = {rm} and rho_plus = {rp} are too close at "
+                          f"rho_1 = {r1}: (rho_1*(rho_minus - rho_plus))**2 or T underflows")
     sqrt_T = math.sqrt(T)
 
     beta_bar = v_plus2 + rm * (r1 - rp) * sqrt_T / (R * r1)

@@ -25,15 +25,16 @@ runs once, after the whole scan: two passes that each evaluate the
 nodes inserted around the interval edges of every kept gap (about 128
 per gap).  A segment is the 64 nodes inserted between two neighbouring
 nodes whose masks differ, and a pass evaluates one kernel row per
-segment, up to 32 segments (GRID nodes) per window_grid call, and a
-call mixes the segments of several gaps.  Each gap's datum forms its
-data_functionals once, on its start-grid call, and both passes reuse
-them (RiemannData.functionals): on the seven reference columns a
-search builds one DataFunctionals per evaluated datum, 511 for 519
-RiemannData and 452 window_grid calls (1393 when every call formed its
-own).  A gap that fails in a pass raises the error of
-all its inserted nodes of that pass evaluated together in one kernel
-row, as a self-check names the worst node of its row.  The intervals
+segment, up to 32 segments (GRID nodes) per window_grid call.  A call
+mixes the segments of several gaps and builds their node terms with
+middle_nodes, the one form in which window_grid takes nodes.  Each
+gap's datum forms its data_functionals once, on its start-grid call,
+and both passes reuse them (RiemannData.functionals): on the seven
+reference columns a search builds one DataFunctionals per evaluated
+datum, 511 for 519 RiemannData and 452 window_grid calls (1393 when
+every call formed its own).  A gap that fails in a pass raises the
+error of all its inserted nodes of that pass evaluated together in one
+kernel row, as a self-check names the worst node of its row.  The intervals
 are read off the transitions inside the last pass's segments; no
 refined grid is merged or sorted.  The segments of every kept gap are
 held at once, about 1 KiB per gap and pass.  Calls of at most
@@ -58,7 +59,7 @@ import numpy as np
 from .eos import Eos
 from .errors import DegenerateDensityError, DomainError, EulerFanError
 from .functionals import RiemannData
-from .subsolution import FanSubsolution, middle_nodes, window_grid, witness_at
+from .subsolution import FanSubsolution, MiddleNodes, middle_nodes, window_grid, witness_at
 
 #: Termination width for the bisection phase of threshold_V.
 BISECTION_TOL = 1e-6
@@ -110,13 +111,13 @@ class ThresholdRow:
 
 
 @functools.lru_cache(maxsize=1)
-def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
-    """The start grid of a feasibility search and its node terms.
+def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int) -> MiddleNodes:
+    """The start grid of a feasibility search with its node terms.
 
-    Returns the `grid` equispaced nodes strictly inside the density
-    interval, read-only, and their middle_nodes.  The cache keeps the
-    last density pair, law and grid only: the nodes and their 17
-    node-stage arrays of `grid` floats (0.3 MB at GRID), so the
+    Returns the middle_nodes of the `grid` equispaced nodes strictly
+    inside the density interval; its read-only rho_1[0] is the start
+    grid.  The cache keeps the last density pair, law and grid only:
+    17 node-stage arrays of `grid` floats (0.3 MB at GRID), so the
     start-grid calls of every probe of a threshold_V call, scan and
     bisection alike, share them.
 
@@ -126,11 +127,9 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int):
     """
     lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     delta = _ENDPOINT_MARGIN * (hi - lo)
-    nodes = np.linspace(lo + delta, hi - delta, grid)
-    nodes.flags.writeable = False
     datum = RiemannData(rho_minus, rho_plus, (0.0, 0.0), (0.0, 0.0), eos)
     try:
-        return nodes, middle_nodes(datum, nodes)
+        return middle_nodes(datum, np.linspace(lo + delta, hi - delta, grid))
     except DomainError:
         raise DomainError(
             f"densities {rho_minus} and {rho_plus} are too close to place a grid "
@@ -179,7 +178,7 @@ def _start_grid_rows(rows, grid: int):
             break
         if start is None:
             first = block[0]
-            start = _initial_nodes(first.rho_minus, first.rho_plus, first.eos, grid)[1]
+            start = _initial_nodes(first.rho_minus, first.rho_plus, first.eos, grid)
         if len(block) > 1:
             try:
                 with np.errstate(all="raise"):
@@ -229,7 +228,7 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
     if not kept:
         raise error
     # The cached start grid of the rows.
-    nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)[0]
+    nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid).rho_1[0]
     # Refine between neighbouring nodes a < b whose masks differ, low
     # being the mask at a, seg_row their row: first on the start grid,
     # then inside the segments each pass inserts.
@@ -251,7 +250,7 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
         new, errors = [], []
         for i in range(0, len(owners), _REFINE_SEGMENTS):
             window = window_grid([kept[r] for r in owners[i:i + _REFINE_SEGMENTS]],
-                                 values[i:i + _REFINE_SEGMENTS, 1:-1])
+                                 middle_nodes(data, values[i:i + _REFINE_SEGMENTS, 1:-1]))
             new.append(window.feasible)
             errors += window.errors
         seg_masks = np.concatenate((low[:, None], np.concatenate(new), ~low[:, None]), axis=1)
@@ -261,8 +260,8 @@ def _feasibility_grids(rows, grid: int) -> _Refinement:
             # nodes evaluated together: a check names the worst node of
             # the row, not of one segment.
             failed = failing[0]
-            error = window_grid([kept[failed]],
-                                values[seg_row == failed, 1:-1].reshape(1, -1)).errors[0]
+            error = window_grid([kept[failed]], middle_nodes(
+                data, values[seg_row == failed, 1:-1].reshape(1, -1))).errors[0]
             keep = seg_row < failed
             seg_row, values, seg_masks = seg_row[keep], values[keep], seg_masks[keep]
         passes.append((seg_row, values, seg_masks))

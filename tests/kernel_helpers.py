@@ -1,0 +1,29 @@
+"""Helpers shared by the tests of the window kernel and its callers."""
+
+import dataclasses
+
+from eulerfan import FanSubsolution, kinematics
+from eulerfan.subsolution import middle_nodes, window_grid
+
+
+def window_row(data, nodes):
+    """window_grid of one datum on the middle densities `nodes` (built
+    with middle_nodes), with 1-D arrays; raises the datum's error."""
+    grid = window_grid([data], middle_nodes(data, nodes))
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    return dataclasses.replace(grid, **{f.name: getattr(grid, f.name)[0]
+                                        for f in dataclasses.fields(grid) if f.name != "errors"})
+
+
+def unchecked_subsolution(data, rho_1, eps_2, alpha):
+    """The subsolution of reconstruct at (rho_1, eps_2, alpha) without its
+    slack and energy checks, built from the defining identities of
+    FanSubsolution: C from eps_2, gamma_1 from eps_1 and gamma_2 =
+    alpha*beta.  It lets a test feed the verifier invalid subsolutions."""
+    nu_minus, nu_plus, beta, eps_1 = kinematics(data, rho_1)
+    C = alpha ** 2 + beta ** 2 + eps_1 + eps_2
+    return FanSubsolution(
+        nu_minus=nu_minus, nu_plus=nu_plus, rho_1=float(rho_1), alpha=float(alpha),
+        beta=beta, gamma_1=C / 2.0 - beta ** 2 - eps_1, gamma_2=float(alpha) * beta,
+        C=C, eps_1=eps_1, eps_2=float(eps_2))

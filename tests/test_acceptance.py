@@ -8,7 +8,6 @@ defining formulas (worked-example window edge).  Nothing here asserts a
 value that was read off the implementation itself.
 """
 
-import dataclasses
 import math
 import time
 
@@ -19,16 +18,7 @@ from eulerfan import (Eos, RiemannData, WaveKind, classify, data_functionals,
                       epsilon1_sign_change, eps2_window, feasible_for_gap,
                       kinematics, limit_quantities, pressure, reconstruct,
                       subsolution_witness, threshold_V, verify_subsolution)
-from eulerfan.subsolution import window_grid
-
-
-def window_row(data, nodes):
-    """window_grid of one datum with 1-D arrays; raises the datum's error."""
-    grid = window_grid([data], nodes)
-    if grid.errors[0] is not None:
-        raise grid.errors[0]
-    return dataclasses.replace(grid, **{f.name: getattr(grid, f.name)[0]
-                                        for f in dataclasses.fields(grid) if f.name != "errors"})
+from kernel_helpers import unchecked_subsolution, window_row
 
 
 GAMMA2 = Eos(2.0)
@@ -337,8 +327,7 @@ def test_reconstruction_verifier_equivalence():
                 if choice is None:
                     continue
                 eps_2, intended = choice
-                sub = reconstruct(data, float(grid[i]), float(eps_2), v1,
-                                  check=False)
+                sub = unchecked_subsolution(data, float(grid[i]), float(eps_2), v1)
                 report = verify_subsolution(data, sub)
                 assert not report.passed
                 assert report.max_equality_residual <= report.equality_tol

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import eulerfan.roots
 from eulerfan import NumericalError
 from eulerfan.roots import brent
 
@@ -49,9 +50,12 @@ def test_same_sign_bracket_raises():
         brent(lambda x: x * x + 1.0, -1.0, 1.0, rtol=1e-12)
 
 
-def test_exhausted_iterations_raise():
+def test_exhausted_iterations_raise(monkeypatch):
+    """Brent's bound is the only cap; a cap of 3 stands in for a solve
+    that does not converge within it."""
+    monkeypatch.setattr(eulerfan.roots, "_iteration_cap", lambda a, b, rtol: 3)
     with pytest.raises(NumericalError, match="not converged after 3 iterations"):
-        brent(lambda x: x ** 3 - 0.1, 0.0, 10.0, rtol=1e-12, maxiter=3)
+        brent(lambda x: x ** 3 - 0.1, 0.0, 10.0, rtol=1e-12)
 
 
 def test_nan_value_raises():

@@ -13,20 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eulerfan import (ConstraintError, DegenerateDensityError, DomainError,
-                      Eos, RiemannData, VelocityGapError, data_functionals,
-                      eps2_window, epsilon1_sign_change, feasibility_scan,
-                      kinematics, limit_quantities, reconstruct,
-                      verify_subsolution)
+                      Eos, EulerFanError, RiemannData, VelocityGapError,
+                      data_functionals, eps2_window, epsilon1_sign_change,
+                      feasibility_scan, kinematics, limit_quantities,
+                      reconstruct, verify_subsolution, witness_at)
 from eulerfan.subsolution import EQUALITY_TOL, MiddleNodes, middle_nodes, window_grid
-
-
-def window_row(data, nodes):
-    """window_grid of one datum with 1-D arrays; raises the datum's error."""
-    grid = window_grid([data], nodes)
-    if grid.errors[0] is not None:
-        raise grid.errors[0]
-    return dataclasses.replace(grid, **{f.name: getattr(grid, f.name)[0]
-                                        for f in dataclasses.fields(grid) if f.name != "errors"})
+from kernel_helpers import unchecked_subsolution, window_row
 
 
 GAMMA2 = Eos(2.0)
@@ -127,6 +119,17 @@ class TestKinematics:
     def test_rejects_density_outside_open_interval(self, rho_1):
         with pytest.raises(DomainError, match="strictly inside"):
             kinematics(GOLDEN, rho_1)
+
+    @pytest.mark.parametrize("wrapper", [
+        kinematics, eps2_window, witness_at,
+        lambda data, rho_1: reconstruct(data, rho_1, 1.0, 0.0),
+    ], ids=["kinematics", "eps2_window", "witness_at", "reconstruct"])
+    def test_bad_gap_raises_before_bad_density(self, wrapper):
+        """A datum that fails its preconditions raises that error, not
+        the one of a middle density outside the interval."""
+        beyond = RiemannData(1.0, 4.0, (0.0, SQRT_T), (0.0, 0.0), GAMMA2)
+        with pytest.raises(VelocityGapError):
+            wrapper(beyond, 0.5)
 
     def test_shift_covariance(self):
         """Adding a common constant to both second velocity components
@@ -350,10 +353,10 @@ class TestReconstructAndVerify:
             lo, hi = sorted((data.rho_minus, data.rho_plus))
             rho_1 = lo + (hi - lo) * float(rng.uniform(0.01, 0.99))
             eps_2 = float(rng.uniform(-1.0, 5.0))
-            w = window_grid([data], [rho_1])
+            w = window_grid([data], middle_nodes(data, [rho_1]))
             if w.errors[0] is not None:
                 continue
-            sub = reconstruct(data, rho_1, eps_2, 0.0, check=False)
+            sub = unchecked_subsolution(data, rho_1, eps_2, 0.0)
             margins = verify_subsolution(data, sub).inequality_margins
             for side in ("left", "right"):
                 a = float(getattr(w, "a_" + side)[0, 0])
@@ -395,7 +398,7 @@ class TestWindowGrid:
             shared = np.linspace(lo, hi, 34)[1:-1]
             own = np.sort(rng.uniform(lo, hi, size=(3, 20)), axis=1)
             for nodes in (shared, own):
-                grid = window_grid(rows, nodes)
+                grid = window_grid(rows, middle_nodes(data, nodes))
                 assert grid.errors == (None, None, None)
                 for i, row in enumerate(rows):
                     one = window_row(row, nodes if nodes.ndim == 1 else nodes[i])
@@ -406,28 +409,28 @@ class TestWindowGrid:
 
     def test_row_errors_are_recorded_not_raised(self):
         beyond = RiemannData(1.0, 4.0, (0.0, SQRT_T), (0.0, 0.0), GAMMA2)
-        grid = window_grid([GOLDEN, beyond, GOLDEN], self.NODES)
+        grid = window_grid([GOLDEN, beyond, GOLDEN], middle_nodes(GOLDEN, self.NODES))
         assert grid.errors[0] is None and grid.errors[2] is None
         assert isinstance(grid.errors[1], VelocityGapError)
         np.testing.assert_array_equal(grid.feasible[2], grid.feasible[0])
 
     def test_rows_must_differ_in_the_gap_only(self):
+        nodes = middle_nodes(GOLDEN, self.NODES)
         with pytest.raises(DomainError, match="v_minus only"):
-            window_grid([GOLDEN, GOLDEN_SWAP], self.NODES)
+            window_grid([GOLDEN, GOLDEN_SWAP], nodes)
         with pytest.raises(DomainError, match="at least one"):
-            window_grid([], self.NODES)
+            window_grid([], nodes)
 
-    def test_density_outside_interval_raises_the_first_rows_error(self):
-        beyond = RiemannData(1.0, 4.0, (0.0, SQRT_T), (0.0, 0.0), GAMMA2)
-        with pytest.raises(VelocityGapError):
-            window_grid([beyond, GOLDEN], [0.5])
-        with pytest.raises(DomainError, match="strictly inside"):
-            window_grid([GOLDEN, beyond], [0.5])
+    @pytest.mark.parametrize("nodes", [NODES, NODES.tolist(), [[2.0]], 2.0],
+                             ids=["array", "list", "nested_list", "float"])
+    def test_plain_densities_rejected(self, nodes):
+        with pytest.raises(DomainError, match="MiddleNodes of middle_nodes"):
+            window_grid([GOLDEN], nodes)
 
 
 class TestMiddleNodes:
-    """The node stage built once gives the row stage the same bits as
-    plain densities, which window_grid passes through middle_nodes."""
+    """The node stage, the only form in which window_grid takes middle
+    densities."""
 
     @staticmethod
     def assert_same_grid(got, want):
@@ -438,7 +441,9 @@ class TestMiddleNodes:
                 assert (getattr(got, field.name).tobytes()
                         == getattr(want, field.name).tobytes()), field.name
 
-    def test_prebuilt_nodes_match_plain_densities(self):
+    def test_shared_nodes_match_per_row_nodes(self):
+        """One row of nodes for every datum gives the bits of the same
+        nodes repeated once per datum, errors included."""
         rng = np.random.default_rng(61)
         for trial in range(120):
             data = random_subsonic_data(rng, gammas=(1.0, 1.4, 2.0, 3.0))
@@ -447,10 +452,8 @@ class TestMiddleNodes:
             rows = TestWindowGrid.gap_rows(data, rng.uniform(0.05, 1.05, size=3))
             lo, hi = sorted((data.rho_minus, data.rho_plus))
             shared = np.linspace(lo, hi, 34)[1:-1]
-            own = np.sort(rng.uniform(lo, hi, size=(3, 20)), axis=1)
-            for x in (shared, own):
-                nodes = middle_nodes(rows[0], x)
-                self.assert_same_grid(window_grid(rows, nodes), window_grid(rows, x))
+            self.assert_same_grid(window_grid(rows, middle_nodes(data, shared)),
+                                  window_grid(rows, middle_nodes(data, np.tile(shared, (3, 1)))))
 
     def test_terms_are_read_only_copies(self):
         x = np.linspace(1.5, 3.5, 5)
@@ -478,7 +481,7 @@ class TestMiddleNodes:
             with pytest.raises(DomainError, match="strictly inside"):
                 middle_nodes(GOLDEN, [2.0, 0.5])
             with pytest.raises(DomainError, match="strictly inside"):
-                window_grid([GOLDEN], [[-1.0, 2.0]])
+                middle_nodes(GOLDEN, [[-1.0, 2.0]])
 
 
 class TestDeliberateViolations:
@@ -498,7 +501,7 @@ class TestDeliberateViolations:
         # The finite upper bound comes from the positive-slope side,
         # here the left interface.
         assert win.a_left[0] > 0.0 and win.a_right[0] < 0.0
-        sub = reconstruct(GOLDEN, 2.0, rec.eps2_upper * 1.05, 0.0, check=False)
+        sub = unchecked_subsolution(GOLDEN, 2.0, rec.eps2_upper * 1.05, 0.0)
         self.assert_single_violation(GOLDEN, sub, "energy_left")
 
     def test_undershooting_a_positive_lower_bound_breaks_the_other(self):
@@ -507,14 +510,14 @@ class TestDeliberateViolations:
         assert rec.feasible and rec.eps2_lower > 0.0
         win = window_row(data, np.asarray([rho_1]))
         assert win.a_right[0] < 0.0, "lower bound should come from the right"
-        sub = reconstruct(data, rho_1, rec.eps2_lower * 0.5, 0.0, check=False)
+        sub = unchecked_subsolution(data, rho_1, rec.eps2_lower * 0.5, 0.0)
         self.assert_single_violation(data, sub, "energy_right")
 
     def test_negative_second_slack_breaks_only_the_determinant(self):
         rec = eps2_window(GOLDEN, 2.0)
         eps_2 = 0.5 * max(rec.eps2_lower, -rec.eps_1)
         assert eps_2 < 0.0
-        sub = reconstruct(GOLDEN, 2.0, eps_2, 0.0, check=False)
+        sub = unchecked_subsolution(GOLDEN, 2.0, eps_2, 0.0)
         self.assert_single_violation(GOLDEN, sub, "determinant")
 
     def test_perturbed_middle_velocity_breaks_balances(self):
@@ -677,3 +680,45 @@ class TestLimitQuantities:
         ZeroDivisionError."""
         with pytest.raises(DomainError, match="rho_minus = 5e-324 and rho_plus = 1.0"):
             limit_quantities(5e-324, 1.0, 0.0, GAMMA2, 0.5)
+
+    @pytest.mark.parametrize("args, message", [
+        ((50.70995612439288, 1e200, -3.4611057362201936, Eos(1.0), 8.227962439278364e199),
+         "rho_1 = 8.227962439278364e[+]199 and rho_plus = 1e[+]200 have no positive normal"),
+        ((1e150, 5e-324, 1e-300, GAMMA2, 1e-8),
+         "rho_1 = 1e-08 and rho_plus = 5e-324 have no positive normal"),
+        ((1e200, 1e-100, 0.0, Eos(1.0), 1.0),
+         "rho_minus - rho_plus = 1e[+]200 has no finite float square"),
+        ((1e150, 1e-150, 0.0, Eos(3.0), 1.0),
+         "rho_minus = 1e[+]150 has no finite pressure"),
+        ((1e-150, math.nextafter(1e-150, 1.0), 0.0, GAMMA2, 1e-150),
+         "are too close at rho_1 = 1e-150"),
+    ], ids=["rho_1_times_rho_plus_overflows", "rho_1_times_rho_plus_underflows",
+            "density_gap_squared_overflows", "pressure_overflows", "T_underflows"])
+    def test_float_range_failures_are_domain_errors(self, args, message):
+        """Each of these raised OverflowError or ZeroDivisionError."""
+        with pytest.raises(DomainError, match=message):
+            limit_quantities(*args)
+
+    def test_seeded_data_raise_only_package_errors(self):
+        """Densities log-uniform over the float range, near and far
+        apart.  About a sixth of them crashed with OverflowError or
+        ZeroDivisionError.  The RuntimeWarnings that the dissipation
+        term P still gives on some of them are not asserted here."""
+        rng = np.random.default_rng(5)
+        returned = 0
+        for k in range(2000):
+            a = float(10.0 ** rng.uniform(-300, 300))
+            b = (a * float(10.0 ** rng.uniform(-20, 20)) if k % 2
+                 else a * (1.0 + float(10.0 ** rng.uniform(-16, -1))))
+            lo, hi = sorted((a, b))
+            rho_1 = float(rng.choice([lo, hi, lo + rng.uniform() * (hi - lo)]))
+            v_plus2 = float(rng.choice([0.0, rng.uniform(-5, 5), 10.0 ** rng.uniform(-300, 300)]))
+            eos = Eos(float(rng.choice([1.0, 1.4, 2.0, 3.0, 5.0])))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    limit_quantities(a, b, v_plus2, eos, rho_1)
+                except EulerFanError:
+                    continue
+            returned += 1
+        assert returned >= 500

@@ -17,18 +17,10 @@ from eulerfan import (DataFunctionals, DegenerateDensityError, DomainError, Eos,
                       kinematics, reconstruct, subsolution_witness, threshold_V,
                       threshold_table, two_shock_T, verify_subsolution,
                       witness_at)
-from eulerfan.subsolution import MiddleNodes, window_grid
+from eulerfan.subsolution import middle_nodes
 from eulerfan.threshold import (BISECTION_TOL, GRID, SCAN_OFFSET, SCAN_STEPS,
                                 _edge_intervals, _feasibility_grids, _initial_nodes)
-
-
-def window_row(data, nodes):
-    """window_grid of one datum with 1-D arrays; raises the datum's error."""
-    grid = window_grid([data], nodes)
-    if grid.errors[0] is not None:
-        raise grid.errors[0]
-    return dataclasses.replace(grid, **{f.name: getattr(grid, f.name)[0]
-                                        for f in dataclasses.fields(grid) if f.name != "errors"})
+from kernel_helpers import window_row
 
 
 GAMMA2 = Eos(2.0)
@@ -259,7 +251,7 @@ class TestFeasibilityScan:
         kernel = eulerfan.subsolution.window_grid
 
         def window_grid(rows, nodes):
-            calls.append(np.size(nodes))
+            calls.append(nodes.rho_1.size)
             return kernel(rows, nodes)
 
         monkeypatch.setattr(eulerfan.subsolution, "window_grid", window_grid)
@@ -437,12 +429,12 @@ class TestBatchedScanMatchesSequential:
             assert (threshold_V(rho_minus, rho_plus, 0.0, eos)
                     == reference_threshold(rho_minus, rho_plus, 0.0, eos))
             assert _initial_nodes.cache_info().currsize == 1
-            nodes, start = _initial_nodes(rho_minus, rho_plus, eos, GRID)
+            start = _initial_nodes(rho_minus, rho_plus, eos, GRID)
             assert (start.rho_minus, start.rho_plus, start.eos) == (rho_minus, rho_plus, eos)
 
     def test_cached_start_grid_is_read_only(self):
-        nodes, start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
-        assert nodes.shape == (GRID,) and not nodes.flags.writeable
+        start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
+        assert start.rho_1.shape == (1, GRID)
         for field in dataclasses.fields(start):
             value = getattr(start, field.name)
             if isinstance(value, np.ndarray):
@@ -561,19 +553,21 @@ class TestRefinementErrors:
         kernel = eulerfan.threshold.window_grid
         before, target, after = (RiemannData(1.0, 4.0, (0.0, w), (0.0, 0.0), GAMMA2)
                                  for w in (3.35, 3.3, 3.25))
+        start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
         segments = []
 
         def window_grid(rows, nodes):
             window = kernel(rows, nodes)
-            if isinstance(nodes, MiddleNodes):
+            if nodes is start:
                 return window
             errors = list(window.errors)
             for i, data in enumerate(rows):
                 if data is target:
+                    row = nodes.rho_1[i]
                     errors[i] = NumericalError(
-                        f"check failed at rho_1 = {nodes[i].max()!r} of {nodes[i].size} nodes")
-                    if nodes[i].size == 64:
-                        segments.append((nodes[i], str(errors[i])))
+                        f"check failed at rho_1 = {row.max()!r} of {row.size} nodes")
+                    if row.size == 64:
+                        segments.append((row, str(errors[i])))
             return dataclasses.replace(window, errors=tuple(errors))
 
         monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
@@ -608,15 +602,17 @@ class TestEqualNodesGetEqualMasks:
             rows = [RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + f * sqrtT),
                                 (0.0, v_plus2), eos)
                     for f in rng.uniform(0.5, 0.999, size=4)]
-            nodes, start = _initial_nodes(rho_minus, rho_plus, eos, 256)
+            start = _initial_nodes(rho_minus, rho_plus, eos, 256)
+            nodes = start.rho_1[0]
             pool = np.concatenate((nodes[::8], rng.uniform(nodes[0], nodes[-1], size=32)))
             values = pool[rng.integers(0, pool.size, size=(len(rows), 256))]
             on_start = eulerfan.subsolution.window_grid(rows, start)
-            multi = eulerfan.subsolution.window_grid(rows, values)
+            multi = eulerfan.subsolution.window_grid(rows, middle_nodes(rows[0], values))
             for i, data in enumerate(rows):
                 if multi.errors[i] is not None:
                     continue
-                one = eulerfan.subsolution.window_grid([data], values[i]).feasible[0]
+                one = eulerfan.subsolution.window_grid(
+                    [data], middle_nodes(data, values[i])).feasible[0]
                 value = np.concatenate((values[i], values[i], nodes))
                 mask = np.concatenate((one, multi.feasible[i], on_start.feasible[i]))
                 order = np.lexsort((mask, value))
@@ -646,11 +642,12 @@ class TestMixedSegmentCounts:
         eos = Eos(gamma)
         sqrtT = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
         kernel = eulerfan.threshold.window_grid
+        start = _initial_nodes(rho_minus, rho_plus, eos, 256)
         calls = []
 
         def window_grid(rows, nodes):
             window = kernel(rows, nodes)
-            if not isinstance(nodes, MiddleNodes):
+            if nodes is not start:
                 calls.append((window.feasible.size, len({id(data) for data in rows})))
             return window
 
@@ -757,9 +754,10 @@ class TestScanEvaluatesOnlyProbedGaps:
         start_calls, bisected = [], []
         kernel = eulerfan.threshold.window_grid
         probe = eulerfan.threshold.feasible_for_gap
+        start = _initial_nodes(rho_minus, rho_plus, GAMMA2, GRID)
 
         def window_grid(rows, nodes):
-            if isinstance(nodes, MiddleNodes):
+            if nodes is start:
                 assert len(rows) * nodes.rho_1.shape[-1] <= 4096
                 start_calls.append([data.v_minus[1] for data in rows])
             return kernel(rows, nodes)
@@ -797,11 +795,12 @@ class TestScanEvaluatesOnlyProbedGaps:
                     for v_plus2 in COLUMNS}
         kernel = eulerfan.threshold.window_grid
         below = [math.inf]
+        start = [None]
         touched = []
 
         def window_grid(rows, nodes):
             window = kernel(rows, nodes)
-            if not isinstance(nodes, MiddleNodes) or len(rows) == 1:
+            if nodes is not start[0] or len(rows) == 1:
                 return window
             drop = np.array([data.v_minus[1] < below[0] for data in rows])
             touched.append(int(drop.sum()))
@@ -816,6 +815,7 @@ class TestScanEvaluatesOnlyProbedGaps:
             probes = result.feasible_probe
             scanned = 1 + next(i for i, (_, intervals) in enumerate(probes) if not intervals)
             below[0] = v_plus2 + probes[scanned - 1][0]
+            start[0] = _initial_nodes(rho_minus, rho_plus, GAMMA2, GRID)
             assert threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2) == result
         assert sum(touched) > 0, "no column evaluated a gap past its last probe"
 
@@ -838,10 +838,11 @@ class TestScanEvaluatesOnlyProbedGaps:
         into an error."""
         expected = threshold_V(1.0, 4.0, -2.0, GAMMA2)
         kernel = eulerfan.threshold.window_grid
+        start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
         sizes = []
 
         def window_grid(rows, nodes):
-            if isinstance(nodes, MiddleNodes):
+            if nodes is start:
                 sizes.append(len(rows))
                 if len(rows) > 1:
                     np.multiply(np.float64(1e300), 1e300)
