@@ -8,9 +8,7 @@ threshold above which that happens, and maps regions of the data plane.
 """
 
 from .classifier import WaveFan, WaveKind, classify, solve_middle_state, wave_curve
-from .eos import (Eos, internal_energy, p_dissipation, pressure,
-                  rarefaction_difference, rarefaction_integral, sound_speed,
-                  two_shock_T)
+from .eos import Eos, internal_energy, p_dissipation, pressure, two_shock_T
 from .errors import (ConstraintError, DegenerateDensityError, DomainError,
                      EulerFanError, NumericalError, VelocityGapError)
 from .functionals import DataFunctionals, RiemannData, data_functionals
@@ -18,22 +16,20 @@ from .reporting import (Nonuniq, RegionCell, parse_region_map_csv,
                         parse_witness, read_witness, region_map_csv,
                         region_map_sweep, witness_document, write_witness)
 from .subsolution import (FanSubsolution, FeasibilityRecord, VerificationReport,
-                          eps2_window, epsilon1_sign_change, kinematics,
-                          limit_quantities, reconstruct, verify_subsolution,
-                          witness_at)
+                          eps2_window, epsilon1_sign_change, limit_quantities,
+                          reconstruct, verify_subsolution, witness_at)
 from .threshold import (ThresholdResult, ThresholdRow, feasibility_scan,
                         feasible_for_gap, subsolution_witness, threshold_V,
                         threshold_table)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Eos", "RiemannData", "DataFunctionals", "data_functionals",
-    "pressure", "internal_energy", "p_dissipation", "sound_speed",
-    "rarefaction_integral", "rarefaction_difference", "two_shock_T",
+    "pressure", "internal_energy", "p_dissipation", "two_shock_T",
     "WaveKind", "WaveFan", "wave_curve", "solve_middle_state", "classify",
     "FanSubsolution", "FeasibilityRecord", "VerificationReport",
-    "kinematics", "eps2_window", "reconstruct", "witness_at", "verify_subsolution",
+    "eps2_window", "reconstruct", "witness_at", "verify_subsolution",
     "epsilon1_sign_change", "limit_quantities",
     "ThresholdResult", "ThresholdRow", "feasible_for_gap", "feasibility_scan",
     "threshold_V", "threshold_table", "subsolution_witness",

@@ -3,11 +3,14 @@
 The formulas live once, as private methods of Eos (Eos._pressure and
 so on).  Those are the unchecked array kernels the package's inner
 loops call on densities that are already known to be valid.  The
-module-level functions without the underscore are the public entry
-points: they validate their density arguments and then call the
-kernel.  All of them accept scalars or numpy arrays and are pure
-functions of their inputs.  A valid density is positive, finite and has
-a finite pressure rho**gamma (errors.check_density).
+module-level functions pressure, internal_energy, p_dissipation and
+two_shock_T are the public entry points: they validate their density
+arguments and then call the kernel.  The wave-speed kernels
+(_sound_speed, _rarefaction_integral, _rarefaction_difference) have no
+public wrapper: only the classifier calls them, on densities it has
+already checked.  All of them accept scalars or numpy arrays and are
+pure functions of their inputs.  A valid density is positive, finite
+and has a finite pressure rho**gamma (errors.check_density).
 """
 
 from __future__ import annotations
@@ -61,16 +64,25 @@ class Eos:
         return (s - r) * (self._pressure(s) - self._pressure(r)) / (s * r)
 
     def _sound_speed(self, rho):
+        """c(rho) = sqrt(p'(rho)) = sqrt(gamma) * rho**((gamma-1)/2)."""
         g = self.gamma
         return np.sqrt(g) * rho ** (0.5 * (g - 1.0))
 
     def _rarefaction_integral(self, rho):
+        """Antiderivative of c(s)/s: (2*sqrt(gamma)/(gamma-1)) *
+        rho**((gamma-1)/2), which vanishes as rho -> 0, and log(rho) at
+        gamma = 1.  Take differences with _rarefaction_difference: the
+        2/(gamma-1) prefactor grows without bound as gamma -> 1+."""
         g = self.gamma
         if g == 1.0:
             return np.log(rho)
         return 2.0 * np.sqrt(g) / (g - 1.0) * rho ** (0.5 * (g - 1.0))
 
     def _rarefaction_difference(self, rho_a, rho_b):
+        """_rarefaction_integral(rho_a) - _rarefaction_integral(rho_b)
+        with rho**m = 1 + expm1(m*log(rho)), m = (gamma-1)/2, so the two
+        leading 1s cancel exactly and the result stays accurate
+        arbitrarily close to gamma = 1."""
         g = self.gamma
         if g == 1.0:
             return np.log(rho_a) - np.log(rho_b)
@@ -156,42 +168,3 @@ def two_shock_T(eos: Eos, r, s):
     check_density(eos, s, "s")
     check_density_pair(r, s)
     return eos._two_shock_T(r, s)
-
-
-def sound_speed(eos: Eos, rho):
-    """Sound speed c(rho) = sqrt(p'(rho)) = sqrt(gamma) * rho**((gamma-1)/2)."""
-    check_density(eos, rho)
-    return eos._sound_speed(rho)
-
-
-def rarefaction_integral(eos: Eos, rho):
-    """
-    Antiderivative of c(s)/s, used by the rarefaction branches of the
-    wave curves.
-
-    For gamma > 1 this is (2*sqrt(gamma)/(gamma-1)) * rho**((gamma-1)/2),
-    normalized to vanish as rho -> 0.  For gamma = 1 it is log(rho)
-    (no finite normalization at 0 exists; the vacuum test accounts for
-    the divergence).
-
-    For differences of two of these values use rarefaction_difference:
-    the 2/(gamma-1) prefactor grows without bound as gamma -> 1+, and
-    subtracting two near-equal huge values wipes out the significand.
-    """
-    check_density(eos, rho)
-    return eos._rarefaction_integral(rho)
-
-
-def rarefaction_difference(eos: Eos, rho_a, rho_b):
-    """
-    rarefaction_integral(rho_a) - rarefaction_integral(rho_b), computed
-    without the large-constant cancellation.
-
-    Writing rho**m = 1 + expm1(m*log(rho)) with m = (gamma-1)/2 lets
-    the two leading 1s cancel exactly, so the result stays accurate
-    arbitrarily close to gamma = 1 (where the naive difference is
-    quantized at the ulp of 2/(gamma-1)).
-    """
-    check_density(eos, rho_a, "rho_a")
-    check_density(eos, rho_b, "rho_b")
-    return eos._rarefaction_difference(rho_a, rho_b)

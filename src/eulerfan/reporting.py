@@ -211,12 +211,16 @@ def parse_witness(doc: dict):
 
 
 def write_witness(path, data: RiemannData, sub: FanSubsolution) -> None:
+    """Write witness_document(data, sub) to path as indented JSON."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(witness_document(data, sub), fh, indent=2)
         fh.write("\n")
 
 
 def read_witness(path):
+    """(RiemannData, FanSubsolution) from the JSON witness file at path,
+    through parse_witness; a document that is not an object raises
+    DomainError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

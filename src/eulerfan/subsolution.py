@@ -10,10 +10,11 @@ node stage middle_nodes holds every term of a grid of middle densities
 (columns) that does not depend on the velocity gap, and the row stage
 window_grid combines it with several gaps (rows) in one call.  The row
 stage takes middle densities only as a MiddleNodes, so every caller
-builds its nodes with middle_nodes.  kinematics, eps2_window,
-reconstruct and witness_at are one-row, one-node wrappers around it;
-reconstruct and witness_at always enforce the slack and energy
-conditions.  Everything here is pure.
+builds its nodes with middle_nodes.  eps2_window, reconstruct and
+witness_at are one-row, one-node wrappers around it; eps2_window's
+record carries the interface speeds, the middle velocity and the first
+slack, and reconstruct and witness_at always enforce the slack and
+energy conditions.  Everything here is pure.
 """
 
 from __future__ import annotations
@@ -492,29 +493,6 @@ def _window_at(data: RiemannData, rho_1: float) -> WindowGrid:
     return grid
 
 
-def kinematics(data: RiemannData, rho_1: float):
-    """
-    Closed-form interface speeds, middle velocity and first slack at a
-    probed middle density.
-
-    Parameters
-    ----------
-    data : RiemannData
-        Initial data with distinct densities, equal first velocity
-        components and a velocity gap strictly below the two-shock
-        bound.
-    rho_1 : float
-        Probed middle density, strictly between the initial densities.
-
-    Returns
-    -------
-    (nu_minus, nu_plus, beta, eps_1) : tuple of float
-        nu_minus < nu_plus always.
-    """
-    w = _window_at(data, rho_1)
-    return tuple(v.item() for v in (w.nu_minus, w.nu_plus, w.beta, w.eps_1))
-
-
 def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:
     """
     Admissible range for the second slack variable at one middle density.
@@ -693,7 +671,7 @@ def epsilon1_sign_change(data: RiemannData) -> float:
     near, far = min(data.rho_minus, data.rho_plus), max(data.rho_minus, data.rho_plus)
 
     def slack(x):
-        return kinematics(data, x)[3]
+        return _window_at(data, x).eps_1.item()
 
     lo, hi = f.rho_tilde, far - 1e-12 * (far - near)
     s_lo, s_hi = slack(lo), slack(hi)
@@ -726,8 +704,9 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     vanishing density gap), and eps1_bar vanishes at both endpoints.
 
     Raises DomainError, naming the input, when a pressure, a product of
-    two densities, the square of rho_minus - rho_plus, or the divisors
-    (rho_1*(rho_minus - rho_plus))**2 and T leave the float range.
+    two densities, the square of rho_minus - rho_plus, the divisors
+    (rho_1*(rho_minus - rho_plus))**2 and T, or one of the four limits
+    leave the float range.
     """
     if not (0.0 < rho_minus < math.inf and 0.0 < rho_plus < math.inf):
         raise DomainError("densities must be positive and finite")
@@ -772,4 +751,9 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     left_expr = left_P_term - shared * (2.0 * rm - rp + 2.0 * R * v_plus2 / sqrt_T)
     right_expr = right_P_term - shared * (rm + 2.0 * R * v_plus2 / sqrt_T)
     bounds = (left_expr, right_expr) if R < 0.0 else (right_expr, left_expr)
-    return tuple(float(x) for x in (beta_bar, eps1_bar, *bounds))
+    limits = tuple(float(x) for x in (beta_bar, eps1_bar, *bounds))
+    # Python float products overflow to inf without a warning.
+    if not all(map(math.isfinite, limits)):
+        raise DomainError(f"rho_minus = {rm} and rho_plus = {rp} give non-finite "
+                          f"limits {limits} at rho_1 = {r1}")
+    return limits

@@ -16,7 +16,7 @@ import pytest
 
 from eulerfan import (Eos, RiemannData, WaveKind, classify, data_functionals,
                       epsilon1_sign_change, eps2_window, feasible_for_gap,
-                      kinematics, limit_quantities, pressure, reconstruct,
+                      limit_quantities, pressure, reconstruct,
                       subsolution_witness, threshold_V, verify_subsolution)
 from kernel_helpers import unchecked_subsolution, window_row
 
@@ -75,13 +75,11 @@ def test_gap_bound_exact_value():
 
 
 def test_worked_example_golden_values():
-    nu_minus, nu_plus, beta, eps_1 = kinematics(GOLDEN, 2.0)
-    assert nu_minus == pytest.approx(-1.665685, abs=1e-5)
-    assert nu_plus == pytest.approx(-0.817157, abs=1e-5)
-    assert beta == pytest.approx(0.817157, abs=1e-5)
-    assert eps_1 == pytest.approx(4.664508, abs=1e-5)
-
     rec = eps2_window(GOLDEN, 2.0)
+    assert rec.nu_minus == pytest.approx(-1.665685, abs=1e-5)
+    assert rec.nu_plus == pytest.approx(-0.817157, abs=1e-5)
+    assert rec.beta == pytest.approx(0.817157, abs=1e-5)
+    assert rec.eps_1 == pytest.approx(4.664508, abs=1e-5)
     assert rec.feasible
     assert max(rec.eps2_lower, 0.0) == 0.0
     # Upper edge frozen from a 50-digit evaluation of the closed-form

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerfan import (DomainError, Eos, NumericalError, RiemannData,
-                      WaveKind, classify, pressure, rarefaction_integral,
-                      solve_middle_state, sound_speed, wave_curve)
+                      WaveKind, classify, pressure, solve_middle_state,
+                      wave_curve)
 
 density = st.floats(min_value=5e-2, max_value=2e1)
 velocity = st.floats(min_value=-5.0, max_value=5.0)
@@ -130,7 +130,7 @@ class TestSolveMiddleState:
 
     def test_vacuum_returns_none(self):
         eos = GAMMA2
-        reach = rarefaction_integral(eos, 1.0) + rarefaction_integral(eos, 1.0)
+        reach = eos._rarefaction_integral(1.0) + eos._rarefaction_integral(1.0)
         data = RiemannData(1.0, 1.0, (0.0, 0.0), (0.0, reach), eos)
         assert solve_middle_state(data) is None
 
@@ -154,7 +154,7 @@ class TestSolveMiddleState:
         # Just inside the vacuum boundary the intersection sits at
         # rho ~ 1e-20, far below the documented bracket floor.
         eos = GAMMA2
-        reach = 2.0 * rarefaction_integral(eos, 1.0)
+        reach = 2.0 * eos._rarefaction_integral(1.0)
         data = RiemannData(1.0, 1.0, (0.0, 0.0), (0.0, reach - 1e-8), eos)
         with pytest.raises(NumericalError, match="no lower bracket"):
             solve_middle_state(data)
@@ -297,11 +297,11 @@ class TestClassify:
 
     def test_vacuum_fan_extents(self):
         eos = GAMMA2
-        reach = 2.0 * rarefaction_integral(eos, 1.0)
+        reach = 2.0 * eos._rarefaction_integral(1.0)
         fan = classify(RiemannData(1.0, 1.0, (0.0, 0.0), (0.0, reach), eos))
         assert fan.kind is WaveKind.VACUUM
         assert fan.middle is None
-        c = sound_speed(eos, 1.0)
+        c = eos._sound_speed(1.0)
         assert fan.speeds["left"] == pytest.approx((-c, reach / 2.0))
         assert fan.speeds["right"] == pytest.approx((reach / 2.0, reach + c))
         # The vacuum fronts coincide exactly at the boundary datum.
@@ -333,10 +333,10 @@ class TestClassify:
         rm, rp = data.rho_minus, data.rho_plus
         vm2, vp2 = data.v_minus[1], data.v_plus[1]
         if fan.middle is None:
-            expected = {"left": (vm2 - sound_speed(eos, rm),
-                                 vm2 + rarefaction_integral(eos, rm)),
-                        "right": (vp2 - rarefaction_integral(eos, rp),
-                                  vp2 + sound_speed(eos, rp))}
+            expected = {"left": (vm2 - eos._sound_speed(rm),
+                                 vm2 + eos._rarefaction_integral(rm)),
+                        "right": (vp2 - eos._rarefaction_integral(rp),
+                                  vp2 + eos._sound_speed(rp))}
         else:
             rho, v2 = fan.middle
 
@@ -346,9 +346,9 @@ class TestClassify:
 
             expected = {
                 "left": (shock(rm, vm2) if rho > rm else
-                         (vm2 - sound_speed(eos, rm), v2 - sound_speed(eos, rho))),
+                         (vm2 - eos._sound_speed(rm), v2 - eos._sound_speed(rho))),
                 "right": (shock(rp, vp2) if rho > rp else
-                          (v2 + sound_speed(eos, rho), vp2 + sound_speed(eos, rp))),
+                          (v2 + eos._sound_speed(rho), vp2 + eos._sound_speed(rp))),
             }
         for side, pair in fan.speeds.items():
             assert [type(speed) for speed in pair] == [float, float], (side, pair)

@@ -14,7 +14,7 @@ from eulerfan import (DataFunctionals, DegenerateDensityError, DomainError, Eos,
                       NumericalError, RiemannData, ThresholdResult, ThresholdRow,
                       VelocityGapError, data_functionals, eps2_window,
                       epsilon1_sign_change, feasibility_scan, feasible_for_gap,
-                      kinematics, reconstruct, subsolution_witness, threshold_V,
+                      reconstruct, subsolution_witness, threshold_V,
                       threshold_table, two_shock_T, verify_subsolution,
                       witness_at)
 from eulerfan.subsolution import middle_nodes
@@ -717,7 +717,7 @@ class TestFunctionalsFormedOncePerDatum:
     @pytest.mark.parametrize("search", [
         epsilon1_sign_change,
         subsolution_witness,
-        lambda data: (kinematics(data, 2.0), eps2_window(data, 2.0), witness_at(data, 2.0),
+        lambda data: (eps2_window(data, 2.0), witness_at(data, 2.0),
                       reconstruct(data, 2.0, 0.1, 0.0)),
     ], ids=["epsilon1_sign_change", "subsolution_witness", "one_node_wrappers"])
     def test_one_datum_builds_one(self, monkeypatch, search):
