@@ -15,33 +15,27 @@ silently flattened into a single number.
 Cost model.  Every probe starts from the same GRID middle densities.
 Their node terms (subsolution.middle_nodes: every log, power and square
 root that does not depend on the gap) are built once per density pair
-and pressure law and cached by _initial_nodes.  Whether a probe is
-feasible is decided on that start grid alone.  The scan evaluates two
-gaps per window_grid call, 2 x GRID nodes, the next gap speculatively:
-when the first gap of a call is infeasible, the second is dropped
-unread, so the scan reads no gap past the first infeasible one.
-Refinement then only moves the ends of the feasible intervals, so it
-runs once, after the whole scan: two passes that each evaluate the
-nodes inserted around the interval edges of every kept gap (about 128
-per gap).  A segment is the 64 nodes inserted between two neighbouring
-nodes whose masks differ, and a pass evaluates one kernel row per
-segment, up to 32 segments (GRID nodes) per window_grid call.  A call
-mixes the segments of several gaps and builds their node terms with
-middle_nodes, the one form in which window_grid takes nodes.  Each
-gap's datum forms its data_functionals once, on its start-grid call,
-and both passes reuse them (RiemannData.functionals): on the seven
-reference columns a search builds one DataFunctionals per evaluated
-datum, 511 for 519 RiemannData and 452 window_grid calls (1393 when
-every call formed its own).  A gap that fails in a pass raises the
-error of all its inserted nodes of that pass evaluated together in one
-kernel row, as a self-check names the worst node of its row.  The intervals
-are read off the transitions inside the last pass's segments; no
-refined grid is merged or sorted.  The segments of every kept gap are
-held at once, about 1 KiB per gap and pass.  Calls of at most
-2 x GRID nodes keep every temporary at or below 32 KiB, small enough
-that the allocator reuses it from call to call instead of returning it
-to the OS (see window_grid).  The cache keeps one start grid alive,
-about 0.3 MB at GRID.
+and pressure law and cached by _initial_nodes.  A probe is decided on
+that start grid alone, and its intervals are the runs of feasible
+start-grid nodes: refinement would move interval ends but decide no
+gap, and the search reads nothing else.  The scan evaluates two gaps
+per window_grid call, 2 x GRID nodes, the next gap speculatively: when
+the first gap of a call is infeasible, the second is dropped unread, so
+the scan reads no gap past the first infeasible one.  A bisection probe
+is one call of GRID nodes.  On the seven reference columns a search
+makes 308 window_grid calls for 509 probes and builds 511
+DataFunctionals for 519 RiemannData (RiemannData.functionals).  Calls of at
+most 2 x GRID nodes keep every temporary at or below 32 KiB, small
+enough that the allocator reuses it from call to call instead of
+returning it to the OS (see window_grid).  The cache keeps one start
+grid alive, about 0.3 MB at GRID.
+
+feasibility_scan, whose intervals and witness the feasibility command
+and the region map read, is the one search that refines, for its one
+datum: _REFINE_PASSES times it inserts _REFINE_POINTS nodes between
+each two neighbouring nodes whose masks differ, and evaluates all the
+nodes of a pass as one kernel row, so a self-check names the worst
+inserted node of the pass.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +69,6 @@ _ENDPOINT_MARGIN = 1e-9
 # temporaries in anew each time (see window_grid).
 _SCAN_NODES = 4096
 _REFINE_POINTS = 64
-# Segments per refinement call: GRID nodes.
-_REFINE_SEGMENTS = GRID // _REFINE_POINTS
 _REFINE_PASSES = 2
 _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
 
@@ -86,12 +77,13 @@ _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
 class ThresholdResult:
     """Outcome of a threshold search.
 
-    V is None only in the no-threshold case (no feasible gap even just
-    below sqrtT), which contradicts the existence guarantee for
-    gamma > 1 and therefore signals a bug rather than a finding; the
-    note says so.  feasible_probe lists every probed gap with its
-    feasible middle-density intervals, scan order first, bisection
-    probes after.
+    V is None only when no start-grid node is feasible at the first
+    scan gap, (1 - SCAN_OFFSET)*sqrtT.  For gamma > 1 gaps just below
+    sqrtT are feasible, so the feasible middle densities there are
+    narrower than the grid spacing, or the feasible gaps all lie closer
+    to sqrtT than the first scan gap; the note says so.  feasible_probe
+    lists every probed gap with its feasible middle-density intervals
+    on the start grid, scan order first, bisection probes after.
     """
 
     V: float | None
@@ -136,24 +128,6 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int) -> Mi
             f"of {grid} middle densities strictly between them") from None
 
 
-class _Refinement(NamedTuple):
-    """The outcome of _feasibility_grids for the rows it evaluated.
-
-    intervals[i] lists row i's feasible middle-density intervals on its
-    twice-refined grid, and nodes is the shared start grid (the cached,
-    read-only one).  passes holds one (row, values, masks) triple per
-    refinement pass: segment j of the pass belongs to row[j], and
-    values[j] are the two neighbouring nodes it refines with the
-    _REFINE_POINTS nodes inserted between them, masks[j] their
-    feasibility.  The pass evaluated values[j] without its two ends as
-    one kernel row; row is nondecreasing.
-    """
-
-    intervals: list
-    nodes: np.ndarray
-    passes: list
-
-
 def _start_grid_rows(rows, grid: int):
     """Each row with its mask on the cached start grid and its error, in
     row order.
@@ -195,102 +169,32 @@ def _start_grid_rows(rows, grid: int):
         raise late
 
 
-def _feasibility_grids(rows, grid: int) -> _Refinement:
+def _runs(nodes, mask) -> list:
+    """(first, last) node of each run of feasible nodes, as floats."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return list(zip(nodes[edges[::2]].tolist(), nodes[edges[1::2] - 1].tolist()))
+
+
+def _start_grid_intervals(rows, grid: int) -> list:
     """Feasible middle-density intervals of the gap rows, in order, up to
-    and including the first row with an error or no feasible node.
+    and including the first row with no feasible node.
 
     rows is an iterable of RiemannData that differ in the gap only (see
-    window_grid).  Each row is decided on `grid` equispaced nodes
-    strictly inside the density interval, on the cached start grid
-    (_start_grid_rows), and no row past the first infeasible one is
-    read.  Then every kept row twice inserts _REFINE_POINTS extra
-    nodes into each subinterval where its mask flips, sharpening the
-    interval edges.  Such a segment of inserted nodes is one kernel row,
-    and a pass evaluates the segments of all kept rows in row order,
-    _REFINE_SEGMENTS per call.  The first error in row order is raised,
-    for a pass the error of the row's inserted nodes evaluated together,
-    so the outcome is that of evaluating the rows one by one until the
-    first infeasible one.
+    window_grid).  Each row is decided on the cached start grid
+    (_start_grid_rows); its intervals are the runs of feasible
+    start-grid nodes.  No row past the first infeasible one is read,
+    and the first error among the rows read is raised, so the outcome
+    is that of deciding the rows one by one.
     """
-    kept, flips, lows, ends, error = [], [], [], [], None
+    found = []
     for data, mask, error in _start_grid_rows(rows, grid):
         if error is not None:
+            raise error
+        nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid).rho_1[0]
+        found.append(_runs(nodes, mask))
+        if not found[-1]:
             break
-        # A row keeps where its mask flips, not the mask: a scan can keep
-        # well over a hundred rows.
-        flip = np.flatnonzero(mask[1:] != mask[:-1])
-        kept.append(data)
-        flips.append(flip)
-        lows.append(mask[flip])
-        ends.append((bool(mask[0]), bool(mask[-1])))
-        if not (flip.size or mask[0]):
-            break
-    if not kept:
-        raise error
-    # The cached start grid of the rows.
-    nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid).rho_1[0]
-    # Refine between neighbouring nodes a < b whose masks differ, low
-    # being the mask at a, seg_row their row: first on the start grid,
-    # then inside the segments each pass inserts.
-    seg_row = np.repeat(np.arange(len(kept)), [flip.size for flip in flips])
-    k = np.concatenate(flips)
-    a, b, low = nodes[k], nodes[k + 1], np.concatenate(lows)
-    passes = []
-    for _ in range(_REFINE_PASSES):
-        if not seg_row.size:
-            break
-        # The arithmetic of np.linspace(a, b, _REFINE_POINTS + 2) for
-        # every flip at once.
-        values = np.concatenate(
-            (a[:, None], _REFINE_STEPS * ((b - a) / (_REFINE_POINTS + 1))[:, None] + a[:, None],
-             b[:, None]), axis=1)
-        # One kernel row per segment, _REFINE_SEGMENTS segments per call;
-        # consecutive segments of a row share its datum.
-        owners = seg_row.tolist()
-        new, errors = [], []
-        for i in range(0, len(owners), _REFINE_SEGMENTS):
-            window = window_grid([kept[r] for r in owners[i:i + _REFINE_SEGMENTS]],
-                                 middle_nodes(data, values[i:i + _REFINE_SEGMENTS, 1:-1]))
-            new.append(window.feasible)
-            errors += window.errors
-        seg_masks = np.concatenate((low[:, None], np.concatenate(new), ~low[:, None]), axis=1)
-        failing = [r for r, e in zip(owners, errors) if e is not None]
-        if failing:
-            # The first failing row raises the error of all its inserted
-            # nodes evaluated together: a check names the worst node of
-            # the row, not of one segment.
-            failed = failing[0]
-            error = window_grid([kept[failed]], middle_nodes(
-                data, values[seg_row == failed, 1:-1].reshape(1, -1))).errors[0]
-            keep = seg_row < failed
-            seg_row, values, seg_masks = seg_row[keep], values[keep], seg_masks[keep]
-        passes.append((seg_row, values, seg_masks))
-        seg, k = np.nonzero(seg_masks[:, 1:] != seg_masks[:, :-1])
-        seg_row, a, b, low = seg_row[seg], values[seg, k], values[seg, k + 1], seg_masks[seg, k]
-    if error is not None:
-        raise error
-    return _Refinement(_edge_intervals(ends, nodes, seg_row, a, b, low), nodes, passes)
-
-
-def _edge_intervals(ends, nodes, row, a, b, low):
-    """Feasible intervals of each row from the mask transitions of its
-    refined grid: between neighbouring nodes a < b of row `row`, where
-    `low` is the mask at a.  Transitions come in grid order per row; a
-    row's first interval starts at the first node when its start mask
-    does, and its last ends at the last node when its mask does there
-    (ends holds the two per row)."""
-    first, last = float(nodes[0]), float(nodes[-1])
-    opened = [first if start else None for start, _ in ends]
-    intervals = [[] for _ in ends]
-    for r, lo, hi, fall in zip(row.tolist(), a.tolist(), b.tolist(), low.tolist()):
-        if fall:
-            intervals[r].append((opened[r], lo))
-        else:
-            opened[r] = hi
-    for r, (_, end) in enumerate(ends):
-        if end:
-            intervals[r].append((opened[r], last))
-    return intervals
+    return found
 
 
 def _check_grid(grid: int) -> None:
@@ -334,14 +238,16 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
     -------
     feasible : bool
     intervals : list of (rho_lo, rho_hi)
-        Feasible middle-density intervals, resolved to the refined grid.
+        Feasible middle-density intervals on the start grid: the first
+        and last node of each run of feasible nodes.  feasibility_scan
+        refines their ends.
     """
     _check_grid(grid)
     if rho_minus == rho_plus:
         raise DegenerateDensityError(
             f"equal densities {rho_minus} leave no middle-density interval")
     data = _gap_datum(rho_minus, rho_plus, v_plus2, eos, w)
-    intervals = _feasibility_grids([data], grid).intervals[0]
+    intervals = _start_grid_intervals([data], grid)[0]
     return bool(intervals), intervals
 
 
@@ -359,25 +265,42 @@ def feasibility_scan(data: RiemannData, *, grid: int = GRID):
     Returns
     -------
     intervals : list of (rho_lo, rho_hi)
-        Feasible middle-density intervals, resolved to the refined grid
-        (as in feasible_for_gap).
+        Feasible middle-density intervals on the refined grid: the start
+        grid with _REFINE_POINTS nodes inserted, _REFINE_PASSES times,
+        between each two neighbouring nodes whose masks differ.
     witness : FanSubsolution or None
         subsolution.witness_at the refined-grid node nearest the center
         of the widest feasible interval (the lower one of two equally
         near).  None when no node is feasible.
+
+    Each pass evaluates all its inserted nodes as one kernel row, so a
+    pass that fails a self-check raises the error of its worst node.
     """
     _check_grid(grid)
-    found = _feasibility_grids([data], grid)
-    intervals = found.intervals[0]
+    ((_, mask, error),) = _start_grid_rows([data], grid)
+    nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid).rho_1[0]
+    for _ in range(_REFINE_PASSES):
+        flip = np.flatnonzero(mask[1:] != mask[:-1])
+        if error is not None or not flip.size:
+            break
+        # The arithmetic of np.linspace(a, b, _REFINE_POINTS + 2)[1:-1]
+        # for every flip at once.
+        a = nodes[flip, None]
+        inserted = _REFINE_STEPS * ((nodes[flip + 1, None] - a) / (_REFINE_POINTS + 1)) + a
+        window = window_grid([data], middle_nodes(data, inserted.reshape(1, -1)))
+        # A node's mask depends on its value only, so a repeated value
+        # may keep either copy's.
+        nodes, first = np.unique(np.concatenate((nodes, inserted.ravel())), return_index=True)
+        mask, error = np.concatenate((mask, window.feasible[0]))[first], window.errors[0]
+    if error is not None:
+        raise error
+    intervals = _runs(nodes, mask)
     if not intervals:
         return intervals, None
     lo, hi = max(intervals, key=lambda interval: interval[1] - interval[0])
-    center = 0.5 * (lo + hi)
-    # Every node of the refined grid, some more than once.
-    nodes = np.concatenate([found.nodes, *(values.ravel() for _, values, _ in found.passes)])
     nodes = nodes[(nodes >= lo) & (nodes <= hi)]
-    distance = np.abs(nodes - center)
-    rho_1 = float(nodes[distance == distance.min()].min())
+    # argmin takes the first, lower, of two equally near nodes.
+    rho_1 = float(nodes[np.argmin(np.abs(nodes - 0.5 * (lo + hi)))])
     return intervals, witness_at(data, rho_1)
 
 
@@ -404,10 +327,10 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     call, and stops at its first infeasible gap.  A gap evaluated after
     it in the same call is dropped unread, with its mask, its error and
     any floating-point warning, so the probe trace, V and any error
-    raised are those of probing one gap at a time.  The kept gaps are
-    refined together after the scan, since refinement moves interval
-    ends but decides no gap.  Bisection probes go through
-    feasible_for_gap one by one.
+    raised are those of probing one gap at a time.  Bisection probes go
+    through feasible_for_gap one by one, on the same start grid.  No
+    probe is refined: refinement moves interval ends but decides no gap,
+    so every probe's intervals are start-grid runs.
 
     For gamma = 1 the existence guarantee does not apply; the search
     still runs, with a warning.
@@ -434,7 +357,7 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     # Only the first gap can fail _gap_datum: later ones are smaller and
     # still positive.
     rows = (_gap_datum(rho_minus, rho_plus, v_plus2, eos, gap, sqrtT) for gap in gaps)
-    probes = list(zip(gaps, _feasibility_grids(rows, GRID).intervals)) if gaps else []
+    probes = list(zip(gaps, _start_grid_intervals(rows, GRID)))
     hi = lo = None
     for gap, intervals in probes:
         if intervals:
@@ -445,8 +368,10 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     if hi is None:
         return ThresholdResult(
             V=None, sqrtT=sqrtT, feasible_probe=probes, bisection_tol=BISECTION_TOL,
-            note="no feasible gap found even just below sqrt(T); for gamma > 1 "
-                 "this contradicts the existence guarantee and indicates a bug")
+            note="no start-grid node is feasible at the first scan gap "
+                 f"(1 - {SCAN_OFFSET!r})*sqrt(T): the feasible middle densities there, "
+                 "if any, are narrower than the grid spacing, so the search has no "
+                 "feasible gap to bisect from")
 
     note = None
     if lo is None:

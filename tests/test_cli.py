@@ -136,6 +136,17 @@ class TestThresholdCommands:
         assert len(lines) == 1
         assert lines[0].startswith("error: first-slack cross-check failed")
 
+    def test_no_threshold_exits_one_with_the_note(self, capsys):
+        # No start-grid node is feasible at the first scan gap.
+        code, out, _ = run(capsys, [
+            "threshold", "--rho-minus", "0.1237000021836671",
+            "--rho-plus", "0.12579593614113987", "--v-plus2", "9.49385062351988",
+            "--gamma", "2"])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["V"] is None and doc["probes"] == 1
+        assert doc["note"].startswith("no start-grid node is feasible at the first scan gap")
+
     def test_table_exit_zero_when_clean(self, capsys):
         code, out, _ = run(capsys, [
             "threshold-table", "--rho-minus", "1", "--rho-plus", "4",

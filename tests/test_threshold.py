@@ -2,6 +2,7 @@
 threshold search over gaps."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -18,8 +19,8 @@ from eulerfan import (DataFunctionals, DegenerateDensityError, DomainError, Eos,
                       threshold_table, two_shock_T, verify_subsolution,
                       witness_at)
 from eulerfan.subsolution import middle_nodes
-from eulerfan.threshold import (BISECTION_TOL, GRID, SCAN_OFFSET, SCAN_STEPS,
-                                _edge_intervals, _feasibility_grids, _initial_nodes)
+from eulerfan.threshold import (_REFINE_PASSES, BISECTION_TOL, GRID, SCAN_OFFSET,
+                                SCAN_STEPS, _initial_nodes, _runs, _start_grid_intervals)
 from kernel_helpers import window_row
 
 
@@ -34,12 +35,13 @@ def feasible_runs(mask):
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def reference_grid(data, grid=2048):
-    """Sequential reference grid: every refinement pass recomputes all nodes."""
+def reference_grid(data, grid=2048, passes=2):
+    """Sequential reference grid: every refinement pass recomputes all
+    nodes; passes=0 gives the start grid."""
     lo, hi = sorted((data.rho_minus, data.rho_plus))
     nodes = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), grid)
     mask = window_row(data, nodes).feasible
-    for _ in range(2):
+    for _ in range(passes):
         flips = np.nonzero(mask[:-1] != mask[1:])[0]
         if flips.size == 0:
             break
@@ -53,27 +55,37 @@ def reference_intervals(nodes, mask):
     return [(float(nodes[i]), float(nodes[j])) for i, j in feasible_runs(mask)]
 
 
-def merged_grid(found, data, row=0):
-    """Row `row` of a _feasibility_grids result, the datum `data`, as one
-    refined grid: the start grid with every pass's inserted nodes merged
-    in by np.unique, earlier nodes first."""
-    nodes = [found.nodes, *(values[rows == row, 1:-1].ravel()
-                            for rows, values, _ in found.passes)]
-    masks = [window_row(data, found.nodes).feasible,
-             *(masks[rows == row, 1:-1].ravel() for rows, _, masks in found.passes)]
-    merged, first = np.unique(np.concatenate(nodes), return_index=True)
-    return merged, np.concatenate(masks)[first]
+def start_spacing(rho_minus, rho_plus):
+    """Node spacing of the gamma = 2 start grid."""
+    return np.diff(_initial_nodes(rho_minus, rho_plus, GAMMA2, GRID).rho_1[0, :2]).item()
+
+
+def sha16(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+@functools.cache
+def refined_column(rho_minus, rho_plus, v_plus2):
+    """threshold_V on a gamma = 2 column, with feasibility_scan's refined
+    intervals at each of its probes ([] where no start-grid node is
+    feasible, as the scan then refines nothing).  Cached: two tests read
+    it, and the scans take about 2 s over the fourteen columns."""
+    result = threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2)
+    refined = [feasibility_scan(RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w),
+                                            (0.0, v_plus2), GAMMA2))[0] if intervals else []
+               for w, intervals in result.feasible_probe]
+    return result, refined
 
 
 def reference_threshold(rho_minus, rho_plus, v_plus2, eos):
-    """Sequential reference for threshold_V, one gap per probe, on data
-    whose scan finds a feasibility edge."""
+    """Sequential reference for threshold_V, one gap per probe decided on
+    the start grid, on data whose scan finds a feasibility edge."""
     sqrtT = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
     probes = []
 
     def feasible(w):
         data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
-        probes.append((w, reference_intervals(*reference_grid(data))))
+        probes.append((w, reference_intervals(*reference_grid(data, passes=0))))
         return bool(probes[-1][1])
 
     hi, w = None, (1.0 - SCAN_OFFSET) * sqrtT
@@ -92,17 +104,14 @@ def reference_threshold(rho_minus, rho_plus, v_plus2, eos):
 
 
 class TestFeasibleForGap:
+    """feasible_for_gap decides on the start grid, so its interval ends
+    are start-grid nodes; TestFeasibilityScan checks where the refined
+    ends lie."""
+
     def test_golden_gap_is_feasible(self):
         ok, intervals = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3)
         assert ok
         assert len(intervals) == 1
-        lo, hi = intervals[0]
-        assert 1.09 < lo < 1.10
-        # The feasible run ends where the downstream-velocity sign
-        # flips, at rho_T = 45 / 12.33.
-        rho_T = data_functionals(
-            RiemannData(1.0, 4.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)).rho_T
-        assert hi == pytest.approx(rho_T, abs=1e-5)
 
     def test_small_gap_is_infeasible(self):
         ok, intervals = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 0.5)
@@ -110,11 +119,12 @@ class TestFeasibleForGap:
         assert intervals == []
 
     def test_swapped_ordering_run_ends_at_slack_zero(self):
+        """The last run ends on the start-grid node just below the zero
+        of eps_1."""
         ok, intervals = feasible_for_gap(4.0, 1.0, 0.0, GAMMA2, 3.3)
         assert ok
         data = RiemannData(4.0, 1.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
-        assert intervals[-1][1] == pytest.approx(epsilon1_sign_change(data),
-                                                 abs=1e-5)
+        assert 0.0 <= epsilon1_sign_change(data) - intervals[-1][1] < start_spacing(4.0, 1.0)
 
     def test_near_bound_gap_is_feasible_both_orderings(self):
         w = 0.999 * SQRT_T
@@ -181,17 +191,15 @@ def test_feasible_runs_match_a_loop_reference():
         assert feasible_runs(mask) == loop_runs(mask)
 
 
-def test_edge_intervals_match_feasible_runs():
-    """Intervals read off the mask transitions are the runs of the mask,
-    runs touching either end of the grid included."""
+def test_runs_match_feasible_runs():
+    """The intervals of a mask are its runs, runs touching either end of
+    the grid included."""
     rng = np.random.default_rng(47)
     nodes = np.linspace(1.0, 2.0, 40)
     masks = rng.uniform(size=(40, nodes.size)) < rng.uniform(size=(40, 1))
     masks[0], masks[1] = True, False
-    row, k = np.nonzero(masks[:, 1:] != masks[:, :-1])
-    ends = [(bool(mask[0]), bool(mask[-1])) for mask in masks]
-    intervals = _edge_intervals(ends, nodes, row, nodes[k], nodes[k + 1], masks[row, k])
-    assert intervals == [reference_intervals(nodes, mask) for mask in masks]
+    assert [_runs(nodes, mask) for mask in masks] == [reference_intervals(nodes, mask)
+                                                     for mask in masks]
     assert any(mask[0] and not mask.all() for mask in masks[2:])
     assert any(mask[-1] and not mask.all() for mask in masks[2:])
 
@@ -200,10 +208,53 @@ class TestFeasibilityScan:
     GOLDEN = RiemannData(1.0, 4.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
 
     def test_intervals_match_feasible_for_gap(self):
-        intervals, _ = feasibility_scan(self.GOLDEN)
-        ok, expected = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3)
+        """The refined run contains feasible_for_gap's start-grid run and
+        reaches past it by less than one start-grid spacing."""
+        (lo, hi), = feasibility_scan(self.GOLDEN)[0]
+        ok, [(start_lo, start_hi)] = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3)
+        spacing = start_spacing(1.0, 4.0)
         assert ok
-        assert intervals == expected
+        assert start_lo - spacing < lo <= start_lo and start_hi <= hi < start_hi + spacing
+
+    def test_golden_run_ends_at_rho_T(self):
+        (lo, hi), = feasibility_scan(self.GOLDEN)[0]
+        assert 1.09 < lo < 1.10
+        # The feasible run ends where the downstream-velocity sign
+        # flips, at rho_T = 45 / 12.33.
+        assert hi == pytest.approx(data_functionals(self.GOLDEN).rho_T, abs=1e-5)
+
+    def test_swapped_ordering_run_ends_at_slack_zero(self):
+        data = RiemannData(4.0, 1.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
+        intervals, _ = feasibility_scan(data)
+        assert intervals[-1][1] == pytest.approx(epsilon1_sign_change(data), abs=1e-5)
+
+    def test_deciding_never_refines(self, monkeypatch):
+        """threshold_V and feasible_for_gap evaluate the cached start grid
+        only; feasibility_scan adds at most one kernel row per refinement
+        pass."""
+        kernel = eulerfan.threshold.window_grid
+        calls = []
+
+        def window_grid(rows, nodes):
+            calls.append((len(rows), nodes))
+            return kernel(rows, nodes)
+
+        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
+        for rho_minus, rho_plus in ((1.0, 4.0), (4.0, 1.0)):
+            threshold_V(rho_minus, rho_plus, 0.0, GAMMA2)
+            feasible_for_gap(rho_minus, rho_plus, 0.0, GAMMA2, 3.3)
+            start = _initial_nodes(rho_minus, rho_plus, GAMMA2, GRID)
+            assert calls and all(nodes is start for _, nodes in calls)
+            calls.clear()
+        feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=128)
+        start = _initial_nodes(1.0, 4.0, GAMMA2, 128)
+        assert [(rows, nodes is start) for rows, nodes in calls] == [(1, True)]
+        calls.clear()
+        feasibility_scan(self.GOLDEN)
+        (rows, nodes), *refined = calls
+        assert rows == 1 and nodes is _initial_nodes(1.0, 4.0, GAMMA2, GRID)
+        assert 0 < len(refined) <= _REFINE_PASSES
+        assert all(rows == 1 and nodes.rho_1.shape[0] == 1 for rows, nodes in refined)
 
     def test_witness_matches_subsolution_witness(self):
         _, witness = feasibility_scan(self.GOLDEN)
@@ -352,6 +403,21 @@ class TestThresholdV:
         with pytest.raises(DegenerateDensityError):
             threshold_V(3.0, 3.0, 0.0, GAMMA2)
 
+    def test_no_start_grid_node_feasible_at_the_first_gap(self):
+        """V is None when no start-grid node is feasible at the first
+        scan gap.  Here a feasible set exists there, narrower than the
+        start-grid spacing: a 65536-node grid finds one node."""
+        data = (0.1237000021836671, 0.12579593614113987, 9.49385062351988, GAMMA2)
+        result = threshold_V(*data)
+        assert result.V is None and len(result.feasible_probe) == 1
+        assert result.note == (
+            "no start-grid node is feasible at the first scan gap (1 - 1e-06)*sqrt(T): "
+            "the feasible middle densities there, if any, are narrower than the grid "
+            "spacing, so the search has no feasible gap to bisect from")
+        (w, intervals), = result.feasible_probe
+        assert intervals == [] and w == (1.0 - SCAN_OFFSET) * result.sqrtT
+        assert feasible_for_gap(*data, w, grid=65536)[0]
+
     def test_gamma1_warns_but_searches(self):
         with pytest.warns(UserWarning, match="gamma > 1"):
             result = threshold_V(1.0, 4.0, 0.0, Eos(1.0))
@@ -378,10 +444,11 @@ class TestThresholdTable:
 
 
 class TestBatchedScanMatchesSequential:
-    """threshold_V decides its scan on the start grid, then refines the
-    kept gaps together and evaluates only the inserted nodes; its
-    results and errors must be those of the sequential reference, bit
-    for bit."""
+    """threshold_V decides every probe on the start grid, the scan two
+    gaps per kernel call, and refines none; its results and errors must
+    be those of the sequential reference, bit for bit.  feasibility_scan
+    refines its one datum by evaluating only the inserted nodes, and
+    must give the reference's refined grid."""
 
     @pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 4.0), (4.0, 1.0)])
     @pytest.mark.parametrize("v_plus2", COLUMNS)
@@ -400,15 +467,13 @@ class TestBatchedScanMatchesSequential:
             result = threshold_V(1.0, 4.0, 0.0, eos)
         assert result == reference_threshold(1.0, 4.0, 0.0, eos)
 
-    # (1e3, 1) fails the cross-check at the first gap.  The other three
+    # (1e3, 1) fails the cross-check at the first gap.  The other two
     # were found by seeded search: a continuity check fails at the third
-    # gap of a scan block whose first two are feasible, in a refinement
-    # pass of the second gap of a block, and in a refinement pass of a
-    # bisection probe.
+    # gap of a scan block whose first two are feasible, and on the start
+    # grid of a bisection probe.
     @pytest.mark.parametrize("rho_minus, rho_plus, v_plus2, gamma", [
         (1e3, 1.0, 0.0, 1.4),
         (3385.7655500690385, 2.0417847885199363, 0.0789653286814147, 1.4),
-        (4.218419597877375, 16556.273726555977, -0.9475973097609343, 3.0),
         (5324.923042880178, 3.1179765826340806, 0.3094044075830693, 1.4),
     ])
     def test_same_error(self, rho_minus, rho_plus, v_plus2, gamma):
@@ -419,6 +484,16 @@ class TestBatchedScanMatchesSequential:
             threshold_V(rho_minus, rho_plus, v_plus2, eos)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
+
+    def test_same_result_where_only_an_inserted_node_failed(self):
+        """A continuity check failed only at a node that refinement
+        inserted for the second gap of a scan block; no probe refines, so
+        the search returns the reference's result."""
+        eos = Eos(3.0)
+        result = threshold_V(4.218419597877375, 16556.273726555977, -0.9475973097609343, eos)
+        assert result == reference_threshold(4.218419597877375, 16556.273726555977,
+                                             -0.9475973097609343, eos)
+        assert repr(result.V) == "840822.9253259017" and len(result.feasible_probe) == 72
 
     def test_start_grid_cache_follows_the_density_pair(self):
         """The cached start grid serves one density pair and law at a
@@ -439,12 +514,21 @@ class TestBatchedScanMatchesSequential:
             value = getattr(start, field.name)
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, field.name
-        grid_nodes = _feasibility_grids(
-            [RiemannData(1.0, 4.0, (0.0, 0.5), (0.0, 0.0), GAMMA2)], GRID).nodes
         with pytest.raises(ValueError, match="read-only"):
-            grid_nodes[0] = 2.0
+            start.rho_1[0, 0] = 2.0
 
-    def test_incremental_grid_matches_full_recompute(self):
+    def test_incremental_grid_matches_full_recompute(self, monkeypatch):
+        """feasibility_scan's start grid with the nodes of its refinement
+        passes merged in is the reference's refined grid, masks included."""
+        kernel = eulerfan.threshold.window_grid
+        evaluated = []
+
+        def window_grid(rows, nodes):
+            window = kernel(rows, nodes)
+            evaluated.append((nodes.rho_1[0], window.feasible[0]))
+            return window
+
+        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
         rng = np.random.default_rng(53)
         flipped = 0
         for trial in range(30):
@@ -455,12 +539,14 @@ class TestBatchedScanMatchesSequential:
             v_plus2 = float(rng.uniform(-3.0, 3.0))
             w = float(rng.uniform(0.5, 0.999)) * math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
             data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
-            found = _feasibility_grids([data], 512)
-            nodes, mask = merged_grid(found, data)
+            evaluated.clear()
+            intervals, _ = feasibility_scan(data, grid=512)
+            nodes, masks = zip(*evaluated)
+            nodes, first = np.unique(np.concatenate(nodes), return_index=True)
             ref_nodes, ref_mask = reference_grid(data, 512)
             np.testing.assert_array_equal(nodes, ref_nodes)
-            np.testing.assert_array_equal(mask, ref_mask)
-            assert found.intervals == [reference_intervals(ref_nodes, ref_mask)]
+            np.testing.assert_array_equal(np.concatenate(masks)[first], ref_mask)
+            assert intervals == reference_intervals(ref_nodes, ref_mask)
             flipped += nodes.size > 512
         assert flipped >= 10, f"only {flipped} data refined their grid"
 
@@ -469,16 +555,12 @@ class TestBatchedScanMatchesSequential:
             return RiemannData(1.0, 4.0, (0.0, w), (0.0, 0.0), GAMMA2)
 
         feasible, infeasible, beyond = row(3.3), row(0.5), row(SQRT_T)
-        found = _feasibility_grids([feasible, infeasible, beyond, feasible], 256)
-        assert len(found.intervals) == 2
-        for row, data in enumerate((feasible, infeasible)):
-            nodes, mask = merged_grid(found, data, row)
-            ref_nodes, ref_mask = reference_grid(data, 256)
-            np.testing.assert_array_equal(nodes, ref_nodes)
-            np.testing.assert_array_equal(mask, ref_mask)
-            assert found.intervals[row] == reference_intervals(ref_nodes, ref_mask)
+        found = _start_grid_intervals([feasible, infeasible, beyond, feasible], 256)
+        assert found == [reference_intervals(*reference_grid(data, 256, passes=0))
+                         for data in (feasible, infeasible)]
+        assert found[0] and not found[1]
         with pytest.raises(VelocityGapError):
-            _feasibility_grids([feasible, beyond, infeasible], 256)
+            _start_grid_intervals([feasible, beyond, infeasible], 256)
 
     def test_random_data_match_the_reference(self):
         """Seeded data of both orderings, gamma 1.4, 2, 3 and 5 and
@@ -509,11 +591,34 @@ class TestBatchedScanMatchesSequential:
 
 class TestPinnedReferenceColumns:
     """Exact results of the seven reference columns in both density
-    orderings: V, the number of probes and a digest of feasible_probe.
-    The sequential reference evaluates the same kernel, so only pinned
-    values show a drift that both share.  Recorded on x86-64 with numpy
-    2.4 and glibc 2.36; a platform whose libm rounds a log or a power
-    differently may move the last bits."""
+    orderings: V, the number of probes and three digests.  `digest`
+    pins feasibility_scan's refined intervals at every probe; it is the
+    digest feasible_probe had when every probe was refined, so the
+    single-datum refinement gives every bit the batched one gave.
+    DIGESTS pins feasible_probe, whose intervals are start-grid runs,
+    and its verdicts [(gap, bool(intervals))], recorded while probes
+    were still refined.  The sequential reference evaluates the same
+    kernel, so only pinned values show a drift that both share.
+    Recorded on x86-64 with numpy 2.4 and glibc 2.36; a platform whose
+    libm rounds a log or a power differently may move the last bits."""
+
+    # (feasible_probe, verdicts) digests per (rho_minus, rho_plus, v_plus2).
+    DIGESTS = {
+        (1.0, 4.0, 0.1): ("8732114468c750a0", "c805f748b9f52f3e"),
+        (1.0, 4.0, 1.0): ("1ce4ca936ce51ab8", "27fef802e60c86e3"),
+        (1.0, 4.0, 2.0): ("892f504b6a3143a7", "06e1d780ea12ff66"),
+        (1.0, 4.0, 0.0): ("f2b001ea281be482", "b9c96041573e7834"),
+        (1.0, 4.0, -0.1): ("62efa97a92bfc482", "3c9139e54cbb50ad"),
+        (1.0, 4.0, -1.0): ("d4d6e6f63c828c62", "14fc9e6b689a030e"),
+        (1.0, 4.0, -2.0): ("aa389072aa8916b6", "02e3d8d2a04db83e"),
+        (4.0, 1.0, 0.1): ("b5974fbe38b67e38", "23acc978041c99ef"),
+        (4.0, 1.0, 1.0): ("63b49544140a388e", "0968813488379fee"),
+        (4.0, 1.0, 2.0): ("a345de5ec2c14f17", "951ff7d65de93e4f"),
+        (4.0, 1.0, 0.0): ("e6605fc147b5d943", "91b3a01b7f15734b"),
+        (4.0, 1.0, -0.1): ("b6cfaebb42fc1968", "cc46f020ddb621e8"),
+        (4.0, 1.0, -1.0): ("855cf56b2fa8ab50", "c6fbef7bf1555211"),
+        (4.0, 1.0, -2.0): ("dad0ae51e0fc60c0", "99f6cc678d15753b"),
+    }
 
     @pytest.mark.parametrize("rho_minus, rho_plus, v_plus2, V, probes, digest", [
         (1.0, 4.0, 0.1, 2.737203535315304, 53, "6373ee26d564b720"),
@@ -532,51 +637,73 @@ class TestPinnedReferenceColumns:
         (4.0, 1.0, -2.0, 2.428335045228681, 72, "d7476178444e470a"),
     ])
     def test_column(self, rho_minus, rho_plus, v_plus2, V, probes, digest):
-        result = threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2)
+        result, refined = refined_column(rho_minus, rho_plus, v_plus2)
         assert repr(result.V) == repr(V)
         assert len(result.feasible_probe) == probes
-        got = hashlib.sha256(repr(result.feasible_probe).encode()).hexdigest()[:16]
-        assert got == digest
+        start_grid, verdicts = self.DIGESTS[rho_minus, rho_plus, v_plus2]
+        assert sha16(result.feasible_probe) == start_grid
+        assert sha16([(w, bool(intervals)) for w, intervals in result.feasible_probe]) == verdicts
+        assert sha16([(w, r) for (w, _), r in zip(result.feasible_probe, refined)]) == digest
+
+    def test_refined_intervals_contain_the_start_grid_runs(self):
+        """Over every probe of the fourteen columns, each start-grid
+        interval lies inside one refined interval, each end within one
+        start-grid spacing of it."""
+        compared = 0
+        for rho_minus, rho_plus, v_plus2 in self.DIGESTS:
+            spacing = start_spacing(rho_minus, rho_plus)
+            result, refined = refined_column(rho_minus, rho_plus, v_plus2)
+            for (_, intervals), ref in zip(result.feasible_probe, refined):
+                for lo, hi in intervals:
+                    (ref_lo, ref_hi), = [(a, b) for a, b in ref if a <= lo and hi <= b]
+                    assert lo - ref_lo < spacing and ref_hi - hi < spacing
+                    compared += 1
+        assert compared > 1000, compared
 
 
 class TestRefinementErrors:
-    """A refinement pass evaluates one kernel row per segment.  A row
-    that fails there raises the error of all its inserted nodes
-    evaluated together in one kernel row, whose checks read the worst
-    node of the row, not of its first failing segment."""
+    """feasibility_scan evaluates all nodes a refinement pass inserts as
+    one kernel row.  A pass that fails raises the error of that row,
+    whose checks read the worst node of the row, not of its first
+    failing segment."""
 
     def test_error_names_the_worst_node_of_the_row(self, monkeypatch):
-        """The patched kernel fails the target datum on every refinement
-        row and, like the kernel's self-checks, names that row's worst
-        node.  The target's two segments fail with different nodes; the
-        raised error names the worst of both."""
+        """The patched kernel fails every refinement row and, like the
+        kernel's self-checks, names that row's worst node.  The golden
+        datum's first pass inserts two segments of 64 nodes whose worst
+        nodes differ; the raised error names the worst of both, and no
+        second pass runs."""
         kernel = eulerfan.threshold.window_grid
-        before, target, after = (RiemannData(1.0, 4.0, (0.0, w), (0.0, 0.0), GAMMA2)
-                                 for w in (3.35, 3.3, 3.25))
         start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
-        segments = []
+        refined = []
 
         def window_grid(rows, nodes):
             window = kernel(rows, nodes)
             if nodes is start:
                 return window
-            errors = list(window.errors)
-            for i, data in enumerate(rows):
-                if data is target:
-                    row = nodes.rho_1[i]
-                    errors[i] = NumericalError(
-                        f"check failed at rho_1 = {row.max()!r} of {row.size} nodes")
-                    if row.size == 64:
-                        segments.append((row, str(errors[i])))
-            return dataclasses.replace(window, errors=tuple(errors))
+            row = nodes.rho_1[0]
+            refined.append(row)
+            return dataclasses.replace(window, errors=(NumericalError(
+                f"check failed at rho_1 = {row.max()!r} of {row.size} nodes"),))
 
         monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
         with pytest.raises(NumericalError) as got:
-            _feasibility_grids([before, target, after], GRID)
-        assert len(segments) == 2 and segments[0][1] != segments[1][1]
-        inserted = np.concatenate([values for values, _ in segments])
-        assert str(got.value) == (
-            f"check failed at rho_1 = {inserted.max()!r} of {inserted.size} nodes")
+            feasibility_scan(TestFeasibilityScan.GOLDEN)
+        (row,) = refined
+        assert row.size == 128 and row[:64].max() != row.max()
+        assert str(got.value) == f"check failed at rho_1 = {row.max()!r} of 128 nodes"
+
+    def test_inserted_node_failure_raises_from_the_scan_only(self):
+        """At this gap, found by seeded search, the start grid passes
+        every check and a node of the first refinement pass fails one:
+        feasible_for_gap decides the gap, feasibility_scan raises."""
+        eos, w = Eos(3.0), 865963.5852184686
+        rho_minus, rho_plus, v_plus2 = 4.218419597877375, 16556.273726555977, -0.9475973097609343
+        assert feasible_for_gap(rho_minus, rho_plus, v_plus2, eos, w)[0]
+        data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
+        with pytest.raises(NumericalError,
+                           match=r"^right continuity self-check failed: residual 1\.308e-10$"):
+            feasibility_scan(data)
 
 
 class TestEqualNodesGetEqualMasks:
@@ -621,52 +748,6 @@ class TestEqualNodesGetEqualMasks:
                 assert not (mask[1:] != mask[:-1])[same].any(), (trial, i)
                 mixed += bool(mask.any() and not mask.all())
         assert mixed >= 20, f"only {mixed} rows mix feasible and infeasible nodes"
-
-
-class TestMixedSegmentCounts:
-    """One refinement pass over rows with 1, 2 and 4 segments evaluates
-    one kernel row per segment, in calls of at most 2048 nodes that mix
-    the segments of several rows, and still gives each row the
-    reference's refined grid.  The data were found by seeded search: a
-    gap just below sqrt(T) feasible from the first node on (one flip),
-    and two gaps with one and two interior intervals."""
-
-    @pytest.mark.parametrize("rho_minus, rho_plus, gamma, v_plus2, fractions", [
-        (7.20270321214675, 294.7879683752838, 2.0, -6.582896779732074,
-         (0.99999999, 0.6804683544303798, 0.7601012658227848)),
-        (0.1939999818353972, 0.06454695182115748, 3.0, -5.187845092712148,
-         (0.9999993420667753, 0.999, 0.9996488808265784)),
-    ])
-    def test_each_row_matches_the_reference(self, monkeypatch, rho_minus, rho_plus, gamma,
-                                            v_plus2, fractions):
-        eos = Eos(gamma)
-        sqrtT = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
-        kernel = eulerfan.threshold.window_grid
-        start = _initial_nodes(rho_minus, rho_plus, eos, 256)
-        calls = []
-
-        def window_grid(rows, nodes):
-            window = kernel(rows, nodes)
-            if nodes is not start:
-                calls.append((window.feasible.size, len({id(data) for data in rows})))
-            return window
-
-        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
-        # Seven copies of the three rows: 49 segments, two kernel calls
-        # of the first pass.
-        rows = [RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + f * sqrtT),
-                            (0.0, v_plus2), eos) for f in fractions] * 7
-        found = _feasibility_grids(rows, 256)
-        assert np.bincount(found.passes[0][0]).tolist() == [1, 2, 4] * 7
-        assert calls and all(size <= 2048 for size, _ in calls)
-        assert calls[0] == (2048, 3)
-        assert len(found.intervals) == len(rows)
-        for row, data in enumerate(rows):
-            nodes, mask = merged_grid(found, data, row)
-            ref_nodes, ref_mask = reference_grid(data, 256)
-            np.testing.assert_array_equal(nodes, ref_nodes)
-            np.testing.assert_array_equal(mask, ref_mask)
-            assert found.intervals[row] == reference_intervals(ref_nodes, ref_mask)
 
 
 class TestCloseDensities:
@@ -826,9 +907,9 @@ class TestScanEvaluatesOnlyProbedGaps:
             yield RiemannData(1.0, 4.0, (0.0, first), (0.0, 0.0), GAMMA2)
             raise DomainError("built")
 
-        assert _feasibility_grids(rows(0.5), GRID).intervals == [[]]
+        assert _start_grid_intervals(rows(0.5), GRID) == [[]]
         with pytest.raises(DomainError, match="built"):
-            _feasibility_grids(rows(3.3), GRID)
+            _start_grid_intervals(rows(3.3), GRID)
 
     def test_call_that_would_warn_is_redone_one_row_at_a_time(self, monkeypatch):
         """A floating-point warning in a call of several rows could belong
