@@ -7,14 +7,14 @@ The kinematics are parameterized by the probed middle density rho_1,
 which must lie strictly between the two initial densities.  The
 formulas are written once, in an array-first kernel of two stages: the
 node stage middle_nodes holds every term of a grid of middle densities
-(columns) that does not depend on the velocity gap, and the row stage
-window_grid combines it with several gaps (rows) in one call.  The row
-stage takes middle densities only as a MiddleNodes, so every caller
-builds its nodes with middle_nodes.  eps2_window, reconstruct and
-witness_at are one-row, one-node wrappers around it; eps2_window's
-record carries the interface speeds, the middle velocity and the first
-slack, and reconstruct and witness_at always enforce the slack and
-energy conditions.  Everything here is pure.
+that does not depend on the velocity gap, and the row stage
+window_grid combines it with the gap of one datum per call and raises
+that datum's error.  The row stage takes middle densities only as a
+MiddleNodes, so every caller builds its nodes with middle_nodes.
+eps2_window, reconstruct and witness_at are one-node wrappers around
+it; eps2_window's record carries the interface speeds, the middle
+velocity and the first slack, and reconstruct and witness_at always
+enforce the slack and energy conditions.  Everything here is pure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     ConstraintError,
     DegenerateDensityError,
     DomainError,
-    EulerFanError,
     NumericalError,
     VelocityGapError,
     check_density,
@@ -120,12 +119,9 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class WindowGrid:
-    """Kinematics and second-slack window on a (gap x middle density) grid.
-
-    Row i belongs to the i-th datum passed to window_grid: every array
-    has one row per datum and one column per middle density.  errors[i]
-    is the error that datum raises when evaluated on its own, or None;
-    the arrays of a row with an error carry no meaning.
+    """Kinematics and second-slack window of one datum on its middle
+    densities: every array has one entry per middle density of the
+    MiddleNodes passed to window_grid.
     """
 
     nu_minus: np.ndarray
@@ -139,7 +135,6 @@ class WindowGrid:
     lower: np.ndarray
     upper: np.ndarray
     feasible: np.ndarray
-    errors: tuple
 
 
 def _require_subsolution_data(data: RiemannData):
@@ -165,56 +160,15 @@ def _require_subsolution_data(data: RiemannData):
     return f
 
 
-def _gap_columns(rows):
-    """Preconditions of each datum and the per-gap scalars as columns.
-
-    Returns the error each datum raises before any node is evaluated
-    (None when it passes) and the per-row scalars v_minus2, A, sqrt(-B),
-    K and L as (k, 1) columns (Python numbers for a single row), which
-    are NaN on rows with an error.  Each datum forms its
-    data_functionals once, on its first kernel call
-    (RiemannData.functionals); a datum repeated over rows or calls
-    reuses them.
-    """
-    if not rows:
-        raise DomainError("window_grid needs at least one datum")
-    shared = (rows[0].rho_minus, rows[0].rho_plus, rows[0].v_plus, rows[0].eos)
-    errors, columns = [], []
-    for data in rows:
-        if (data.rho_minus, data.rho_plus, data.v_plus, data.eos) != shared:
-            raise DomainError("window_grid data must differ in v_minus only")
-        try:
-            f = _require_subsolution_data(data)
-        except EulerFanError as exc:
-            error, column = exc, (math.nan,) * 5
-        else:
-            error, column = None, (data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L)
-        errors.append(error)
-        columns.append(column)
-    # A single row keeps its Python numbers, which numpy combines with an
-    # array faster and to the same bits: (1, 1) columns made a 1 x 2048
-    # call about 8% slower and eps2_window about 3% (x86-64, Python
-    # 3.11, numpy 2.4).
-    return errors, (list(columns[0]) if len(rows) == 1
-                    else [np.array(c, dtype=float)[:, None] for c in zip(*columns)])
-
-
-def _record(errors: list, failing: np.ndarray, error) -> None:
-    """Set errors[i] = error(i) for each failing row i without an error yet."""
-    for i in failing.nonzero()[0]:
-        if errors[i] is None:
-            errors[i] = error(i)
-
-
 @dataclass(frozen=True, eq=False)
 class MiddleNodes:
     """The node stage of the window kernel: every term that depends only
     on the middle densities, the two initial densities and the pressure
-    law.  Built by middle_nodes; window_grid reads it for any rows that
-    share those densities and that law.
+    law.  Built by middle_nodes; window_grid reads it for any datum with
+    those densities and that law.
 
     near and far are the smaller and the larger initial density.  Every
-    array has the (1, n) or (k, n) shape of rho_1 and is read-only.
+    array has the 1-D shape (n,) of rho_1 and is read-only.
     """
 
     rho_minus: float
@@ -251,8 +205,8 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     data : RiemannData
         Supplies rho_minus, rho_plus and eos; its velocities are unused.
     rho_1 : array_like
-        Middle densities strictly inside the density interval: 1-D, or
-        2-D with one row per datum.  They are copied.
+        1-D middle densities strictly inside the density interval.  They
+        are copied.
 
     Returns
     -------
@@ -262,7 +216,7 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     Raises DomainError, before any term is evaluated, when rho_1 leaves
     the open density interval.
     """
-    rho_1 = np.atleast_2d(np.array(rho_1, dtype=float))
+    rho_1 = np.array(rho_1, dtype=float, ndmin=1)
     rm, rp, eos = data.rho_minus, data.rho_plus, data.eos
     near, far = (rp, rm) if rm > rp else (rm, rp)
     if not np.all((rho_1 > near) & (rho_1 < far)):
@@ -293,18 +247,17 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     return MiddleNodes(rho_minus=rm, rho_plus=rp, eos=eos, **terms)
 
 
-def _kinematics_arrays(rows, n: MiddleNodes):
+def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     """The first half of the row stage: interface speeds, middle velocity
-    and first slack of each row on its nodes n, with one error slot per
-    row.  Returns (errors, v_minus2, nu_minus, nu_plus, beta, eps_1),
-    v_minus2 the column of _gap_columns; window_grid documents the
-    arguments and the errors.
+    and first slack of the datum on its nodes n.  Returns (nu_minus,
+    nu_plus, beta, eps_1); window_grid documents the arguments and the
+    errors.
 
     The first slack is evaluated in its K/L square-root form and
     cross-checked against the independent interface-speed form; the two
-    continuity balances are re-evaluated as self-checks.  A row whose
-    check fails beyond the pinned tolerances gets a NumericalError with
-    diagnostics; the first failing check of a row is the one recorded.
+    continuity balances are re-evaluated as self-checks.  The first check
+    that fails beyond the pinned tolerances raises a NumericalError with
+    diagnostics, before anything after it is evaluated.
 
     The formulas are written for rho_minus < rho_plus.  Data of the other
     ordering are reflected by x2 -> -x2, which swaps the two states and
@@ -315,14 +268,14 @@ def _kinematics_arrays(rows, n: MiddleNodes):
     if not isinstance(n, MiddleNodes):
         raise DomainError("window_grid takes its middle densities as the "
                           f"MiddleNodes of middle_nodes, got {type(n).__name__}")
-    errors, (vm2, A, sqrt_nB, K, L) = _gap_columns(rows)
-    data = rows[0]
     rm, rp, eos, vp2 = data.rho_minus, data.rho_plus, data.eos, data.v_plus[1]
     if (n.rho_minus, n.rho_plus, n.eos) != (rm, rp, eos):
         raise DomainError(
             "middle nodes built for other densities or another pressure law: "
             f"({n.rho_minus}, {n.rho_plus}, {n.eos}), "
             f"the data have ({rm}, {rp}, {eos})")
+    f = _require_subsolution_data(data)
+    vm2, A, sqrt_nB, K, L = data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L
     rho_1 = n.rho_1
     flip = rm > rp
     near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
@@ -341,11 +294,12 @@ def _kinematics_arrays(rows, n: MiddleNodes):
         nu_minus, nu_plus = nu_near, nu_far
 
     rel = np.abs(eps_1 - eps_1_alt) / np.maximum(1.0, np.abs(eps_1))
-    worst = rel.max(axis=-1)
-    _record(errors, ~(worst <= CROSS_CHECK_TOL), lambda i: NumericalError(
-        "first-slack cross-check failed: square-root form and "
-        f"interface-speed form disagree by {worst[i]:.3e} (relative) at "
-        f"rho_1 = {np.broadcast_to(rho_1, rel.shape)[i, np.argmax(rel[i])]}"))
+    worst = rel.max()
+    if not worst <= CROSS_CHECK_TOL:
+        raise NumericalError(
+            "first-slack cross-check failed: square-root form and "
+            f"interface-speed form disagree by {worst:.3e} (relative) at "
+            f"rho_1 = {rho_1[np.argmax(rel)]}")
 
     # The left mass balance nu*(r - rho_1) = r*v2 - rho_1*beta.  The
     # reflection x2 -> -x2 negates both sides, so the right balance is
@@ -364,16 +318,16 @@ def _kinematics_arrays(rows, n: MiddleNodes):
         np.maximum(lhs, lhs_mom, out=lhs)
         np.maximum(1.0, lhs, out=lhs)
         diff /= lhs
-        res = diff.max(axis=-1)
-        _record(errors, ~(res <= CONTINUITY_TOL), lambda i: NumericalError(
-            f"{name} continuity self-check failed: residual {res[i]:.3e}"))
+        res = diff.max()
+        if not res <= CONTINUITY_TOL:
+            raise NumericalError(f"{name} continuity self-check failed: residual {res:.3e}")
 
-    _record(errors, (nu_minus >= nu_plus).any(axis=-1), lambda i: NumericalError(
-        "interface speed ordering violated on the grid"))
-    return errors, vm2, nu_minus, nu_plus, beta, eps_1
+    if (nu_minus >= nu_plus).any():
+        raise NumericalError("interface speed ordering violated on the grid")
+    return nu_minus, nu_plus, beta, eps_1
 
 
-def _energy_constraints(data: RiemannData, vm2, n: MiddleNodes, beta, eps_1):
+def _energy_constraints(data: RiemannData, n: MiddleNodes, beta, eps_1):
     """The two interface energy inequalities as a*eps_2 <= b, on the
     grid of window_grid: [a_left, b_left, a_right, b_right].
 
@@ -391,7 +345,7 @@ def _energy_constraints(data: RiemannData, vm2, n: MiddleNodes, beta, eps_1):
     forms the bounds."""
     eps_rho = eps_1 * n.rho_1
     coefficients = []
-    for r_rho, d, v2, mid2, P in ((n.rm_rho, n.d_minus, vm2, beta, n.P_left),
+    for r_rho, d, v2, mid2, P in ((n.rm_rho, n.d_minus, data.v_minus[1], beta, n.P_left),
                                   (n.rp_rho, n.d_plus, -data.v_plus[1], -beta, n.P_right)):
         bmv = mid2 - v2
         a = r_rho * bmv
@@ -408,13 +362,14 @@ def _energy_constraints(data: RiemannData, vm2, n: MiddleNodes, beta, eps_1):
     return coefficients
 
 
-def window_grid(rows, nodes: MiddleNodes) -> WindowGrid:
+def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     """
-    Kinematics and second-slack window for several velocity gaps at once.
+    Kinematics and second-slack window of one velocity gap on a grid of
+    middle densities.
 
-    This is the row stage of the kernel: it combines each row's gap
-    scalars with the node terms of middle_nodes, and runs the
-    kinematic self-checks of every row (see _kinematics_arrays).
+    This is the row stage of the kernel: it combines the datum's gap
+    scalars with the node terms of middle_nodes, and runs the kinematic
+    self-checks (see _kinematics_arrays).
 
     Both interface energy inequalities are treated as affine constraints
     a*eps_2 <= b and the resulting half-lines are intersected with
@@ -425,41 +380,39 @@ def window_grid(rows, nodes: MiddleNodes) -> WindowGrid:
 
     Parameters
     ----------
-    rows : sequence of RiemannData
-        Data that differ in v_minus only, one per row of the grid.  The
-        per-gap scalars (v_minus2, A, B, K, L) come from each datum's
-        own data_functionals, formed on the datum's first kernel call
-        and reused by every later one (RiemannData.functionals), and
-        enter as (k, 1) columns.
+    data : RiemannData
+        The datum.  Its per-gap scalars (v_minus2, A, B, K, L) come from
+        its own data_functionals, formed on its first kernel call and
+        reused by every later one (RiemannData.functionals).
     nodes : MiddleNodes
         The middle densities with their node terms, built by
-        middle_nodes for the rows' densities and pressure law: one row
-        of nodes for every datum, or one row per datum.
+        middle_nodes for the datum's densities and pressure law.
 
     Returns
     -------
     WindowGrid
-        Arrays of shape (len(rows), n).  A datum whose preconditions or
-        self-checks fail does not raise: its error is in errors.
+        Arrays of shape (n,), one entry per middle density.
 
-    Raises DomainError when nodes is not a MiddleNodes, when it belongs
-    to other densities or another pressure law, or when the data differ
-    in more than v_minus.
+    Raises DomainError when nodes is not a MiddleNodes or belongs to
+    other densities or another pressure law; then the datum's first
+    failing precondition (_require_subsolution_data) or self-check, in
+    the order precondition, first-slack cross-check, left continuity,
+    right continuity, speed ordering.
 
-    Memory: every temporary is a grid-sized array.  From about 8192
-    nodes per call (4 rows of 2048) the temporaries are large enough
-    that glibc's malloc returns them to the OS when the call frees them,
-    and the next call faults them in again: 144 minor page faults per
-    4 x 2048 call and 512 per 8 x 2048 call, none at 2048, 4096 and
-    6144 nodes (repeated calls on a cached start grid; x86-64, Python
-    3.11, numpy 2.4 from a wheel, glibc 2.36).  A call that is
-    repeated should therefore stay at or below 4096 nodes.  Raising
+    Memory: every temporary is a grid-sized array.  From about 6144
+    nodes per call the temporaries are large enough that glibc's malloc
+    returns them to the OS when the call frees them, and the next call
+    faults them in again: 84 minor page faults per call of 6144 nodes,
+    160 at 8192 and 480 at 16384, none at 2048 and 4096 (one datum per
+    call, repeated on a cached grid; x86-64, Python 3.11, numpy 2.4 from
+    a wheel, glibc 2.36).  A call that is repeated should therefore stay
+    at or below 4096 nodes; the start grid's 2048 nodes do.  Raising
     MALLOC_TRIM_THRESHOLD_ and MALLOC_MMAP_THRESHOLD_ in the environment
-    removes the faults and nearly halved the time of an 8 x 2048 call
-    (2.4 ms to 1.3 ms), but the package does not set malloc options.
+    removes the faults and halved the time of a call of 16384 nodes
+    (2.0 ms to 1.0 ms), but the package does not set malloc options.
     """
-    errors, vm2, nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(rows, nodes)
-    a_left, b_left, a_right, b_right = _energy_constraints(rows[0], vm2, nodes, beta, eps_1)
+    nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(data, nodes)
+    a_left, b_left, a_right, b_right = _energy_constraints(data, nodes, beta, eps_1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         q_left, q_right = b_left / a_left, b_right / a_right
@@ -474,23 +427,19 @@ def window_grid(rows, nodes: MiddleNodes) -> WindowGrid:
     return WindowGrid(nu_minus=nu_minus, nu_plus=nu_plus, beta=beta,
                       eps_1=eps_1, a_left=a_left, b_left=b_left,
                       a_right=a_right, b_right=b_right,
-                      lower=lower, upper=upper, feasible=feasible,
-                      errors=tuple(errors))
+                      lower=lower, upper=upper, feasible=feasible)
 
 
 def _window_at(data: RiemannData, rho_1: float) -> WindowGrid:
     """window_grid of one datum at one middle density, every array of
-    shape (1, 1); raises the datum's error, a failed precondition before
-    a middle density outside the interval."""
+    shape (1,); raises the datum's error, a failed precondition before a
+    middle density outside the interval."""
     try:
         nodes = middle_nodes(data, [float(rho_1)])
     except DomainError:
         _require_subsolution_data(data)
         raise
-    grid = window_grid([data], nodes)
-    if grid.errors[0] is not None:
-        raise grid.errors[0]
-    return grid
+    return window_grid(data, nodes)
 
 
 def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:
@@ -563,7 +512,7 @@ def _assemble(w: WindowGrid, rho_1: float, eps_2: float, alpha: float) -> FanSub
             f"second slack condition violated: eps_2 = {eps_2} <= 0")
     for side, a, b in (("left", w.a_left, w.b_left),
                        ("right", w.a_right, w.b_right)):
-        margin = float(b[0, 0] - a[0, 0] * eps_2)
+        margin = b.item() - a.item() * eps_2
         if not margin > 0.0:
             raise ConstraintError(
                 f"{side} interface energy inequality violated: "

@@ -5,12 +5,11 @@ pressure law, subsolutions exist for every gap w = v_minus2 - v_plus2
 sufficiently close to (but below) sqrt(T), the two-shock bound.  The
 threshold V reported here is defined operationally: the infimum of the
 feasible gap interval abutting sqrt(T), located by a descending scan
-followed by bisection.  The scan stops at the first infeasible gap, and
-every probe comes out as it would from a one-gap evaluation.  Bisection
-probes one gap at a time through feasible_for_gap, about 15 times per
-search.  The full probe trace is retained so a non-monotone feasibility
-pattern, if one ever shows up, is visible in the result rather than
-silently flattened into a single number.
+followed by bisection.  The scan stops at the first infeasible gap and
+evaluates no gap past it.  Bisection probes through feasible_for_gap,
+about 15 times per search.  The full probe trace is retained so a
+non-monotone feasibility pattern, if one ever shows up, is visible in
+the result rather than silently flattened into a single number.
 
 Cost model.  Every probe starts from the same GRID middle densities.
 Their node terms (subsolution.middle_nodes: every log, power and square
@@ -18,30 +17,26 @@ root that does not depend on the gap) are built once per density pair
 and pressure law and cached by _initial_nodes.  A probe is decided on
 that start grid alone, and its intervals are the runs of feasible
 start-grid nodes: refinement would move interval ends but decide no
-gap, and the search reads nothing else.  The scan evaluates two gaps
-per window_grid call, 2 x GRID nodes, the next gap speculatively: when
-the first gap of a call is infeasible, the second is dropped unread, so
-the scan reads no gap past the first infeasible one.  A bisection probe
-is one call of GRID nodes.  On the seven reference columns a search
-makes 308 window_grid calls for 509 probes and builds 511
-DataFunctionals for 519 RiemannData (RiemannData.functionals).  Calls of at
-most 2 x GRID nodes keep every temporary at or below 32 KiB, small
-enough that the allocator reuses it from call to call instead of
-returning it to the OS (see window_grid).  The cache keeps one start
-grid alive, about 0.3 MB at GRID.
+gap, and the search reads nothing else.  Every probe, scan and
+bisection alike, is one window_grid call of one gap on the GRID start
+nodes: on the seven reference columns 509 calls for 509 probes, with
+509 DataFunctionals for 517 RiemannData (RiemannData.functionals).
+Such a call keeps every temporary at 16 KiB, small enough that the
+allocator reuses it from call to call instead of returning it to the OS
+(see window_grid).  The cache keeps one start grid alive, about 0.3 MB
+at GRID.
 
 feasibility_scan, whose intervals and witness the feasibility command
 and the region map read, is the one search that refines, for its one
 datum: _REFINE_PASSES times it inserts _REFINE_POINTS nodes between
 each two neighbouring nodes whose masks differ, and evaluates all the
-nodes of a pass as one kernel row, so a self-check names the worst
+nodes of a pass in one kernel call, so a self-check names the worst
 inserted node of the pass.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import warnings
@@ -64,10 +59,6 @@ SCAN_OFFSET = 1e-6
 GRID = 2048
 
 _ENDPOINT_MARGIN = 1e-9
-# Start-grid nodes per scan call: two gaps at GRID.  Three per call ran
-# no faster and raised the peak memory; calls of 8192 nodes fault their
-# temporaries in anew each time (see window_grid).
-_SCAN_NODES = 4096
 _REFINE_POINTS = 64
 _REFINE_PASSES = 2
 _REFINE_STEPS = np.arange(1.0, _REFINE_POINTS + 1)
@@ -107,9 +98,9 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int) -> Mi
     """The start grid of a feasibility search with its node terms.
 
     Returns the middle_nodes of the `grid` equispaced nodes strictly
-    inside the density interval; its read-only rho_1[0] is the start
-    grid.  The cache keeps the last density pair, law and grid only:
-    17 node-stage arrays of `grid` floats (0.3 MB at GRID), so the
+    inside the density interval; its read-only rho_1 is the start grid.
+    The cache keeps the last density pair, law and grid only: 17
+    node-stage arrays of `grid` floats (0.3 MB at GRID), so the
     start-grid calls of every probe of a threshold_V call, scan and
     bisection alike, share them.
 
@@ -128,47 +119,6 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int) -> Mi
             f"of {grid} middle densities strictly between them") from None
 
 
-def _start_grid_rows(rows, grid: int):
-    """Each row with its mask on the cached start grid and its error, in
-    row order.
-
-    rows is an iterable of RiemannData that differ in the gap only (see
-    window_grid).  Up to _SCAN_NODES // grid rows share a kernel call,
-    so a caller that stops at a row may leave later rows evaluated but
-    unread.  Nothing of those rows shows: not their masks or errors, not
-    an error raised while a row is built (it is raised when that row's
-    turn comes), and not a floating-point warning (a call of several
-    rows that would warn is redone one row at a time).
-    """
-    rows, per = iter(rows), max(1, _SCAN_NODES // grid)
-    start = late = None
-    while late is None:
-        block = []
-        try:
-            block.extend(itertools.islice(rows, per))
-        except EulerFanError as exc:
-            late = exc
-        if not block:
-            break
-        if start is None:
-            first = block[0]
-            start = _initial_nodes(first.rho_minus, first.rho_plus, first.eos, grid)
-        if len(block) > 1:
-            try:
-                with np.errstate(all="raise"):
-                    window = window_grid(block, start)
-            except FloatingPointError:
-                pass
-            else:
-                yield from zip(block, window.feasible, window.errors)
-                continue
-        for data in block:
-            window = window_grid([data], start)
-            yield data, window.feasible[0], window.errors[0]
-    if late is not None:
-        raise late
-
-
 def _runs(nodes, mask) -> list:
     """(first, last) node of each run of feasible nodes, as floats."""
     edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
@@ -179,19 +129,17 @@ def _start_grid_intervals(rows, grid: int) -> list:
     """Feasible middle-density intervals of the gap rows, in order, up to
     and including the first row with no feasible node.
 
-    rows is an iterable of RiemannData that differ in the gap only (see
-    window_grid).  Each row is decided on the cached start grid
-    (_start_grid_rows); its intervals are the runs of feasible
-    start-grid nodes.  No row past the first infeasible one is read,
-    and the first error among the rows read is raised, so the outcome
-    is that of deciding the rows one by one.
+    rows is an iterable of RiemannData, pulled one at a time.  Each row
+    is decided by one window_grid call on the cached start grid; its
+    intervals are the runs of feasible start-grid nodes.  No row past
+    the first infeasible one is built, and the first error of a row
+    built is raised, so the outcome is that of deciding the rows one by
+    one.
     """
     found = []
-    for data, mask, error in _start_grid_rows(rows, grid):
-        if error is not None:
-            raise error
-        nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid).rho_1[0]
-        found.append(_runs(nodes, mask))
+    for data in rows:
+        start = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)
+        found.append(_runs(start.rho_1, window_grid(data, start).feasible))
         if not found[-1]:
             break
     return found
@@ -273,27 +221,26 @@ def feasibility_scan(data: RiemannData, *, grid: int = GRID):
         of the widest feasible interval (the lower one of two equally
         near).  None when no node is feasible.
 
-    Each pass evaluates all its inserted nodes as one kernel row, so a
+    Each pass evaluates all its inserted nodes in one kernel call, so a
     pass that fails a self-check raises the error of its worst node.
     """
     _check_grid(grid)
-    ((_, mask, error),) = _start_grid_rows([data], grid)
-    nodes = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid).rho_1[0]
+    start = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)
+    nodes, mask = start.rho_1, window_grid(data, start).feasible
     for _ in range(_REFINE_PASSES):
         flip = np.flatnonzero(mask[1:] != mask[:-1])
-        if error is not None or not flip.size:
+        if not flip.size:
             break
         # The arithmetic of np.linspace(a, b, _REFINE_POINTS + 2)[1:-1]
         # for every flip at once.
         a = nodes[flip, None]
         inserted = _REFINE_STEPS * ((nodes[flip + 1, None] - a) / (_REFINE_POINTS + 1)) + a
-        window = window_grid([data], middle_nodes(data, inserted.reshape(1, -1)))
+        inserted = inserted.ravel()
+        window = window_grid(data, middle_nodes(data, inserted))
         # A node's mask depends on its value only, so a repeated value
         # may keep either copy's.
-        nodes, first = np.unique(np.concatenate((nodes, inserted.ravel())), return_index=True)
-        mask, error = np.concatenate((mask, window.feasible[0]))[first], window.errors[0]
-    if error is not None:
-        raise error
+        nodes, first = np.unique(np.concatenate((nodes, inserted)), return_index=True)
+        mask = np.concatenate((mask, window.feasible))[first]
     intervals = _runs(nodes, mask)
     if not intervals:
         return intervals, None
@@ -323,14 +270,12 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     to BISECTION_TOL.  The returned V is the lowest gap probed feasible,
     so V < sqrt(T) always, and the probe just below V failed.
 
-    The scan decides its gaps on the cached start grid, two per kernel
-    call, and stops at its first infeasible gap.  A gap evaluated after
-    it in the same call is dropped unread, with its mask, its error and
-    any floating-point warning, so the probe trace, V and any error
-    raised are those of probing one gap at a time.  Bisection probes go
-    through feasible_for_gap one by one, on the same start grid.  No
-    probe is refined: refinement moves interval ends but decides no gap,
-    so every probe's intervals are start-grid runs.
+    The scan decides its gaps on the cached start grid, one kernel call
+    per gap, and stops at its first infeasible gap: no gap past it is
+    evaluated.  Bisection probes go through feasible_for_gap one by one,
+    on the same start grid.  No probe is refined: refinement moves
+    interval ends but decides no gap, so every probe's intervals are
+    start-grid runs.
 
     For gamma = 1 the existence guarantee does not apply; the search
     still runs, with a warning.

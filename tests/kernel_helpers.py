@@ -1,19 +1,13 @@
 """Helpers shared by the tests of the window kernel and its callers."""
 
-import dataclasses
-
 from eulerfan import FanSubsolution, eps2_window
 from eulerfan.subsolution import middle_nodes, window_grid
 
 
 def window_row(data, nodes):
-    """window_grid of one datum on the middle densities `nodes` (built
-    with middle_nodes), with 1-D arrays; raises the datum's error."""
-    grid = window_grid([data], middle_nodes(data, nodes))
-    if grid.errors[0] is not None:
-        raise grid.errors[0]
-    return dataclasses.replace(grid, **{f.name: getattr(grid, f.name)[0]
-                                        for f in dataclasses.fields(grid) if f.name != "errors"})
+    """window_grid of one datum on the middle densities `nodes`, with
+    their node stage built by middle_nodes; raises the datum's error."""
+    return window_grid(data, middle_nodes(data, nodes))
 
 
 def unchecked_subsolution(data, rho_1, eps_2, alpha):

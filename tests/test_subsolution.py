@@ -353,14 +353,15 @@ class TestReconstructAndVerify:
             lo, hi = sorted((data.rho_minus, data.rho_plus))
             rho_1 = lo + (hi - lo) * float(rng.uniform(0.01, 0.99))
             eps_2 = float(rng.uniform(-1.0, 5.0))
-            w = window_grid([data], middle_nodes(data, [rho_1]))
-            if w.errors[0] is not None:
+            try:
+                w = window_row(data, [rho_1])
+            except EulerFanError:
                 continue
             sub = unchecked_subsolution(data, rho_1, eps_2, 0.0)
             margins = verify_subsolution(data, sub).inequality_margins
             for side in ("left", "right"):
-                a = float(getattr(w, "a_" + side)[0, 0])
-                b = float(getattr(w, "b_" + side)[0, 0])
+                a = float(getattr(w, "a_" + side)[0])
+                b = float(getattr(w, "b_" + side)[0])
                 assert margins["energy_" + side] == pytest.approx(
                     0.5 * (b - a * eps_2), rel=1e-9), (side, data, rho_1, eps_2)
             orderings.add(data.rho_minus < data.rho_plus)
@@ -380,86 +381,33 @@ class TestReconstructAndVerify:
 class TestWindowGrid:
     NODES = np.linspace(1.0, 4.0, 34)[1:-1]
 
-    @staticmethod
-    def gap_rows(data, fractions):
-        bound = math.sqrt(data_functionals(data).T)
-        return [RiemannData(data.rho_minus, data.rho_plus,
-                            (data.v_plus[0], data.v_plus[1] + f * bound),
-                            data.v_plus, data.eos) for f in fractions]
-
-    def test_rows_equal_one_row_calls(self):
-        """Each row of a many-gap call is bit for bit the one-gap result,
-        for shared and for per-row middle densities."""
-        rng = np.random.default_rng(59)
-        for _ in range(40):
-            data = random_subsonic_data(rng, gammas=(1.4, 2.0, 3.0))
-            rows = self.gap_rows(data, rng.uniform(0.5, 0.999, size=3))
-            lo, hi = sorted((data.rho_minus, data.rho_plus))
-            shared = np.linspace(lo, hi, 34)[1:-1]
-            own = np.sort(rng.uniform(lo, hi, size=(3, 20)), axis=1)
-            for nodes in (shared, own):
-                grid = window_grid(rows, middle_nodes(data, nodes))
-                assert grid.errors == (None, None, None)
-                for i, row in enumerate(rows):
-                    one = window_row(row, nodes if nodes.ndim == 1 else nodes[i])
-                    for field in dataclasses.fields(one):
-                        if field.name != "errors":
-                            np.testing.assert_array_equal(
-                                getattr(grid, field.name)[i], getattr(one, field.name))
-
     def test_row_errors_are_recorded_not_raised(self):
+        """window_grid raises the datum's own error, after refusing nodes
+        of the wrong type or of other data."""
         beyond = RiemannData(1.0, 4.0, (0.0, SQRT_T), (0.0, 0.0), GAMMA2)
-        grid = window_grid([GOLDEN, beyond, GOLDEN], middle_nodes(GOLDEN, self.NODES))
-        assert grid.errors[0] is None and grid.errors[2] is None
-        assert isinstance(grid.errors[1], VelocityGapError)
-        np.testing.assert_array_equal(grid.feasible[2], grid.feasible[0])
-
-    def test_rows_must_differ_in_the_gap_only(self):
-        nodes = middle_nodes(GOLDEN, self.NODES)
-        with pytest.raises(DomainError, match="v_minus only"):
-            window_grid([GOLDEN, GOLDEN_SWAP], nodes)
-        with pytest.raises(DomainError, match="at least one"):
-            window_grid([], nodes)
+        with pytest.raises(VelocityGapError, match="B = .* >= 0"):
+            window_grid(beyond, middle_nodes(GOLDEN, self.NODES))
+        with pytest.raises(DomainError, match="MiddleNodes of middle_nodes"):
+            window_grid(beyond, self.NODES)
+        with pytest.raises(DomainError, match="other densities"):
+            window_grid(beyond, middle_nodes(GOLDEN_SWAP, self.NODES))
 
     @pytest.mark.parametrize("nodes", [NODES, NODES.tolist(), [[2.0]], 2.0],
                              ids=["array", "list", "nested_list", "float"])
     def test_plain_densities_rejected(self, nodes):
         with pytest.raises(DomainError, match="MiddleNodes of middle_nodes"):
-            window_grid([GOLDEN], nodes)
+            window_grid(GOLDEN, nodes)
 
 
 class TestMiddleNodes:
     """The node stage, the only form in which window_grid takes middle
     densities."""
 
-    @staticmethod
-    def assert_same_grid(got, want):
-        assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
-        assert [str(e) for e in got.errors] == [str(e) for e in want.errors]
-        for field in dataclasses.fields(got):
-            if field.name != "errors":
-                assert (getattr(got, field.name).tobytes()
-                        == getattr(want, field.name).tobytes()), field.name
-
-    def test_shared_nodes_match_per_row_nodes(self):
-        """One row of nodes for every datum gives the bits of the same
-        nodes repeated once per datum, errors included."""
-        rng = np.random.default_rng(61)
-        for trial in range(120):
-            data = random_subsonic_data(rng, gammas=(1.0, 1.4, 2.0, 3.0))
-            if (data.rho_minus > data.rho_plus) != bool(trial % 2):
-                data = reflect(data)
-            rows = TestWindowGrid.gap_rows(data, rng.uniform(0.05, 1.05, size=3))
-            lo, hi = sorted((data.rho_minus, data.rho_plus))
-            shared = np.linspace(lo, hi, 34)[1:-1]
-            self.assert_same_grid(window_grid(rows, middle_nodes(data, shared)),
-                                  window_grid(rows, middle_nodes(data, np.tile(shared, (3, 1)))))
-
     def test_terms_are_read_only_copies(self):
         x = np.linspace(1.5, 3.5, 5)
         nodes = middle_nodes(GOLDEN, x)
         x[0] = 2.0
-        assert nodes.rho_1[0, 0] == 1.5
+        assert nodes.rho_1[0] == 1.5
         for field in dataclasses.fields(MiddleNodes):
             value = getattr(nodes, field.name)
             if isinstance(value, np.ndarray):
@@ -473,7 +421,7 @@ class TestMiddleNodes:
     def test_nodes_of_other_data_rejected(self, other):
         nodes = middle_nodes(other, [2.0, 3.0])
         with pytest.raises(DomainError, match="other densities or another pressure law"):
-            window_grid([GOLDEN], nodes)
+            window_grid(GOLDEN, nodes)
 
     def test_density_outside_interval_raises_before_any_term(self):
         with warnings.catch_warnings():

@@ -5,6 +5,8 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ import pytest
 import eulerfan.subsolution
 import eulerfan.threshold
 from eulerfan import (DataFunctionals, DegenerateDensityError, DomainError, Eos,
-                      NumericalError, RiemannData, ThresholdResult, ThresholdRow,
-                      VelocityGapError, data_functionals, eps2_window,
+                      EulerFanError, NumericalError, RiemannData, ThresholdResult,
+                      ThresholdRow, VelocityGapError, data_functionals, eps2_window,
                       epsilon1_sign_change, feasibility_scan, feasible_for_gap,
                       reconstruct, subsolution_witness, threshold_V,
                       threshold_table, two_shock_T, verify_subsolution,
@@ -57,7 +59,7 @@ def reference_intervals(nodes, mask):
 
 def start_spacing(rho_minus, rho_plus):
     """Node spacing of the gamma = 2 start grid."""
-    return np.diff(_initial_nodes(rho_minus, rho_plus, GAMMA2, GRID).rho_1[0, :2]).item()
+    return np.diff(_initial_nodes(rho_minus, rho_plus, GAMMA2, GRID).rho_1[:2]).item()
 
 
 def sha16(value):
@@ -230,31 +232,33 @@ class TestFeasibilityScan:
 
     def test_deciding_never_refines(self, monkeypatch):
         """threshold_V and feasible_for_gap evaluate the cached start grid
-        only; feasibility_scan adds at most one kernel row per refinement
-        pass."""
+        only, one datum per kernel call; feasibility_scan adds at most one
+        kernel call of its datum per refinement pass."""
         kernel = eulerfan.threshold.window_grid
         calls = []
 
-        def window_grid(rows, nodes):
-            calls.append((len(rows), nodes))
-            return kernel(rows, nodes)
+        def window_grid(data, nodes):
+            calls.append((data, nodes))
+            return kernel(data, nodes)
 
         monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
         for rho_minus, rho_plus in ((1.0, 4.0), (4.0, 1.0)):
             threshold_V(rho_minus, rho_plus, 0.0, GAMMA2)
             feasible_for_gap(rho_minus, rho_plus, 0.0, GAMMA2, 3.3)
             start = _initial_nodes(rho_minus, rho_plus, GAMMA2, GRID)
-            assert calls and all(nodes is start for _, nodes in calls)
+            assert calls and all(isinstance(data, RiemannData) and nodes is start
+                                 for data, nodes in calls)
             calls.clear()
         feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=128)
         start = _initial_nodes(1.0, 4.0, GAMMA2, 128)
-        assert [(rows, nodes is start) for rows, nodes in calls] == [(1, True)]
+        (data, nodes), = calls
+        assert data.v_minus == (0.0, 3.3) and nodes is start
         calls.clear()
         feasibility_scan(self.GOLDEN)
-        (rows, nodes), *refined = calls
-        assert rows == 1 and nodes is _initial_nodes(1.0, 4.0, GAMMA2, GRID)
+        (data, nodes), *refined = calls
+        assert data is self.GOLDEN and nodes is _initial_nodes(1.0, 4.0, GAMMA2, GRID)
         assert 0 < len(refined) <= _REFINE_PASSES
-        assert all(rows == 1 and nodes.rho_1.shape[0] == 1 for rows, nodes in refined)
+        assert all(data is self.GOLDEN and nodes.rho_1.ndim == 1 for data, nodes in refined)
 
     def test_witness_matches_subsolution_witness(self):
         _, witness = feasibility_scan(self.GOLDEN)
@@ -301,9 +305,9 @@ class TestFeasibilityScan:
         calls = []
         kernel = eulerfan.subsolution.window_grid
 
-        def window_grid(rows, nodes):
+        def window_grid(data, nodes):
             calls.append(nodes.rho_1.size)
-            return kernel(rows, nodes)
+            return kernel(data, nodes)
 
         monkeypatch.setattr(eulerfan.subsolution, "window_grid", window_grid)
         _, witness = feasibility_scan(self.GOLDEN)
@@ -444,9 +448,9 @@ class TestThresholdTable:
 
 
 class TestBatchedScanMatchesSequential:
-    """threshold_V decides every probe on the start grid, the scan two
-    gaps per kernel call, and refines none; its results and errors must
-    be those of the sequential reference, bit for bit.  feasibility_scan
+    """threshold_V decides every probe on the start grid, one gap per
+    kernel call, and refines none; its results and errors must be those
+    of the sequential reference, bit for bit.  feasibility_scan
     refines its one datum by evaluating only the inserted nodes, and
     must give the reference's refined grid."""
 
@@ -469,8 +473,8 @@ class TestBatchedScanMatchesSequential:
 
     # (1e3, 1) fails the cross-check at the first gap.  The other two
     # were found by seeded search: a continuity check fails at the third
-    # gap of a scan block whose first two are feasible, and on the start
-    # grid of a bisection probe.
+    # scan gap, the first two being feasible, and on the start grid of a
+    # bisection probe.
     @pytest.mark.parametrize("rho_minus, rho_plus, v_plus2, gamma", [
         (1e3, 1.0, 0.0, 1.4),
         (3385.7655500690385, 2.0417847885199363, 0.0789653286814147, 1.4),
@@ -487,8 +491,8 @@ class TestBatchedScanMatchesSequential:
 
     def test_same_result_where_only_an_inserted_node_failed(self):
         """A continuity check failed only at a node that refinement
-        inserted for the second gap of a scan block; no probe refines, so
-        the search returns the reference's result."""
+        inserted for a scan gap, when scan probes were refined; no probe
+        refines, so the search returns the reference's result."""
         eos = Eos(3.0)
         result = threshold_V(4.218419597877375, 16556.273726555977, -0.9475973097609343, eos)
         assert result == reference_threshold(4.218419597877375, 16556.273726555977,
@@ -509,13 +513,13 @@ class TestBatchedScanMatchesSequential:
 
     def test_cached_start_grid_is_read_only(self):
         start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
-        assert start.rho_1.shape == (1, GRID)
+        assert start.rho_1.shape == (GRID,)
         for field in dataclasses.fields(start):
             value = getattr(start, field.name)
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, field.name
         with pytest.raises(ValueError, match="read-only"):
-            start.rho_1[0, 0] = 2.0
+            start.rho_1[0] = 2.0
 
     def test_incremental_grid_matches_full_recompute(self, monkeypatch):
         """feasibility_scan's start grid with the nodes of its refinement
@@ -523,9 +527,9 @@ class TestBatchedScanMatchesSequential:
         kernel = eulerfan.threshold.window_grid
         evaluated = []
 
-        def window_grid(rows, nodes):
-            window = kernel(rows, nodes)
-            evaluated.append((nodes.rho_1[0], window.feasible[0]))
+        def window_grid(data, nodes):
+            window = kernel(data, nodes)
+            evaluated.append((nodes.rho_1, window.feasible))
             return window
 
         monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
@@ -662,14 +666,14 @@ class TestPinnedReferenceColumns:
 
 
 class TestRefinementErrors:
-    """feasibility_scan evaluates all nodes a refinement pass inserts as
-    one kernel row.  A pass that fails raises the error of that row,
-    whose checks read the worst node of the row, not of its first
+    """feasibility_scan evaluates all nodes a refinement pass inserts in
+    one kernel call.  A pass that fails raises the error of that call,
+    whose checks read the worst node of the pass, not of its first
     failing segment."""
 
     def test_error_names_the_worst_node_of_the_row(self, monkeypatch):
-        """The patched kernel fails every refinement row and, like the
-        kernel's self-checks, names that row's worst node.  The golden
+        """The patched kernel fails every refinement call and, like the
+        kernel's self-checks, names that call's worst node.  The golden
         datum's first pass inserts two segments of 64 nodes whose worst
         nodes differ; the raised error names the worst of both, and no
         second pass runs."""
@@ -677,14 +681,12 @@ class TestRefinementErrors:
         start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
         refined = []
 
-        def window_grid(rows, nodes):
-            window = kernel(rows, nodes)
+        def window_grid(data, nodes):
             if nodes is start:
-                return window
-            row = nodes.rho_1[0]
+                return kernel(data, nodes)
+            row = nodes.rho_1
             refined.append(row)
-            return dataclasses.replace(window, errors=(NumericalError(
-                f"check failed at rho_1 = {row.max()!r} of {row.size} nodes"),))
+            raise NumericalError(f"check failed at rho_1 = {row.max()!r} of {row.size} nodes")
 
         monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
         with pytest.raises(NumericalError) as got:
@@ -706,17 +708,43 @@ class TestRefinementErrors:
             feasibility_scan(data)
 
 
+class TestFailedCheckRaisesWithoutWarning:
+    """A datum whose self-check fails raises the check's error before the
+    kernel computes anything after it: here the energy coefficients
+    would overflow.  The datum was found by a seeded fuzz of
+    feasibility_scan."""
+
+    RHO_MINUS, RHO_PLUS = 1.0132051002458683e+42, 1.423891837266978e+47
+    V_PLUS2, GAP = -4.973063621100822e+96, 3.8002509514590836e+96
+    CONTINUITY = "left continuity self-check failed: residual 1.779e-09"
+    CROSS_CHECK = ("first-slack cross-check failed: square-root form and interface-speed "
+                   "form disagree by 4.805e-08 (relative) at rho_1 = 1.01334748841639e+42")
+
+    def test_every_search_raises_the_check_error(self):
+        eos = Eos(5.0)
+        data = RiemannData(self.RHO_MINUS, self.RHO_PLUS, (0.0, self.V_PLUS2 + self.GAP),
+                           (0.0, self.V_PLUS2), eos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^{re.escape(self.CONTINUITY)}$"):
+                feasible_for_gap(self.RHO_MINUS, self.RHO_PLUS, self.V_PLUS2, eos, self.GAP)
+            with pytest.raises(NumericalError, match=f"^{re.escape(self.CONTINUITY)}$"):
+                feasibility_scan(data)
+            with pytest.raises(NumericalError, match=f"^{re.escape(self.CROSS_CHECK)}$"):
+                threshold_V(self.RHO_MINUS, self.RHO_PLUS, self.V_PLUS2, eos)
+
+
 class TestEqualNodesGetEqualMasks:
-    """A node's mask is an elementwise function of its row's scalars and
-    its middle density, whichever kernel path evaluates it.  So nodes of
+    """A node's mask is an elementwise function of its datum's scalars
+    and its middle density, whichever call evaluates it.  So nodes of
     equal value get equal masks wherever they sit, and a refined grid,
     where an inserted node can repeat a value, needs no rule for which
     copy it keeps."""
 
     def test_repeated_values_in_every_path(self):
-        """Each pool value sits at many positions: of a one-row call
-        (Python-float row scalars), of a multi-row call ((k, 1) columns)
-        and, for start-grid nodes, of the cached start grid."""
+        """Each pool value sits at many positions: of a call on nodes
+        built for it and, for start-grid nodes, of the cached start
+        grid."""
         rng = np.random.default_rng(89)
         mixed = 0
         for trial in range(20):
@@ -730,18 +758,17 @@ class TestEqualNodesGetEqualMasks:
                                 (0.0, v_plus2), eos)
                     for f in rng.uniform(0.5, 0.999, size=4)]
             start = _initial_nodes(rho_minus, rho_plus, eos, 256)
-            nodes = start.rho_1[0]
+            nodes = start.rho_1
             pool = np.concatenate((nodes[::8], rng.uniform(nodes[0], nodes[-1], size=32)))
             values = pool[rng.integers(0, pool.size, size=(len(rows), 256))]
-            on_start = eulerfan.subsolution.window_grid(rows, start)
-            multi = eulerfan.subsolution.window_grid(rows, middle_nodes(rows[0], values))
             for i, data in enumerate(rows):
-                if multi.errors[i] is not None:
+                try:
+                    one = eulerfan.subsolution.window_grid(data, middle_nodes(data, values[i]))
+                    on_start = eulerfan.subsolution.window_grid(data, start)
+                except EulerFanError:
                     continue
-                one = eulerfan.subsolution.window_grid(
-                    [data], middle_nodes(data, values[i])).feasible[0]
-                value = np.concatenate((values[i], values[i], nodes))
-                mask = np.concatenate((one, multi.feasible[i], on_start.feasible[i]))
+                value = np.concatenate((values[i], nodes))
+                mask = np.concatenate((one.feasible, on_start.feasible))
                 order = np.lexsort((mask, value))
                 value, mask = value[order], mask[order]
                 same = value[1:] == value[:-1]
@@ -823,11 +850,9 @@ class TestUnderflowingDensityProduct:
 
 
 class TestScanEvaluatesOnlyProbedGaps:
-    """The scan reads the start grid only at the gaps feasible_probe
-    records.  Its kernel calls hold up to two gaps (4096 nodes at GRID),
-    so the gap after the first infeasible one may be evaluated too, but
-    it is dropped unread; bisection calls feasible_for_gap once per
-    probe."""
+    """The search evaluates the start grid only at the gaps feasible_probe
+    records, one gap per kernel call and no gap past the scan's first
+    infeasible one; bisection calls feasible_for_gap once per probe."""
 
     @pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 4.0), (4.0, 1.0)])
     @pytest.mark.parametrize("v_plus2", COLUMNS)
@@ -837,11 +862,11 @@ class TestScanEvaluatesOnlyProbedGaps:
         probe = eulerfan.threshold.feasible_for_gap
         start = _initial_nodes(rho_minus, rho_plus, GAMMA2, GRID)
 
-        def window_grid(rows, nodes):
+        def window_grid(data, nodes):
             if nodes is start:
-                assert len(rows) * nodes.rho_1.shape[-1] <= 4096
-                start_calls.append([data.v_minus[1] for data in rows])
-            return kernel(rows, nodes)
+                assert isinstance(data, RiemannData)
+                start_calls.append(data.v_minus[1])
+            return kernel(data, nodes)
 
         def feasible_for_gap(*args, **kwargs):
             bisected.append(args[4])
@@ -853,52 +878,9 @@ class TestScanEvaluatesOnlyProbedGaps:
         probes = result.feasible_probe
 
         scanned = 1 + next(i for i, (_, intervals) in enumerate(probes) if not intervals)
-        evaluated = [v for call in start_calls for v in call]
-        scan_gaps = [v_plus2 + w for w, _ in probes[:scanned]]
-        bisect_gaps = [v_plus2 + w for w, _ in probes[scanned:]]
-        assert evaluated[:scanned] == scan_gaps
-        assert evaluated[len(evaluated) - len(bisect_gaps):] == bisect_gaps
-        dropped = evaluated[scanned:len(evaluated) - len(bisect_gaps)]
-        # At most one gap, the next one the scan would have probed.
-        next_gap = probes[scanned - 1][0] - result.sqrtT / SCAN_STEPS
-        assert dropped in ([], [v_plus2 + next_gap])
+        assert start_calls == [v_plus2 + w for w, _ in probes]
         assert len(bisected) == len(probes) - scanned > 0
         assert bisected == [w for w, _ in probes[scanned:]]
-
-    @pytest.mark.parametrize("injected", ["error", "feasible", "infeasible"])
-    def test_dropped_gap_changes_nothing(self, monkeypatch, injected):
-        """A patched kernel replaces the mask or error of every start-grid
-        row below the scan's first infeasible gap; the dropped gaps are
-        never read, so every threshold_V result is unchanged."""
-        expected = {(rho_minus, rho_plus, v_plus2): threshold_V(rho_minus, rho_plus, v_plus2,
-                                                                GAMMA2)
-                    for rho_minus, rho_plus in ((1.0, 4.0), (4.0, 1.0))
-                    for v_plus2 in COLUMNS}
-        kernel = eulerfan.threshold.window_grid
-        below = [math.inf]
-        start = [None]
-        touched = []
-
-        def window_grid(rows, nodes):
-            window = kernel(rows, nodes)
-            if nodes is not start[0] or len(rows) == 1:
-                return window
-            drop = np.array([data.v_minus[1] < below[0] for data in rows])
-            touched.append(int(drop.sum()))
-            feasible, errors = window.feasible.copy(), list(window.errors)
-            feasible[drop] = injected == "feasible"
-            if injected == "error":
-                errors = [NumericalError("injected") if d else e for d, e in zip(drop, errors)]
-            return dataclasses.replace(window, feasible=feasible, errors=tuple(errors))
-
-        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
-        for (rho_minus, rho_plus, v_plus2), result in expected.items():
-            probes = result.feasible_probe
-            scanned = 1 + next(i for i, (_, intervals) in enumerate(probes) if not intervals)
-            below[0] = v_plus2 + probes[scanned - 1][0]
-            start[0] = _initial_nodes(rho_minus, rho_plus, GAMMA2, GRID)
-            assert threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2) == result
-        assert sum(touched) > 0, "no column evaluated a gap past its last probe"
 
     def test_rows_built_past_the_first_infeasible_one_are_not_raised(self):
         """An error raised while a later row of a call is built is raised
@@ -910,28 +892,6 @@ class TestScanEvaluatesOnlyProbedGaps:
         assert _start_grid_intervals(rows(0.5), GRID) == [[]]
         with pytest.raises(DomainError, match="built"):
             _start_grid_intervals(rows(3.3), GRID)
-
-    def test_call_that_would_warn_is_redone_one_row_at_a_time(self, monkeypatch):
-        """A floating-point warning in a call of several rows could belong
-        to a row never read: that call is redone one row at a time, so
-        only a row that is read can warn.  The patched kernel overflows
-        in every call of several rows; the suite turns a RuntimeWarning
-        into an error."""
-        expected = threshold_V(1.0, 4.0, -2.0, GAMMA2)
-        kernel = eulerfan.threshold.window_grid
-        start = _initial_nodes(1.0, 4.0, GAMMA2, GRID)
-        sizes = []
-
-        def window_grid(rows, nodes):
-            if nodes is start:
-                sizes.append(len(rows))
-                if len(rows) > 1:
-                    np.multiply(np.float64(1e300), 1e300)
-            return kernel(rows, nodes)
-
-        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
-        assert threshold_V(1.0, 4.0, -2.0, GAMMA2) == expected
-        assert 2 in sizes and sizes.count(1) > sizes.count(2)
 
 
 @pytest.mark.parametrize("grid", [0, 1])
