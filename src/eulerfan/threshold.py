@@ -121,7 +121,8 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int) -> Mi
 
 def _runs(nodes, mask) -> list:
     """(first, last) node of each run of feasible nodes, as floats."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
     return list(zip(nodes[edges[::2]].tolist(), nodes[edges[1::2] - 1].tolist()))
 
 

@@ -3,6 +3,7 @@ reconstruction of full subsolution parameter sets and the independent
 interface verifier."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -12,13 +13,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eulerfan.subsolution
 from eulerfan import (ConstraintError, DegenerateDensityError, DomainError,
-                      Eos, EulerFanError, RiemannData, VelocityGapError,
-                      data_functionals, eps2_window, epsilon1_sign_change,
-                      feasibility_scan, limit_quantities,
-                      reconstruct, verify_subsolution, witness_at)
-from eulerfan.subsolution import EQUALITY_TOL, MiddleNodes, middle_nodes, window_grid
-from kernel_helpers import unchecked_subsolution, window_row
+                      Eos, EulerFanError, NumericalError, RiemannData,
+                      VelocityGapError, data_functionals, eps2_window,
+                      epsilon1_sign_change, feasibility_scan, limit_quantities,
+                      reconstruct, two_shock_T, verify_subsolution, witness_at)
+from eulerfan.subsolution import (CONTINUITY_TOL, CROSS_CHECK_TOL, EQUALITY_TOL,
+                                  MiddleNodes, WindowGrid, middle_nodes, window_grid)
+from kernel_helpers import NumpyCallCounter, counted_nodes, unchecked_subsolution, window_row
 
 
 GAMMA2 = Eos(2.0)
@@ -397,6 +400,89 @@ class TestWindowGrid:
     def test_plain_densities_rejected(self, nodes):
         with pytest.raises(DomainError, match="MiddleNodes of middle_nodes"):
             window_grid(GOLDEN, nodes)
+
+    @pytest.mark.parametrize("data, calls", [(GOLDEN, 79), (GOLDEN_SWAP, 82)],
+                             ids=["1_4", "4_1"])
+    def test_numpy_calls_per_passing_call(self, data, calls):
+        """The kernel's cost per call is its count of numpy calls, fixed
+        whatever the number of nodes.  A call whose self-checks all pass
+        on their absolute residuals makes 79 of them, and 3 more for the
+        reflected ordering, whose results it negates; counting changes
+        no bit."""
+        nodes = middle_nodes(data, np.linspace(1.0, 4.0, 2050)[1:-1])
+        plain = window_grid(data, nodes)
+        NumpyCallCounter.calls = 0
+        counted = window_grid(data, counted_nodes(nodes))
+        assert NumpyCallCounter.calls == calls
+        for field in dataclasses.fields(WindowGrid):
+            np.testing.assert_array_equal(getattr(counted, field.name),
+                                          getattr(plain, field.name))
+
+
+class TestBoundFirstSelfChecks:
+    """Each self-check tests its absolute residual first and forms the
+    relative residual only when that bound does not decide.  It decides
+    and raises exactly as the full relative residuals do, computed here
+    from the kernel's own speeds, middle velocity and first slack."""
+
+    CROSS_CHECK = ("first-slack cross-check failed: square-root form and "
+                   "interface-speed form disagree by {:.3e} (relative) at rho_1 = {}")
+    CONTINUITY = "{} continuity self-check failed: residual {:.3e} at rho_1 = {}"
+
+    def reference_error(self, data, nodes):
+        """(path, message) of the datum's full relative residuals: the
+        message of its first failing self-check or None, and the path
+        that decided it, "raised", "exact" when a passing check's
+        absolute residual exceeds its tolerance, else "bound"."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eulerfan.subsolution, "_failed_residual", lambda *args: None)
+            w = window_grid(data, nodes)
+        rm, rp, vm2, vp2 = data.rho_minus, data.rho_plus, data.v_minus[1], data.v_plus[1]
+        nu_far, v_far2 = (-w.nu_minus, -vm2) if rm > rp else (w.nu_plus, vp2)
+        eps_1_alt = nodes.pressure_term - nodes.far_weight * (nu_far - v_far2) ** 2
+        checks = [(np.abs(w.eps_1 - eps_1_alt), np.maximum(1.0, np.abs(w.eps_1)),
+                   CROSS_CHECK_TOL, self.CROSS_CHECK.format)]
+        rho_beta = nodes.rho_1 * w.beta
+        for name, nu, d, r, v2 in (("left", w.nu_minus, nodes.d_minus, rm, vm2),
+                                   ("right", w.nu_plus, nodes.d_plus, rp, vp2)):
+            lhs, lhs_mom = nu * d, r * v2 - rho_beta
+            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs_mom)))
+            checks.append((np.abs(lhs - lhs_mom), scale, CONTINUITY_TOL,
+                           functools.partial(self.CONTINUITY.format, name)))
+        path = "bound"
+        for diff, scale, tol, message in checks:
+            rel = diff / scale
+            if not rel.max() <= tol:
+                return "raised", message(rel.max(), nodes.rho_1[np.argmax(rel)])
+            if not diff.max() <= tol:
+                path = "exact"
+        return path, None
+
+    def test_decisions_and_messages_match_the_full_residuals(self):
+        """Seeded data: densities lambda*(1, ratio) in both orderings,
+        transverse velocities up to about 3e5 sqrt(T), whose terms cancel
+        to residuals beyond the tolerances."""
+        rng = np.random.default_rng(2024)
+        paths = {"bound": 0, "exact": 0, "raised": 0}
+        for k in range(300):
+            lo = float(10.0 ** rng.uniform(0.0, 5.0))
+            hi = lo * float(10.0 ** rng.uniform(0.1, 1.5))
+            rho_minus, rho_plus = (hi, lo) if k % 2 else (lo, hi)
+            eos = Eos((1.4, 2.0, 3.0)[k % 3])
+            sqrt_T = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+            v_plus2 = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 5.5)) * sqrt_T
+            gap = float(rng.uniform(0.01, 0.999)) * sqrt_T
+            data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + gap), (0.0, v_plus2), eos)
+            nodes = middle_nodes(data, np.linspace(lo, hi, 66)[1:-1])
+            path, message = self.reference_error(data, nodes)
+            paths[path] += 1
+            if message is None:
+                window_grid(data, nodes)
+            else:
+                with pytest.raises(NumericalError) as got:
+                    window_grid(data, nodes)
+                assert str(got.value) == message
+        assert min(paths.values()) >= 20, paths
 
 
 class TestMiddleNodes:

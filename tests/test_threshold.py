@@ -195,7 +195,7 @@ def test_feasible_runs_match_a_loop_reference():
 
 def test_runs_match_feasible_runs():
     """The intervals of a mask are its runs, runs touching either end of
-    the grid included."""
+    the grid and one-node grids included."""
     rng = np.random.default_rng(47)
     nodes = np.linspace(1.0, 2.0, 40)
     masks = rng.uniform(size=(40, nodes.size)) < rng.uniform(size=(40, 1))
@@ -204,6 +204,8 @@ def test_runs_match_feasible_runs():
                                                      for mask in masks]
     assert any(mask[0] and not mask.all() for mask in masks[2:])
     assert any(mask[-1] and not mask.all() for mask in masks[2:])
+    for mask in (np.array([True]), np.array([False])):
+        assert _runs(nodes[:1], mask) == reference_intervals(nodes[:1], mask)
 
 
 class TestFeasibilityScan:
@@ -704,7 +706,8 @@ class TestRefinementErrors:
         assert feasible_for_gap(rho_minus, rho_plus, v_plus2, eos, w)[0]
         data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
         with pytest.raises(NumericalError,
-                           match=r"^right continuity self-check failed: residual 1\.308e-10$"):
+                           match=r"^right continuity self-check failed: residual 1\.308e-10 "
+                                 r"at rho_1 = 14\.007767077370227$"):
             feasibility_scan(data)
 
 
@@ -716,7 +719,8 @@ class TestFailedCheckRaisesWithoutWarning:
 
     RHO_MINUS, RHO_PLUS = 1.0132051002458683e+42, 1.423891837266978e+47
     V_PLUS2, GAP = -4.973063621100822e+96, 3.8002509514590836e+96
-    CONTINUITY = "left continuity self-check failed: residual 1.779e-09"
+    CONTINUITY = ("left continuity self-check failed: residual 1.779e-09 "
+                  "at rho_1 = 1.01334748841639e+42")
     CROSS_CHECK = ("first-slack cross-check failed: square-root form and interface-speed "
                    "form disagree by 4.805e-08 (relative) at rho_1 = 1.01334748841639e+42")
 
