@@ -1,11 +1,13 @@
 """Helpers shared by the tests of the window kernel and its callers."""
 
 import dataclasses
+import math
 
 import numpy as np
 
-from eulerfan import FanSubsolution, eps2_window
-from eulerfan.subsolution import middle_nodes, window_grid
+from eulerfan import FanSubsolution, NumericalError, eps2_window
+from eulerfan.subsolution import (CONTINUITY_TOL, CROSS_CHECK_TOL, WindowGrid,
+                                  _require_subsolution_data, middle_nodes, window_grid)
 
 
 def window_row(data, nodes):
@@ -35,15 +37,20 @@ def _plain(x):
 class NumpyCallCounter(np.ndarray):
     """An ndarray that counts the numpy calls it takes part in, in the
     class attribute calls: every ufunc call, reductions included, and
-    every array function.  Their array results are counters again, so a
+    every array function.  The class attribute allocations counts the
+    calls among them that allocate their result: ufunc calls without
+    out=, reductions excluded.  Array results are counters again, so a
     kernel call on counted node terms counts each numpy call it makes
     once."""
 
     calls = 0
+    allocations = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         NumpyCallCounter.calls += 1
         out = kwargs.get("out")
+        if method == "__call__" and out is None:
+            NumpyCallCounter.allocations += 1
         if out is not None:
             kwargs["out"] = tuple(map(_plain, out))
         if "where" in kwargs:
@@ -65,3 +72,70 @@ def counted_nodes(nodes):
         field.name: getattr(nodes, field.name).view(NumpyCallCounter)
         for field in dataclasses.fields(nodes)
         if isinstance(getattr(nodes, field.name), np.ndarray)})
+
+
+def _check_residual(diff, scale, tol, message):
+    rel = diff / scale
+    if not rel.max() <= tol:
+        raise NumericalError(message(rel.max(), rel.argmax()))
+
+
+def reference_window_grid(data, n):
+    """window_grid's row stage as plain allocating expressions, each
+    formula in its own order, and its self-checks on their full relative
+    residuals: the oracle that window_grid must match bit for bit, its
+    errors included.  n is the datum's MiddleNodes."""
+    rm, rp, vm2, vp2 = data.rho_minus, data.rho_plus, data.v_minus[1], data.v_plus[1]
+    f = _require_subsolution_data(data)
+    A, sqrt_nB, K, L = f.A, math.sqrt(-f.B), f.K, f.L
+    rho_1 = n.rho_1
+    flip = rm > rp
+    near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
+    A_R, nB_R = A / (near - far), sqrt_nB / (near - far)
+    nu_near = A_R + nB_R * n.sqrt_far_near
+    nu_far = A_R - nB_R * n.sqrt_near_far
+    beta = (far * v_far2 / rho_1 - n.d_far * A / n.R_rho
+            + (sqrt_nB / n.R_rho) * n.sqrt_product)
+    eps_1 = n.pressure_term - n.far_ratio * (L * n.sqrt_near - K * n.sqrt_far) ** 2
+    eps_1_alt = n.pressure_term - n.far_weight * (nu_far - v_far2) ** 2
+    if flip:
+        nu_minus, nu_plus, beta = -nu_far, -nu_near, -beta
+    else:
+        nu_minus, nu_plus = nu_near, nu_far
+
+    _check_residual(np.abs(eps_1 - eps_1_alt), np.maximum(1.0, np.abs(eps_1)), CROSS_CHECK_TOL,
+                    lambda worst, i: "first-slack cross-check failed: square-root form and "
+                    f"interface-speed form disagree by {worst:.3e} (relative) at "
+                    f"rho_1 = {rho_1[i]}")
+    for name, nu, d, r, v2 in (("left", nu_minus, n.d_minus, rm, vm2),
+                               ("right", nu_plus, n.d_plus, rp, vp2)):
+        lhs, lhs_mom = nu * d, r * v2 - rho_1 * beta
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs_mom)))
+        _check_residual(np.abs(lhs - lhs_mom), scale, CONTINUITY_TOL,
+                        lambda worst, i: f"{name} continuity self-check failed: residual "
+                        f"{worst:.3e} at rho_1 = {rho_1[i]}")
+    if (nu_minus >= nu_plus).any():
+        raise NumericalError("interface speed ordering violated on the grid at "
+                             f"rho_1 = {rho_1[np.argmax(nu_minus - nu_plus)]}")
+
+    coefficients = []
+    for r_rho, d, v2, mid2, P in ((n.rm_rho, n.d_minus, vm2, beta, n.P_left),
+                                  (n.rp_rho, n.d_plus, -vp2, -beta, n.P_right)):
+        a = r_rho * (mid2 - v2) / d
+        b = (v2 + mid2) * (eps_1 * rho_1) - eps_1 * a - (mid2 - v2) * P
+        coefficients += (a, b)
+    a_left, b_left, a_right, b_right = coefficients
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_left, q_right = b_left / a_left, b_right / a_right
+    upper = np.where(a_left > 0.0, q_left, np.inf)
+    np.minimum(upper, q_right, out=upper, where=a_right > 0.0)
+    lower = np.where(a_left < 0.0, q_left, -np.inf)
+    np.maximum(lower, q_right, out=lower, where=a_right < 0.0)
+    parity_ok = (((a_left != 0.0) | (b_left >= 0.0))
+                 & ((a_right != 0.0) | (b_right >= 0.0)))
+    feasible = parity_ok & (eps_1 > 0.0) & (np.maximum(lower, 0.0) < upper)
+    return WindowGrid(nu_minus=nu_minus, nu_plus=nu_plus, beta=beta,
+                      eps_1=eps_1, a_left=a_left, b_left=b_left,
+                      a_right=a_right, b_right=b_right,
+                      lower=lower, upper=upper, feasible=feasible)

@@ -21,7 +21,8 @@ from eulerfan import (ConstraintError, DegenerateDensityError, DomainError,
                       reconstruct, two_shock_T, verify_subsolution, witness_at)
 from eulerfan.subsolution import (CONTINUITY_TOL, CROSS_CHECK_TOL, EQUALITY_TOL,
                                   MiddleNodes, WindowGrid, middle_nodes, window_grid)
-from kernel_helpers import NumpyCallCounter, counted_nodes, unchecked_subsolution, window_row
+from kernel_helpers import (NumpyCallCounter, counted_nodes, reference_window_grid,
+                            unchecked_subsolution, window_row)
 
 
 GAMMA2 = Eos(2.0)
@@ -39,6 +40,23 @@ POSITIVE_LOWER_DATA = RiemannData(
     3.1025328928102573, 23.029317395202835,
     (0.0, 10.73028506766137), (0.0, 0.535385157383427), GAMMA2)
 POSITIVE_LOWER_RHO1 = 6.346428044362538
+
+# Found by seeded search: (data, rho_1) where one energy coefficient
+# vanishes exactly and every other condition holds, so the sign test
+# b >= 0 alone decides the node: b < 0 for the first and the third
+# (the third reflected, its left coefficient vanishing), b >= 0 for the
+# second.
+VANISHING_COEFFICIENT = [
+    (RiemannData(9.15112314479989, 84.14895626024844,
+                 (0.0, 6.127720054529487), (0.0, 0.8991597630941346), Eos(1.4)),
+     19.409428478260597),
+    (RiemannData(5.073009515875978, 20.823783705878835,
+                 (0.0, 1.7992252203600434), (0.0, -0.9596102090511072), Eos(1.4)),
+     14.0508120293856),
+    (RiemannData(0.6075571139838246, 0.2275850638214265,
+                 (0.0, -1.3388428660124747), (0.0, -1.9767016195680762), Eos(1.4)),
+     0.3030434061342602),
+]
 
 
 def random_subsonic_data(rng, gammas=(1.0, 1.4, 2.0)):
@@ -401,19 +419,20 @@ class TestWindowGrid:
         with pytest.raises(DomainError, match="MiddleNodes of middle_nodes"):
             window_grid(GOLDEN, nodes)
 
-    @pytest.mark.parametrize("data, calls", [(GOLDEN, 79), (GOLDEN_SWAP, 82)],
+    @pytest.mark.parametrize("data, calls, allocations", [(GOLDEN, 73, 32), (GOLDEN_SWAP, 76, 35)],
                              ids=["1_4", "4_1"])
-    def test_numpy_calls_per_passing_call(self, data, calls):
+    def test_numpy_calls_per_passing_call(self, data, calls, allocations):
         """The kernel's cost per call is its count of numpy calls, fixed
         whatever the number of nodes.  A call whose self-checks all pass
-        on their absolute residuals makes 79 of them, and 3 more for the
-        reflected ordering, whose results it negates; counting changes
-        no bit."""
+        on their absolute residuals and whose energy coefficients are all
+        nonzero makes 73 of them, and 3 more for the reflected ordering,
+        whose results it negates.  32 of them allocate their result (35
+        reflected); counting changes no bit."""
         nodes = middle_nodes(data, np.linspace(1.0, 4.0, 2050)[1:-1])
         plain = window_grid(data, nodes)
-        NumpyCallCounter.calls = 0
+        NumpyCallCounter.calls = NumpyCallCounter.allocations = 0
         counted = window_grid(data, counted_nodes(nodes))
-        assert NumpyCallCounter.calls == calls
+        assert (NumpyCallCounter.calls, NumpyCallCounter.allocations) == (calls, allocations)
         for field in dataclasses.fields(WindowGrid):
             np.testing.assert_array_equal(getattr(counted, field.name),
                                           getattr(plain, field.name))
@@ -483,6 +502,68 @@ class TestBoundFirstSelfChecks:
                     window_grid(data, nodes)
                 assert str(got.value) == message
         assert min(paths.values()) >= 20, paths
+
+
+class TestRowStageMatchesReference:
+    """window_grid sends the partial results of its kinematics to
+    scratch arrays and forms the sign test of a vanishing energy
+    coefficient only when one vanishes.  The plain allocating row stage
+    of kernel_helpers is its
+    oracle: every WindowGrid field byte for byte, NaN included, and
+    every error by type and message."""
+
+    @staticmethod
+    def same_outcome(data, nodes):
+        """window_grid(data, nodes), after checking it against the
+        reference; the error's type when both raise it."""
+        try:
+            want = reference_window_grid(data, nodes)
+        except EulerFanError as exc:
+            with pytest.raises(EulerFanError) as got:
+                window_grid(data, nodes)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            return type(exc)
+        got = window_grid(data, nodes)
+        for field in dataclasses.fields(WindowGrid):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), field.name
+        return got
+
+    def test_seeded_data(self):
+        """Both density orderings on every gamma of (1, 1.4, 2, 3, 5), on
+        1 to 2048 nodes, with gaps that pass, transverse velocities up to
+        about 1e8 sqrt(T) whose self-checks fail, and gaps beyond the
+        two-shock bound."""
+        rng = np.random.default_rng(2025)
+        outcomes = {}
+        for k in range(330):
+            eos = Eos((1.0, 1.4, 2.0, 3.0, 5.0)[k % 5])
+            lo = float(10.0 ** rng.uniform(-1.0, 2.0))
+            hi = lo * float(10.0 ** rng.uniform(0.05, 1.5))
+            rho_minus, rho_plus = (hi, lo) if k % 2 else (lo, hi)
+            sqrt_T = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+            regime = k % 3
+            scale = 10.0 ** rng.uniform(4.0, 8.0) if regime == 1 else rng.uniform(0.0, 3.0)
+            v_plus2 = float(rng.choice((-1.0, 1.0)) * scale) * sqrt_T
+            gap = float(rng.uniform(1.0, 1.5) if regime == 2 else rng.uniform(0.01, 0.999)) * sqrt_T
+            data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + gap), (0.0, v_plus2), eos)
+            size = int(rng.choice((1, 2, 64, 2048)))
+            outcome = self.same_outcome(data, middle_nodes(data, np.linspace(lo, hi, size + 2)[1:-1]))
+            kind = outcome if isinstance(outcome, type) else WindowGrid
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert outcomes.keys() == {WindowGrid, NumericalError, VelocityGapError}, outcomes
+        assert min(outcomes.values()) >= 30, outcomes
+
+    @pytest.mark.parametrize("data, rho_1", VANISHING_COEFFICIENT)
+    def test_vanishing_coefficient_decides_by_its_sign_test(self, data, rho_1):
+        lo, hi = sorted((data.rho_minus, data.rho_plus))
+        nodes = middle_nodes(data, np.sort(np.append(np.linspace(lo, hi, 66)[1:-1], rho_1)))
+        w = self.same_outcome(data, nodes)
+        i = np.searchsorted(nodes.rho_1, rho_1)
+        (b,) = [b[i] for a, b in ((w.a_left, w.b_left), (w.a_right, w.b_right)) if a[i] == 0.0]
+        assert w.eps_1[i] > 0.0 and max(w.lower[i], 0.0) < w.upper[i]
+        assert w.feasible[i] == (b >= 0.0)
+        assert eps2_window(data, rho_1).feasible == (b >= 0.0)
 
 
 class TestMiddleNodes:

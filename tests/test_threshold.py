@@ -194,14 +194,24 @@ def test_feasible_runs_match_a_loop_reference():
 
 
 def test_runs_match_feasible_runs():
-    """The intervals of a mask are its runs, runs touching either end of
-    the grid and one-node grids included."""
+    """The intervals of a mask are its runs, as Python floats: a single
+    run (the fast path) in the interior, touching either end, of one
+    node or of the whole grid; two or more runs; runs touching either
+    end of the grid and one-node grids included."""
     rng = np.random.default_rng(47)
     nodes = np.linspace(1.0, 2.0, 40)
     masks = rng.uniform(size=(40, nodes.size)) < rng.uniform(size=(40, 1))
     masks[0], masks[1] = True, False
-    assert [_runs(nodes, mask) for mask in masks] == [reference_intervals(nodes, mask)
-                                                     for mask in masks]
+    shaped = np.zeros((6, nodes.size), dtype=bool)
+    for mask, runs in zip(shaped, ([(5, 9)], [(0, 7)], [(30, 40)], [(12, 13)],
+                                   [(2, 5), (10, 20)], [(0, 3), (8, 9), (37, 40)])):
+        for start, stop in runs:
+            mask[start:stop] = True
+    masks = np.concatenate((masks, shaped))
+    got = [_runs(nodes, mask) for mask in masks]
+    assert got == [reference_intervals(nodes, mask) for mask in masks]
+    assert [len(runs) for runs in got[-6:]] == [1, 1, 1, 1, 2, 3]
+    assert {type(end) for runs in got for run in runs for end in run} == {float}
     assert any(mask[0] and not mask.all() for mask in masks[2:])
     assert any(mask[-1] and not mask.all() for mask in masks[2:])
     for mask in (np.array([True]), np.array([False])):
