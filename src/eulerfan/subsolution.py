@@ -261,12 +261,10 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     node, before anything after it is evaluated.  Each residual check
     tests its absolute residual first (_failed_residual) and forms the
     relative one only when that bound does not decide, so a passing
-    call pays one reduction per check.  Every formula and residual is
-    evaluated operation for operation as written, so its bits are those
-    of the plain allocating expression, but its partial results go to
-    two scratch arrays: a passing call allocates 12 grid-sized results
-    where the plain expressions allocate 33 (15 against 36 on reflected
-    data).
+    call pays one reduction per check.  With the partial results in two
+    scratch arrays, a passing call allocates 12 grid-sized results where
+    the plain expressions, with the same bits, allocate 33 (15 against
+    36 on reflected data).
 
     The formulas are written for rho_minus < rho_plus.  Data of the other
     ordering are reflected by x2 -> -x2, which swaps the two states and

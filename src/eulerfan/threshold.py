@@ -22,9 +22,9 @@ bisection alike, is one window_grid call of one gap on the GRID start
 nodes: on the seven reference columns 509 calls for 509 probes, with
 509 DataFunctionals for 517 RiemannData (RiemannData.functionals).
 Such a call costs its count of numpy calls more than its nodes: 73
-when its checks pass (76 on reflected data), 32 of them allocating a
-16 KiB temporary (35), small enough that the allocator reuses it from call
-to call instead of returning it to the OS (see window_grid).  _runs
+when its checks pass (76 on reflected data), 32 (35) of them allocating
+a 16 KiB temporary, small enough that the allocator reuses it from
+call to call instead of returning it to the OS (see window_grid).  _runs
 turns the probe's mask into intervals with one np.flatnonzero when its
 feasible nodes are contiguous, as on all 441 feasible probes of the
 seven columns.  The cache keeps one start grid alive, about 0.3 MB at
