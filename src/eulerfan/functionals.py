@@ -71,6 +71,10 @@ class DataFunctionals:
     at which the sign of the middle-state interface velocity difference
     flips) needs distinct densities as well.  Unavailable fields are
     None.
+
+    A and H are taken in the frame v_plus2 = 0, where the upstream state
+    moves at the gap w; every other field is the same in every frame
+    moving along x2.
     """
 
     R: float
@@ -96,25 +100,25 @@ def data_functionals(data: RiemannData) -> DataFunctionals:
     Returns
     -------
     out : DataFunctionals
-        R = rho- - rho+, A = rho-*v-2 - rho+*v+2,
-        H = rho-*v-2**2 - rho+*v+2**2 + p(rho-) - p(rho+),
-        u = v+2 - v-2, B = A**2 - R*H,
+        With the gap w = v-2 - v+2: R = rho- - rho+, and in the frame
+        v+2 = 0, A = rho-*w and H = rho-*w**2 + p(rho-) - p(rho+); then
+        u = -w, B = A**2 - R*H = rho-*rho+*w**2 - R*(p(rho-) - p(rho+)),
         T = two_shock_T(rho-, rho+), the square of the two-shock
         bound on the gap,
         and, when available, the branch scalars K, L, the sign-flip
         density rho_T and the density rho_tilde where the K/L square-root
         expression inside the slack formula vanishes.
     """
-    rm, rp = data.rho_minus, data.rho_plus
-    vm2, vp2 = data.v_minus[1], data.v_plus[1]
-    eos = data.eos
+    rm, rp, w, eos = data.rho_minus, data.rho_plus, data.gap, data.eos
 
+    # A boost along x2 leaves B unchanged; in the user's frame its terms
+    # grow like rho*v2**2 and cancel to the small B.
     R = rm - rp
-    A = rm * vm2 - rp * vp2
+    A = rm * w
     # Squares are products: Python's x ** 2 calls libm pow, which is not
     # correctly rounded for every x on every platform.
-    H = rm * (vm2 * vm2) - rp * (vp2 * vp2) + eos._pressure(rm) - eos._pressure(rp)
-    u = vp2 - vm2
+    H = rm * (w * w) + eos._pressure(rm) - eos._pressure(rp)
+    u = -w
     B = A * A - R * H
     T = eos._two_shock_T(rm, rp)
 

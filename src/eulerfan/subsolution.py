@@ -9,8 +9,10 @@ formulas are written once, in an array-first kernel of two stages: the
 node stage middle_nodes holds every term of a grid of middle densities
 that does not depend on the velocity gap, and the row stage
 window_grid combines it with the gap of one datum per call and raises
-that datum's error.  The row stage takes middle densities only as a
-MiddleNodes, so every caller builds its nodes with middle_nodes.
+that datum's error.  The row stage computes in one frame, the far
+state at rest, and maps back to the user's frame once, at its end.  It
+takes middle densities only as a MiddleNodes, so every caller builds
+its nodes with middle_nodes.
 eps2_window, reconstruct and witness_at are one-node wrappers around
 it; eps2_window's record carries the interface speeds, the middle
 velocity and the first slack, and reconstruct and witness_at always
@@ -43,6 +45,8 @@ CROSS_CHECK_TOL = 1e-9
 CONTINUITY_TOL = 1e-10
 #: The verifier's pass gate on every interface balance residual (relative).
 EQUALITY_TOL = 1e-9
+# The largest energy scale a datum may have (_require_subsolution_data).
+_ENERGY_RANGE = sys.float_info.max * 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,16 @@ class WindowGrid:
 def _require_subsolution_data(data: RiemannData):
     """Common preconditions of the middle-wedge analysis; returns the
     datum's DataFunctionals (RiemannData.functionals, formed once per
-    datum)."""
+    datum).
+
+    Besides B, the guard bounds the energy coefficients by the scalar
+    p(far)*(sqrt(T) + L + 2*|v_far2|): a velocity scale of the kernel's
+    frame plus the boost back to the user's, times the largest pressure.
+    The terms of b exceeded it by a factor of at most about 2e4, at the
+    start grid's end nodes, on seeded data over the whole float range;
+    _ENERGY_RANGE leaves room for that, so a datum that passes forms no
+    infinity there.
+    """
     if data.rho_minus == data.rho_plus:
         raise DegenerateDensityError(
             "equal initial densities: no middle density interval to probe")
@@ -157,6 +170,13 @@ def _require_subsolution_data(data: RiemannData):
         raise VelocityGapError(
             f"B = {f.B} >= 0: the velocity gap is at or beyond the "
             "two-shock bound, interface speeds are not both real")
+    # The far state is the denser one; Python float products overflow
+    # to inf without a warning.
+    far, v_far2 = max((data.rho_minus, data.v_minus[1]), (data.rho_plus, data.v_plus[1]))
+    scale = data.eos._pressure(far) * (math.sqrt(f.T) + f.L + 2.0 * abs(v_far2))
+    if not scale <= _ENERGY_RANGE:
+        raise DomainError(f"{data} exceeds the float range of the energy coefficients: "
+                          f"p(far)*(sqrt(T) + L + 2*|v_far2|) = {scale}")
     return f
 
 
@@ -167,14 +187,18 @@ class MiddleNodes:
     law.  Built by middle_nodes; window_grid reads it for any datum with
     those densities and that law.
 
-    near and far are the smaller and the larger initial density.  Every
-    array has the 1-D shape (n,) of rho_1 and is read-only.
+    near and far are the smaller and the larger initial density: the
+    kernel's frame (window_grid) holds them on its near and far
+    interface whatever the density ordering, so no term names the
+    minus or plus state.  Every array has the 1-D shape (n,) of rho_1
+    and is read-only.
     """
 
     rho_minus: float
     rho_plus: float
     eos: Eos
     rho_1: np.ndarray
+    d_near: np.ndarray         # near - rho_1
     d_far: np.ndarray          # far - rho_1
     pressure_term: np.ndarray  # (p(far) - p(rho_1)) / rho_1
     sqrt_far_near: np.ndarray  # sqrt((far - rho_1) / (rho_1 - near))
@@ -185,12 +209,10 @@ class MiddleNodes:
     far_ratio: np.ndarray      # far / rho_1
     far_weight: np.ndarray     # far * (far - rho_1) / rho_1**2
     R_rho: np.ndarray          # (near - far) * rho_1
-    d_minus: np.ndarray        # rho_minus - rho_1
-    d_plus: np.ndarray         # rho_plus - rho_1
-    rm_rho: np.ndarray         # rho_minus * rho_1
-    rp_rho: np.ndarray         # rho_plus * rho_1
-    P_left: np.ndarray         # P(rho_minus, rho_1)
-    P_right: np.ndarray        # P(rho_1, rho_plus)
+    near_rho: np.ndarray       # near * rho_1
+    far_rho: np.ndarray        # far * rho_1
+    P_near: np.ndarray         # P(near, rho_1)
+    P_far: np.ndarray          # P(rho_1, far)
 
 
 def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
@@ -211,36 +233,39 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     Returns
     -------
     MiddleNodes
-        17 read-only arrays of rho_1's size: 0.28 MB at 2048 nodes.
+        16 read-only arrays of rho_1's size: 0.26 MB at 2048 nodes.
 
     Raises DomainError, before any term is evaluated, when rho_1 leaves
-    the open density interval.
+    the open density interval, or when the densities leave the float
+    range of the dissipation terms: P(r, s) forms 2*r*s*(e(r) - e(s)),
+    at most 2*far*max(far, p(far)) in size.
     """
     rho_1 = np.array(rho_1, dtype=float, ndmin=1)
     rm, rp, eos = data.rho_minus, data.rho_plus, data.eos
     near, far = (rp, rm) if rm > rp else (rm, rp)
     if not np.all((rho_1 > near) & (rho_1 < far)):
         raise DomainError(f"rho_1 must lie strictly inside ({near}, {far})")
-    d_near, d_far = rho_1 - near, far - rho_1
+    if not 2.0 * far * max(far, eos._pressure(far)) <= sys.float_info.max:
+        raise DomainError(f"densities {rm} and {rp} exceed the float range of P(r, s)")
+    above, d_far = rho_1 - near, far - rho_1
     far_ratio = far / rho_1
     terms = dict(
         rho_1=rho_1,
+        d_near=near - rho_1,
         d_far=d_far,
         pressure_term=(eos._pressure(far) - eos._pressure(rho_1)) / rho_1,
-        sqrt_far_near=np.sqrt(d_far / d_near),
-        sqrt_near_far=np.sqrt(d_near / d_far),
-        sqrt_product=np.sqrt(d_near * d_far),
+        sqrt_far_near=np.sqrt(d_far / above),
+        sqrt_near_far=np.sqrt(above / d_far),
+        sqrt_product=np.sqrt(above * d_far),
         sqrt_near=np.sqrt(1.0 - near / rho_1),
         sqrt_far=np.sqrt(far_ratio - 1.0),
         far_ratio=far_ratio,
         far_weight=far * d_far / rho_1 ** 2,
         R_rho=(near - far) * rho_1,
-        d_minus=rm - rho_1,
-        d_plus=rp - rho_1,
-        rm_rho=rm * rho_1,
-        rp_rho=rp * rho_1,
-        P_left=eos._p_dissipation(rm, rho_1),
-        P_right=eos._p_dissipation(rho_1, rp),
+        near_rho=near * rho_1,
+        far_rho=far * rho_1,
+        P_near=eos._p_dissipation(near, rho_1),
+        P_far=eos._p_dissipation(rho_1, far),
     )
     for array in terms.values():
         array.flags.writeable = False
@@ -249,44 +274,44 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
 
 def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     """The first half of the row stage: interface speeds, middle velocity
-    and first slack of the datum on its nodes n.  Returns (nu_minus,
-    nu_plus, beta, eps_1); window_grid documents the arguments and the
-    errors.
+    and first slack of the datum on its nodes n, in the kernel's frame
+    (window_grid).  Returns (nu_near, nu_far, beta, eps_1); window_grid
+    documents the arguments, the frame and the errors.
 
-    The first slack is evaluated in its K/L square-root form and
-    cross-checked against the independent interface-speed form; the two
+    In that frame the near state moves at the gap w and the far state
+    rests, so A = near*w and the far state adds no term:
+
+        nu_near = A/R + (sqrt(-B)/R)*sqrt_far_near
+        nu_far  = A/R - (sqrt(-B)/R)*sqrt_near_far
+        beta    = (sqrt(-B)/R_rho)*sqrt_product - d_far*A/R_rho
+
+    with R = near - far.  The first slack is evaluated in its K/L
+    square-root form and cross-checked against the independent
+    interface-speed form pressure_term - far_weight*nu_far**2; the two
     continuity balances are re-evaluated as self-checks, and the speeds
     must be ordered.  The first check that fails beyond the pinned
-    tolerances raises a NumericalError naming its residual and its worst
-    node, before anything after it is evaluated.  Each residual check
-    tests its absolute residual first (_failed_residual) and forms the
-    relative one only when that bound does not decide, so a passing
-    call pays one reduction per check.  With the partial results in two
-    scratch arrays, a passing call allocates 12 grid-sized results where
-    the plain expressions, with the same bits, allocate 33 (15 against
-    36 on reflected data).
-
-    The formulas are written for rho_minus < rho_plus.  Data of the other
-    ordering are reflected by x2 -> -x2, which swaps the two states and
-    negates the normal velocities, and the results are mapped back by
-    nu_minus, nu_plus -> -nu_plus, -nu_minus and beta -> -beta; A, B, K,
-    L and the first slack are invariant.
+    tolerances raises a NumericalError naming its residual, the user's
+    side of its interface and its worst node, before anything after it
+    is evaluated.  Each residual check tests its absolute residual first
+    (_failed_residual) and forms the relative one only when that bound
+    does not decide, so a passing call pays one reduction per check.
+    With the partial results in two scratch arrays, a passing call
+    allocates 12 grid-sized results.
     """
     if not isinstance(n, MiddleNodes):
         raise DomainError("window_grid takes its middle densities as the "
                           f"MiddleNodes of middle_nodes, got {type(n).__name__}")
-    rm, rp, eos, vp2 = data.rho_minus, data.rho_plus, data.eos, data.v_plus[1]
+    rm, rp, eos = data.rho_minus, data.rho_plus, data.eos
     if (n.rho_minus, n.rho_plus, n.eos) != (rm, rp, eos):
         raise DomainError(
             "middle nodes built for other densities or another pressure law: "
             f"({n.rho_minus}, {n.rho_plus}, {n.eos}), "
             f"the data have ({rm}, {rp}, {eos})")
     f = _require_subsolution_data(data)
-    vm2, A, sqrt_nB, K, L = data.v_minus[1], f.A, math.sqrt(-f.B), f.K, f.L
-    rho_1 = n.rho_1
-    flip = rm > rp
-    near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
-    R = near - far
+    sqrt_nB, K, L, rho_1 = math.sqrt(-f.B), f.K, f.L, n.rho_1
+    # Reflected data hold the near state on the user's right.
+    (near, far), sides = ((rp, rm), ("right", "left")) if rm > rp else ((rm, rp), ("left", "right"))
+    A, R = near * -f.u, near - far  # -u is the gap w
 
     # Each formula is evaluated as written, operation for operation
     # (t**2 is np.square(t), as numpy evaluates it); its partial results
@@ -294,25 +319,20 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     # writes over one of its own operands: on a one-node grid numpy
     # checks such an overlap the slow way.
     A_R, nB_R = A / R, sqrt_nB / R
-    # beta = far*v_far2/rho_1 - d_far*A/R_rho + (sqrt_nB/R_rho)*sqrt_product
     t = n.d_far * A
     u = t / n.R_rho
-    beta = np.divide(far * v_far2, rho_1, out=t) - u
     np.divide(sqrt_nB, n.R_rho, out=t)
-    beta += np.multiply(t, n.sqrt_product, out=u)
+    beta = t * n.sqrt_product
+    beta -= u
     nu_near = A_R + np.multiply(nB_R, n.sqrt_far_near, out=t)
     nu_far = A_R - np.multiply(nB_R, n.sqrt_near_far, out=t)
     # eps_1 = pressure_term - far_ratio*(L*sqrt_near - K*sqrt_far)**2
     eps_1 = np.multiply(L, n.sqrt_near, out=t) - np.multiply(K, n.sqrt_far, out=u)
     np.square(eps_1, out=t)
     np.subtract(n.pressure_term, np.multiply(n.far_ratio, t, out=u), out=eps_1)
-    # eps_1_alt = pressure_term - far_weight*(nu_far - v_far2)**2, in u
-    np.square(np.subtract(nu_far, v_far2, out=t), out=u)
+    # eps_1_alt = pressure_term - far_weight*nu_far**2, in u
+    np.square(nu_far, out=u)
     np.subtract(n.pressure_term, np.multiply(n.far_weight, u, out=t), out=u)
-    if flip:
-        nu_minus, nu_plus, beta = -nu_far, -nu_near, -beta
-    else:
-        nu_minus, nu_plus = nu_near, nu_far
 
     diff = np.abs(np.subtract(eps_1, u, out=t), out=u)
     failed = _failed_residual(diff, CROSS_CHECK_TOL, eps_1)
@@ -323,14 +343,13 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
             f"interface-speed form disagree by {worst:.3e} (relative) at "
             f"rho_1 = {rho_1[i]}")
 
-    # The left mass balance nu*(r - rho_1) = r*v2 - rho_1*beta.  The
-    # reflection x2 -> -x2 negates both sides, so the right balance is
-    # the same formula on (nu_plus, rho_plus, v_plus2) without negations.
+    # The mass balance nu*(r - rho_1) = r*v2 - rho_1*beta of the near
+    # state (near, w) and of the far state (far, 0), each named by its
+    # user's side.
     rho_beta = rho_1 * beta
-    for name, nu, d, r, v2 in (("left", nu_minus, n.d_minus, rm, vm2),
-                               ("right", nu_plus, n.d_plus, rp, vp2)):
+    for name, nu, d, mom in zip(sides, (nu_near, nu_far), (n.d_near, n.d_far), (A, 0.0)):
         lhs = nu * d
-        lhs_mom = r * v2 - rho_beta
+        lhs_mom = mom - rho_beta
         diff = np.abs(np.subtract(lhs, lhs_mom, out=t), out=u)
         failed = _failed_residual(diff, CONTINUITY_TOL, lhs, lhs_mom)
         if failed is not None:
@@ -338,12 +357,12 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
             raise NumericalError(f"{name} continuity self-check failed: residual "
                                  f"{worst:.3e} at rho_1 = {rho_1[i]}")
 
-    if (nu_minus >= nu_plus).any():
+    if (nu_near >= nu_far).any():
         # Both continuity checks passed, so every speed is finite and the
-        # largest nu_minus - nu_plus sits at a violating node.
+        # largest nu_near - nu_far sits at a violating node.
         raise NumericalError("interface speed ordering violated on the grid at "
-                             f"rho_1 = {rho_1[np.argmax(nu_minus - nu_plus)]}")
-    return nu_minus, nu_plus, beta, eps_1
+                             f"rho_1 = {rho_1[np.argmax(nu_near - nu_far)]}")
+    return nu_near, nu_far, beta, eps_1
 
 
 def _failed_residual(diff, tol: float, *values):
@@ -371,38 +390,43 @@ def _failed_residual(diff, tol: float, *values):
     return worst, np.argmax(rel)
 
 
-def _energy_constraints(data: RiemannData, n: MiddleNodes, beta, eps_1):
+def _energy_constraints(n: MiddleNodes, w: float, boost: float, beta, eps_1):
     """The two interface energy inequalities as a*eps_2 <= b, on the
-    grid of window_grid: [a_left, b_left, a_right, b_right].
+    grid of window_grid, in the kernel's frame (window_grid).
 
-    The rule is written once, for the left interface, the state (r, v2)
-    against the middle wedge with normal velocity beta and P = P_left:
+    The rule is written once, for the state (r, v2) left of the middle
+    wedge with normal velocity beta and P = P(r, rho_1):
 
         a = r*rho_1*(beta - v2) / (r - rho_1)
-        b = eps_1*rho_1*(v2 + beta) - eps_1*a - (beta - v2)*P
+        b = eps_1*rho_1*(v2 + beta + 2*boost) - eps_1*a - (beta - v2)*P
 
-    The right interface is the same rule on the data reflected by
-    x2 -> -x2: (rho_plus, -v_plus2) against -beta, with P = P_right.
+    The near interface is the rule on (near, w) against beta.  The far
+    interface is the same rule on the kernel's frame reflected by
+    x2 -> -x2, which negates the boost: (far, 0) against -beta, with
+    -boost.  a does not change under a boost along x2, and b moves by
+    2*c*eps_1*rho_1 under a boost by c, so boost carries b to the user's
+    frame at the cost of one scalar sum.  Returns ((a_near, b_near),
+    (a_far, b_far)).
 
     This and _kinematics_arrays are functions of their own so that their
     temporaries, each as large as the grid, are freed before window_grid
     forms the bounds."""
     eps_rho = eps_1 * n.rho_1
     coefficients = []
-    for r_rho, d, v2, mid2, P in ((n.rm_rho, n.d_minus, data.v_minus[1], beta, n.P_left),
-                                  (n.rp_rho, n.d_plus, -data.v_plus[1], -beta, n.P_right)):
+    for r_rho, d, v2, c, mid2, P in ((n.near_rho, n.d_near, w, boost, beta, n.P_near),
+                                     (n.far_rho, n.d_far, 0.0, -boost, -beta, n.P_far)):
         bmv = mid2 - v2
         a = r_rho * bmv
         a /= d
         # b in place, in the order of the rule; the product with eps_rho
         # commutes exactly.
-        b = v2 + mid2
+        b = (v2 + 2.0 * c) + mid2
         b *= eps_rho
         term = eps_1 * a
         b -= term
         np.multiply(bmv, P, out=term)
         b -= term
-        coefficients += (a, b)
+        coefficients.append((a, b))
     return coefficients
 
 
@@ -416,9 +440,19 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     self-checks (see _kinematics_arrays).  Its cost is a fixed count of
     numpy calls, whatever the number of nodes: 73 on a call whose checks
     pass on their absolute residuals and whose energy coefficients are
-    all nonzero, 76 for rho_minus > rho_plus.  32 of them allocate a
-    grid-sized result (35 reflected); the others write into arrays the
-    call already holds, or reduce.
+    all nonzero, on either density ordering.  35 of them allocate a
+    grid-sized result; the others write into arrays the call already
+    holds, or reduce.
+
+    The kernel computes in one frame: the datum reflected by x2 -> -x2
+    when rho_minus > rho_plus, so the near (smaller) density sits on the
+    left, then boosted along x2 so the far state rests and the near
+    state moves at the gap w.  No term of the size rho*v2**2 enters, so
+    nothing cancels at large transverse velocities.  The user's frame
+    comes back once, at the end: nu_minus, nu_plus and beta shift by
+    the far state's velocity, mirrored on reflected data, and the
+    energy rule adds its boost to the scalar of its sum (see
+    _energy_constraints).
 
     Both interface energy inequalities are treated as affine constraints
     a*eps_2 <= b and the resulting half-lines are intersected with
@@ -431,9 +465,9 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     Parameters
     ----------
     data : RiemannData
-        The datum.  Its per-gap scalars (v_minus2, A, B, K, L) come from
-        its own data_functionals, formed on its first kernel call and
-        reused by every later one (RiemannData.functionals).
+        The datum.  Its per-gap scalars (u, B, K, L) come from its own
+        data_functionals, formed on its first kernel call and reused by
+        every later one (RiemannData.functionals).
     nodes : MiddleNodes
         The middle densities with their node terms, built by
         middle_nodes for the datum's densities and pressure law.
@@ -446,9 +480,10 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     Raises DomainError when nodes is not a MiddleNodes or belongs to
     other densities or another pressure law; then the datum's first
     failing precondition (_require_subsolution_data) or self-check, in
-    the order precondition, first-slack cross-check, left continuity,
-    right continuity, speed ordering.  A self-check's NumericalError
-    names its worst node ("at rho_1 = ...").
+    the order precondition, first-slack cross-check, near continuity
+    (left, or right when rho_minus > rho_plus), far continuity, speed
+    ordering.  A self-check's NumericalError names its worst node
+    ("at rho_1 = ...").
 
     Memory: every temporary is a grid-sized array.  From about 6144
     nodes per call the temporaries are large enough that glibc's malloc
@@ -462,8 +497,13 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     removes the faults and halved the time of a call of 16384 nodes
     (2.0 ms to 1.0 ms), but the package does not set malloc options.
     """
-    nu_minus, nu_plus, beta, eps_1 = _kinematics_arrays(data, nodes)
-    a_left, b_left, a_right, b_right = _energy_constraints(data, nodes, beta, eps_1)
+    nu_near, nu_far, beta, eps_1 = _kinematics_arrays(data, nodes)
+    # The user's frame is the kernel's boosted along x2 and, when flip,
+    # mirrored; v_far2 is the far state's velocity in it.
+    flip = data.rho_minus > data.rho_plus
+    v_far2 = data.v_minus[1] if flip else data.v_plus[1]
+    near, far = _energy_constraints(nodes, data.gap, -v_far2 if flip else v_far2, beta, eps_1)
+    (a_left, b_left), (a_right, b_right) = (far, near) if flip else (near, far)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         q_left, q_right = b_left / a_left, b_right / a_right
@@ -477,22 +517,21 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     if not (a_left.all() and a_right.all()):
         feasible &= (((a_left != 0.0) | (b_left >= 0.0))
                      & ((a_right != 0.0) | (b_right >= 0.0)))
-    return WindowGrid(nu_minus=nu_minus, nu_plus=nu_plus, beta=beta,
-                      eps_1=eps_1, a_left=a_left, b_left=b_left,
-                      a_right=a_right, b_right=b_right,
-                      lower=lower, upper=upper, feasible=feasible)
+    # A velocity x of the kernel's frame is v_far2 + x in the user's, or
+    # v_far2 - x when mirrored.
+    to_user = np.subtract if flip else np.add
+    nu_minus, nu_plus = (nu_far, nu_near) if flip else (nu_near, nu_far)
+    return WindowGrid(nu_minus=to_user(v_far2, nu_minus), nu_plus=to_user(v_far2, nu_plus),
+                      beta=to_user(v_far2, beta), eps_1=eps_1, a_left=a_left, b_left=b_left,
+                      a_right=a_right, b_right=b_right, lower=lower, upper=upper, feasible=feasible)
 
 
 def _window_at(data: RiemannData, rho_1: float) -> WindowGrid:
     """window_grid of one datum at one middle density, every array of
     shape (1,); raises the datum's error, a failed precondition before a
     middle density outside the interval."""
-    try:
-        nodes = middle_nodes(data, [float(rho_1)])
-    except DomainError:
-        _require_subsolution_data(data)
-        raise
-    return window_grid(data, nodes)
+    _require_subsolution_data(data)
+    return window_grid(data, middle_nodes(data, [float(rho_1)]))
 
 
 def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:

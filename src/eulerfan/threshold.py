@@ -22,13 +22,13 @@ bisection alike, is one window_grid call of one gap on the GRID start
 nodes: on the seven reference columns 509 calls for 509 probes, with
 509 DataFunctionals for 517 RiemannData (RiemannData.functionals).
 Such a call costs its count of numpy calls more than its nodes: 73
-when its checks pass (76 on reflected data), 32 (35) of them allocating
+when its checks pass, on either density ordering, 35 of them allocating
 a 16 KiB temporary, small enough that the allocator reuses it from
 call to call instead of returning it to the OS (see window_grid).  _runs
 turns the probe's mask into intervals with one np.flatnonzero when its
 feasible nodes are contiguous, as on all 441 feasible probes of the
-seven columns.  The cache keeps one start grid alive, about 0.3 MB at
-GRID.
+seven columns.  The cache keeps one start grid alive, about 0.26 MB
+at GRID.
 
 feasibility_scan, whose intervals and witness the feasibility command
 and the region map read, is the one search that refines, for its one
@@ -103,24 +103,26 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int) -> Mi
 
     Returns the middle_nodes of the `grid` equispaced nodes strictly
     inside the density interval; its read-only rho_1 is the start grid.
-    The cache keeps the last density pair, law and grid only: 17
-    node-stage arrays of `grid` floats (0.3 MB at GRID), so the
+    The cache keeps the last density pair, law and grid only: 16
+    node-stage arrays of `grid` floats (0.26 MB at GRID), so the
     start-grid calls of every probe of a threshold_V call, scan and
     bisection alike, share them.
 
     Raises DomainError when the densities are too close for the
     endpoint margin to keep every node off the interval's ends (closer
-    than about 1e-7 relative).
+    than about 1e-7 relative), and through middle_nodes when they leave
+    the float range of the dissipation terms.
     """
     lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     delta = _ENDPOINT_MARGIN * (hi - lo)
     datum = RiemannData(rho_minus, rho_plus, (0.0, 0.0), (0.0, 0.0), eos)
-    try:
-        return middle_nodes(datum, np.linspace(lo + delta, hi - delta, grid))
-    except DomainError:
+    # linspace keeps its end values, and its nodes between them.
+    nodes = np.linspace(lo + delta, hi - delta, grid)
+    if not (lo < nodes[0] and nodes[-1] < hi):
         raise DomainError(
             f"densities {rho_minus} and {rho_plus} are too close to place a grid "
-            f"of {grid} middle densities strictly between them") from None
+            f"of {grid} middle densities strictly between them")
+    return middle_nodes(datum, nodes)
 
 
 def _runs(nodes, mask) -> list:

@@ -84,47 +84,51 @@ def reference_window_grid(data, n):
     """window_grid's row stage as plain allocating expressions, each
     formula in its own order, and its self-checks on their full relative
     residuals: the oracle that window_grid must match bit for bit, its
-    errors included.  n is the datum's MiddleNodes."""
+    errors included.  n is the datum's MiddleNodes.  Like window_grid it
+    computes in the frame where the near state moves at the gap and the
+    far state rests, and maps back to the user's frame at the end."""
     rm, rp, vm2, vp2 = data.rho_minus, data.rho_plus, data.v_minus[1], data.v_plus[1]
     f = _require_subsolution_data(data)
-    A, sqrt_nB, K, L = f.A, math.sqrt(-f.B), f.K, f.L
-    rho_1 = n.rho_1
     flip = rm > rp
-    near, far, v_far2 = (rp, rm, -vm2) if flip else (rm, rp, vp2)
+    near, far = (rp, rm) if flip else (rm, rp)
+    w = data.gap
+    A, sqrt_nB, K, L = near * w, math.sqrt(-f.B), f.K, f.L
+    rho_1 = n.rho_1
     A_R, nB_R = A / (near - far), sqrt_nB / (near - far)
     nu_near = A_R + nB_R * n.sqrt_far_near
     nu_far = A_R - nB_R * n.sqrt_near_far
-    beta = (far * v_far2 / rho_1 - n.d_far * A / n.R_rho
-            + (sqrt_nB / n.R_rho) * n.sqrt_product)
+    beta = (sqrt_nB / n.R_rho) * n.sqrt_product - n.d_far * A / n.R_rho
     eps_1 = n.pressure_term - n.far_ratio * (L * n.sqrt_near - K * n.sqrt_far) ** 2
-    eps_1_alt = n.pressure_term - n.far_weight * (nu_far - v_far2) ** 2
-    if flip:
-        nu_minus, nu_plus, beta = -nu_far, -nu_near, -beta
-    else:
-        nu_minus, nu_plus = nu_near, nu_far
+    eps_1_alt = n.pressure_term - n.far_weight * nu_far ** 2
 
     _check_residual(np.abs(eps_1 - eps_1_alt), np.maximum(1.0, np.abs(eps_1)), CROSS_CHECK_TOL,
                     lambda worst, i: "first-slack cross-check failed: square-root form and "
                     f"interface-speed form disagree by {worst:.3e} (relative) at "
                     f"rho_1 = {rho_1[i]}")
-    for name, nu, d, r, v2 in (("left", nu_minus, n.d_minus, rm, vm2),
-                               ("right", nu_plus, n.d_plus, rp, vp2)):
-        lhs, lhs_mom = nu * d, r * v2 - rho_1 * beta
+    sides = ("right", "left") if flip else ("left", "right")
+    for name, nu, d, mom in zip(sides, (nu_near, nu_far), (n.d_near, n.d_far), (A, 0.0)):
+        lhs, lhs_mom = nu * d, mom - rho_1 * beta
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs_mom)))
         _check_residual(np.abs(lhs - lhs_mom), scale, CONTINUITY_TOL,
                         lambda worst, i: f"{name} continuity self-check failed: residual "
                         f"{worst:.3e} at rho_1 = {rho_1[i]}")
-    if (nu_minus >= nu_plus).any():
+    if (nu_near >= nu_far).any():
         raise NumericalError("interface speed ordering violated on the grid at "
-                             f"rho_1 = {rho_1[np.argmax(nu_minus - nu_plus)]}")
+                             f"rho_1 = {rho_1[np.argmax(nu_near - nu_far)]}")
 
+    # c boosts the kernel's frame to the user's, in the kernel's
+    # orientation; v_far2 is the far state's velocity in the user's frame.
+    v_far2 = vm2 if flip else vp2
+    c = -v_far2 if flip else v_far2
     coefficients = []
-    for r_rho, d, v2, mid2, P in ((n.rm_rho, n.d_minus, vm2, beta, n.P_left),
-                                  (n.rp_rho, n.d_plus, -vp2, -beta, n.P_right)):
+    for r_rho, d, v2, boost, mid2, P in ((n.near_rho, n.d_near, w, c, beta, n.P_near),
+                                         (n.far_rho, n.d_far, 0.0, -c, -beta, n.P_far)):
         a = r_rho * (mid2 - v2) / d
-        b = (v2 + mid2) * (eps_1 * rho_1) - eps_1 * a - (mid2 - v2) * P
-        coefficients += (a, b)
-    a_left, b_left, a_right, b_right = coefficients
+        b = ((v2 + 2.0 * boost) + mid2) * (eps_1 * rho_1) - eps_1 * a - (mid2 - v2) * P
+        coefficients.append((a, b))
+    (a_left, b_left), (a_right, b_right) = coefficients[::-1] if flip else coefficients
+    nu_minus, nu_plus = (v_far2 - nu_far, v_far2 - nu_near) if flip else (nu_near + c, nu_far + c)
+    beta = v_far2 - beta if flip else beta + c
 
     with np.errstate(divide="ignore", invalid="ignore"):
         q_left, q_right = b_left / a_left, b_right / a_right

@@ -125,16 +125,17 @@ class TestThresholdCommands:
                        "a grid of 2048 middle densities strictly between them\n")
 
     def test_failed_self_check_exits_one(self, capsys):
-        # At a density ratio of 1e3 the first-slack cross-check fails:
-        # a valid run with a negative finding, not an input error.
+        # At a density ratio of 1e4 and gamma = 5 the right continuity
+        # self-check fails: a valid run with a negative finding, not an
+        # input error.
         code, out, err = run(capsys, [
-            "threshold", "--rho-minus", "1e3", "--rho-plus", "1",
-            "--v-plus2", "0", "--gamma", "1.4"])
+            "threshold", "--rho-minus", "1", "--rho-plus", "1e4",
+            "--v-plus2", "0", "--gamma", "5"])
         assert code == 1
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: first-slack cross-check failed")
+        assert lines[0].startswith("error: right continuity self-check failed")
 
     def test_no_threshold_exits_one_with_the_note(self, capsys):
         # No start-grid node is feasible at the first scan gap.

@@ -282,15 +282,15 @@ class TestRegionMapSweep:
             assert 0.0 < cell.V_local < math.sqrt(45.0 / 4.0)
 
     def test_with_threshold_records_cell_errors(self):
-        # At a density ratio of 1e3 the threshold's first-slack
-        # cross-check fails in every cell; each cell keeps the message
-        # and no V_local.
-        cells = region_map_sweep(1e3, 0.0, Eos(1.4), (1.0, 2.0, 2), (0.0, 1.0, 2),
+        # At density ratios of 1e4 and 2e4 and gamma = 5 the threshold's
+        # right continuity self-check fails in every cell; each cell
+        # keeps the message and no V_local.
+        cells = region_map_sweep(1.0, 0.0, Eos(5.0), (1e4, 2e4, 2), (0.0, 1.0, 2),
                                  with_threshold=True)
         assert len(cells) == 4
         for cell in cells:
             assert cell.V_local is None
-            assert cell.error.startswith("first-slack cross-check failed")
+            assert cell.error.startswith("right continuity self-check failed")
 
     def test_rejects_degenerate_grids(self):
         with pytest.raises(DomainError, match="at least 2"):

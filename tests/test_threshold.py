@@ -8,6 +8,7 @@ import math
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -483,14 +484,15 @@ class TestBatchedScanMatchesSequential:
             result = threshold_V(1.0, 4.0, 0.0, eos)
         assert result == reference_threshold(1.0, 4.0, 0.0, eos)
 
-    # (1e3, 1) fails the cross-check at the first gap.  The other two
-    # were found by seeded search: a continuity check fails at the third
-    # scan gap, the first two being feasible, and on the start grid of a
-    # bisection probe.
+    # The first two, found by seeded search, fail a continuity check at
+    # their first gap, at the start grid's node next to the near
+    # density (the second reflected).  (1, 1e4) and (1, 3e3) fail the
+    # right continuity check on the start grid of a bisection probe.
     @pytest.mark.parametrize("rho_minus, rho_plus, v_plus2, gamma", [
-        (1e3, 1.0, 0.0, 1.4),
-        (3385.7655500690385, 2.0417847885199363, 0.0789653286814147, 1.4),
-        (5324.923042880178, 3.1179765826340806, 0.3094044075830693, 1.4),
+        (5.9764400876459165, 167.05824823203272, 104509.1475935661, 5.0),
+        (408.91036895391915, 1.7478103667023688, 1667744.2998162538, 5.0),
+        (1.0, 1e4, 0.0, 5.0),
+        (1.0, 3e3, 0.0, 5.0),
     ])
     def test_same_error(self, rho_minus, rho_plus, v_plus2, gamma):
         eos = Eos(gamma)
@@ -500,6 +502,19 @@ class TestBatchedScanMatchesSequential:
             threshold_V(rho_minus, rho_plus, v_plus2, eos)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
+
+    # Reflected data of large density ratio whose self-checks failed in
+    # the user's frame, at the first gap, the third scan gap and a
+    # bisection probe.  In the kernel's frame they find an edge.
+    @pytest.mark.parametrize("rho_minus, rho_plus, v_plus2, gamma", [
+        (1e3, 1.0, 0.0, 1.4),
+        (3385.7655500690385, 2.0417847885199363, 0.0789653286814147, 1.4),
+        (5324.923042880178, 3.1179765826340806, 0.3094044075830693, 1.4),
+    ])
+    def test_same_result_where_a_check_failed(self, rho_minus, rho_plus, v_plus2, gamma):
+        eos = Eos(gamma)
+        assert (threshold_V(rho_minus, rho_plus, v_plus2, eos)
+                == reference_threshold(rho_minus, rho_plus, v_plus2, eos))
 
     def test_same_result_where_only_an_inserted_node_failed(self):
         """A continuity check failed only at a node that refinement
@@ -711,28 +726,40 @@ class TestRefinementErrors:
         """At this gap, found by seeded search, the start grid passes
         every check and a node of the first refinement pass fails one:
         feasible_for_gap decides the gap, feasibility_scan raises."""
-        eos, w = Eos(3.0), 865963.5852184686
-        rho_minus, rho_plus, v_plus2 = 4.218419597877375, 16556.273726555977, -0.9475973097609343
+        eos, w = Eos(5.0), 27485.66831940487
+        rho_minus, rho_plus, v_plus2 = 4.98487042373068, 83.27945354538721, -26154.818646524312
         assert feasible_for_gap(rho_minus, rho_plus, v_plus2, eos, w)[0]
         data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
         with pytest.raises(NumericalError,
-                           match=r"^right continuity self-check failed: residual 1\.308e-10 "
-                                 r"at rho_1 = 14\.007767077370227$"):
+                           match=r"^first-slack cross-check failed: square-root form and "
+                                 r"interface-speed form disagree by 2\.739e-09 \(relative\) "
+                                 r"at rho_1 = 83\.27894650535085$"):
             feasibility_scan(data)
+
+    def test_former_inserted_node_failure_answers(self):
+        """At this datum and gap a node of the first refinement pass
+        failed the right continuity check while the transverse velocity
+        terms cancelled in the user's frame.  In the kernel's frame
+        feasibility_scan answers, with a witness that verifies."""
+        eos, w = Eos(3.0), 865963.5852184686
+        rho_minus, rho_plus, v_plus2 = 4.218419597877375, 16556.273726555977, -0.9475973097609343
+        data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
+        intervals, witness = feasibility_scan(data)
+        assert intervals and verify_subsolution(data, witness).passed
 
 
 class TestFailedCheckRaisesWithoutWarning:
-    """A datum whose self-check fails raises the check's error before the
-    kernel computes anything after it: here the energy coefficients
-    would overflow.  The datum was found by a seeded fuzz of
-    feasibility_scan."""
+    """A datum whose energy coefficients would overflow raises the
+    float-range guard's DomainError, naming the datum, before the kernel
+    computes anything: no RuntimeWarning, and no answer read off inf or
+    NaN coefficients.  The first datum was found by a seeded fuzz of
+    feasibility_scan; its self-checks failed in the user's frame and
+    pass in the kernel's.  feasibility_scan answered the other two with
+    ([], None) after overflow warnings."""
 
     RHO_MINUS, RHO_PLUS = 1.0132051002458683e+42, 1.423891837266978e+47
     V_PLUS2, GAP = -4.973063621100822e+96, 3.8002509514590836e+96
-    CONTINUITY = ("left continuity self-check failed: residual 1.779e-09 "
-                  "at rho_1 = 1.01334748841639e+42")
-    CROSS_CHECK = ("first-slack cross-check failed: square-root form and interface-speed "
-                   "form disagree by 4.805e-08 (relative) at rho_1 = 1.01334748841639e+42")
+    MESSAGE = "exceeds the float range of the energy coefficients"
 
     def test_every_search_raises_the_check_error(self):
         eos = Eos(5.0)
@@ -740,12 +767,109 @@ class TestFailedCheckRaisesWithoutWarning:
                            (0.0, self.V_PLUS2), eos)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match=f"^{re.escape(self.CONTINUITY)}$"):
+            with pytest.raises(DomainError, match=f"^{re.escape(repr(data))} {self.MESSAGE}"):
                 feasible_for_gap(self.RHO_MINUS, self.RHO_PLUS, self.V_PLUS2, eos, self.GAP)
-            with pytest.raises(NumericalError, match=f"^{re.escape(self.CONTINUITY)}$"):
+            with pytest.raises(DomainError, match=self.MESSAGE):
                 feasibility_scan(data)
-            with pytest.raises(NumericalError, match=f"^{re.escape(self.CROSS_CHECK)}$"):
+            with pytest.raises(DomainError, match=self.MESSAGE):
                 threshold_V(self.RHO_MINUS, self.RHO_PLUS, self.V_PLUS2, eos)
+
+    @pytest.mark.parametrize("rho_minus, rho_plus, v_minus2, v_plus2", [
+        (3.5936374140510095e+47, 2.1500325290329943e+46, 2.828827549686538e+95,
+         -3.4899987297539986e+94),
+        (7.311967233379713e+45, 1.7504497627686846e+42, -3.1145384863678646e+92,
+         -2.9870100517358766e+93),
+    ])
+    def test_overflowing_energy_rule_raises(self, rho_minus, rho_plus, v_minus2, v_plus2):
+        eos = Eos(5.0)
+        data = RiemannData(rho_minus, rho_plus, (0.0, v_minus2), (0.0, v_plus2), eos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for search in (feasibility_scan,
+                           lambda data: feasible_for_gap(rho_minus, rho_plus, v_plus2, eos,
+                                                         data.gap),
+                           lambda data: threshold_V(rho_minus, rho_plus, v_plus2, eos)):
+                with pytest.raises(DomainError, match=self.MESSAGE):
+                    search(data)
+
+
+class TestOneKernelFrame:
+    """The window kernel computes with the far state at rest and the
+    near state moving at the gap, so neither a transverse velocity far
+    above sqrt(T) nor the reflection of the data forms terms that
+    cancel.  Each search here raised an error while the kernel computed
+    in the user's frame."""
+
+    def test_large_transverse_velocities_raise_no_numerical_error(self):
+        """Seeded: density ratios up to 30 in both orderings, gamma 1.4,
+        2 or 3, gaps of 0.3 to 0.999 sqrt(T) and |v_plus2| log-uniform
+        in 1e3 to 1e7 sqrt(T).  The user's frame raised on 163 of the
+        300."""
+        rng = np.random.default_rng(17)
+        for k in range(300):
+            lo = float(10.0 ** rng.uniform(-2.0, 2.0))
+            hi = lo * float(10.0 ** rng.uniform(0.01, math.log10(30.0)))
+            rho_minus, rho_plus = (hi, lo) if k % 2 else (lo, hi)
+            eos = Eos(float(rng.choice([1.4, 2.0, 3.0])))
+            sqrt_T = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+            w = float(rng.uniform(0.3, 0.999)) * sqrt_T
+            v_plus2 = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(3.0, 7.0)) * sqrt_T
+            feasible_for_gap(rho_minus, rho_plus, v_plus2, eos, w)
+
+    def test_golden_gap_at_a_large_boost(self):
+        """V rises towards sqrt(T) with v_plus2, so the golden gap 3.3 is
+        infeasible at v_plus2 = 1e6; the user's frame failed the
+        first-slack cross-check there."""
+        assert feasible_for_gap(1.0, 4.0, 1e6, GAMMA2, 3.3) == (False, [])
+
+    def test_reflected_large_ratio_finds_an_edge(self):
+        """The user's frame failed the first-slack cross-check at the
+        first gap."""
+        result = threshold_V(1e3, 1.0, 0.0, Eos(1.4))
+        assert result.V / result.sqrtT == pytest.approx(0.30496, abs=1e-5)
+        assert len(result.feasible_probe) == 161
+
+    def test_B_near_the_two_shock_bound(self):
+        """At the gap (1 - 1e-6)*sqrt(T), B = rho_minus*rho_plus*w**2 -
+        R*(p(rho_minus) - p(rho_plus)) is 1e-6 of its terms; in the
+        user's frame they were larger still by (v_plus2/sqrt(T))**2 and
+        B came out 0.0, so threshold_V raised VelocityGapError."""
+        rho_minus, rho_plus, v_plus2 = 0.012381421188429125, 0.0031864549482161224, -32.229540576805036
+        eos = Eos(5.0)
+        w = (1.0 - 1e-6) * math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+        data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
+        with mp.workdps(60):
+            r, s = mp.mpf(rho_minus), mp.mpf(rho_plus)
+            gap = mp.mpf(data.v_minus[1]) - mp.mpf(data.v_plus[1])
+            oracle = r * s * gap ** 2 - (r - s) * (r ** 5 - s ** 5)
+            assert abs(data.functionals.B - oracle) <= 1e-9 * abs(oracle)
+        assert oracle < 0 and threshold_V(rho_minus, rho_plus, v_plus2, eos).V is not None
+
+    def test_data_near_the_float_range_raise_without_warning(self):
+        """Seeded data over the whole float range: densities up to
+        1e300**(1/gamma), ratios up to 1e12 in both orderings,
+        |v_plus2| up to 1e8 sqrt(T).  Each search answers or raises a
+        package error, with no RuntimeWarning: the float-range guard
+        refuses the data whose energy coefficients or dissipation terms
+        would overflow, before the kernel forms them."""
+        rng = np.random.default_rng(1)
+        guarded = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(2000):
+                gamma = float(rng.choice([1.0, 1.4, 2.0, 3.0, 5.0]))
+                near = float(10.0 ** rng.uniform(-300.0 / gamma, 300.0 / gamma))
+                far = near * float(10.0 ** rng.uniform(0.001, 12.0))
+                rho_minus, rho_plus = (far, near) if k % 2 else (near, far)
+                eos = Eos(gamma)
+                try:
+                    sqrt_T = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+                    v_plus2 = float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-3, 8)) * sqrt_T
+                    w = float(rng.uniform(0.3, 0.999)) * sqrt_T
+                    feasible_for_gap(rho_minus, rho_plus, v_plus2, eos, w, grid=64)
+                except EulerFanError as exc:
+                    guarded += "float range of the energy coefficients" in str(exc)
+        assert guarded >= 20, guarded
 
 
 class TestEqualNodesGetEqualMasks:
