@@ -502,8 +502,8 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     # mirrored; v_far2 is the far state's velocity in it.
     flip = data.rho_minus > data.rho_plus
     v_far2 = data.v_minus[1] if flip else data.v_plus[1]
-    near, far = _energy_constraints(nodes, data.gap, -v_far2 if flip else v_far2, beta, eps_1)
-    (a_left, b_left), (a_right, b_right) = (far, near) if flip else (near, far)
+    at_near, at_far = _energy_constraints(nodes, data.gap, -v_far2 if flip else v_far2, beta, eps_1)
+    (a_left, b_left), (a_right, b_right) = (at_far, at_near) if flip else (at_near, at_far)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         q_left, q_right = b_left / a_left, b_right / a_right

@@ -489,7 +489,8 @@ class TestBoundFirstSelfChecks:
         for k in range(300):
             near_bound = k % 3 == 2
             lo = float(10.0 ** rng.uniform(0.0, 5.0))
-            hi = lo * float(10.0 ** (rng.uniform(2.0, 6.0) if near_bound else rng.uniform(0.1, 1.5)))
+            ratio = rng.uniform(2.0, 6.0) if near_bound else rng.uniform(0.1, 1.5)
+            hi = lo * float(10.0 ** ratio)
             rho_minus, rho_plus = (hi, lo) if k % 2 else (lo, hi)
             eos = Eos((1.4, 2.0, 3.0, 5.0)[k % 4])
             sqrt_T = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
@@ -549,7 +550,8 @@ class TestRowStageMatchesReference:
             eos = Eos((1.0, 1.4, 2.0, 3.0, 5.0)[k % 5])
             regime = k % 4
             lo = float(10.0 ** rng.uniform(-1.0, 2.0))
-            hi = lo * float(10.0 ** (rng.uniform(2.0, 6.0) if regime == 3 else rng.uniform(0.05, 1.5)))
+            ratio = rng.uniform(2.0, 6.0) if regime == 3 else rng.uniform(0.05, 1.5)
+            hi = lo * float(10.0 ** ratio)
             rho_minus, rho_plus = (hi, lo) if k % 2 else (lo, hi)
             sqrt_T = math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
             scale = 10.0 ** rng.uniform(4.0, 8.0) if regime == 1 else rng.uniform(0.0, 3.0)

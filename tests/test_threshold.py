@@ -834,8 +834,8 @@ class TestOneKernelFrame:
         R*(p(rho_minus) - p(rho_plus)) is 1e-6 of its terms; in the
         user's frame they were larger still by (v_plus2/sqrt(T))**2 and
         B came out 0.0, so threshold_V raised VelocityGapError."""
-        rho_minus, rho_plus, v_plus2 = 0.012381421188429125, 0.0031864549482161224, -32.229540576805036
-        eos = Eos(5.0)
+        rho_minus, rho_plus = 0.012381421188429125, 0.0031864549482161224
+        v_plus2, eos = -32.229540576805036, Eos(5.0)
         w = (1.0 - 1e-6) * math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
         data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w), (0.0, v_plus2), eos)
         with mp.workdps(60):
