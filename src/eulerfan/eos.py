@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_density, check_density_pair
+from .errors import DomainError, check_density, check_density_pair, check_dissipation_range
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,9 @@ def p_dissipation(eos: Eos, r, s):
     cancels: P is O((r - s)**2) but formed from O(1) terms, so its
     relative error grows like 1e-16 * (s/(r - s))**2.  It is about
     1e-4 at |r - s|/s = 1e-6, and the result is 0.0, not positive, at
-    1e-9 (ROADMAP item 1 gives P a Taylor form there).
+    1e-9 (ROADMAP item 1 gives P a Taylor form there).  Raises
+    DomainError when the densities leave the float range of P
+    (errors.check_dissipation_range).
 
     Parameters
     ----------
@@ -152,6 +154,7 @@ def p_dissipation(eos: Eos, r, s):
     check_density(eos, s, "s")
     if np.any(np.asarray(r) == np.asarray(s)):
         raise DomainError("p_dissipation requires r != s (diagonal not evaluated)")
+    check_dissipation_range(eos, r, s)
     return eos._p_dissipation(r, s)
 
 

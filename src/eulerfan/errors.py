@@ -81,3 +81,16 @@ def check_density_pair(r, s, names=("r", "s")):
         rn, sn = names
         raise DomainError(f"densities {rn} = {r} and {sn} = {s} have no positive "
                           f"normal float product {rn}*{sn}")
+
+
+def check_dissipation_range(eos, r, s):
+    """Raise DomainError unless the dissipation terms of the densities r
+    and s stay in the float range.  P(r, s) forms 2*r*s*(e(r) - e(s)),
+    at most 2*far*max(far, p(far)) in size, far the largest density; r
+    and s must already pass check_density."""
+    if isinstance(r, (int, float)) and isinstance(s, (int, float)):
+        far = max(r, s)
+    else:
+        far = float(max(np.max(r), np.max(s)))
+    if not 2.0 * far * max(far, eos._pressure(far)) <= sys.float_info.max:
+        raise DomainError(f"densities {r} and {s} exceed the float range of P(r, s)")

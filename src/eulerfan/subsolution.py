@@ -36,6 +36,7 @@ from .errors import (
     VelocityGapError,
     check_density,
     check_density_pair,
+    check_dissipation_range,
 )
 from .functionals import RiemannData
 from .roots import brent
@@ -245,8 +246,7 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     near, far = (rp, rm) if rm > rp else (rm, rp)
     if not np.all((rho_1 > near) & (rho_1 < far)):
         raise DomainError(f"rho_1 must lie strictly inside ({near}, {far})")
-    if not 2.0 * far * max(far, eos._pressure(far)) <= sys.float_info.max:
-        raise DomainError(f"densities {rm} and {rp} exceed the float range of P(r, s)")
+    check_dissipation_range(eos, rm, rp)
     above, d_far = rho_1 - near, far - rho_1
     far_ratio = far / rho_1
     terms = dict(

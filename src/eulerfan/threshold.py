@@ -6,8 +6,8 @@ sufficiently close to (but below) sqrt(T), the two-shock bound.  The
 threshold V reported here is defined operationally: the infimum of the
 feasible gap interval abutting sqrt(T), located by a descending scan
 followed by bisection.  The scan stops at the first infeasible gap and
-evaluates no gap past it.  Bisection probes through feasible_for_gap,
-about 15 times per search.  The full probe trace is retained so a
+evaluates no gap past it.  Every probe, scan and bisection alike, is
+one feasible_for_gap call.  The full probe trace is retained so a
 non-monotone feasibility pattern, if one ever shows up, is visible in
 the result rather than silently flattened into a single number.
 
@@ -17,10 +17,11 @@ root that does not depend on the gap) are built once per density pair
 and pressure law and cached by _initial_nodes.  A probe is decided on
 that start grid alone, and its intervals are the runs of feasible
 start-grid nodes: refinement would move interval ends but decide no
-gap, and the search reads nothing else.  Every probe, scan and
-bisection alike, is one window_grid call of one gap on the GRID start
-nodes: on the seven reference columns 509 calls for 509 probes, with
-509 DataFunctionals for 517 RiemannData (RiemannData.functionals).
+gap, and the search reads nothing else.  Every probe is one
+feasible_for_gap call, and so one window_grid call of one gap on the
+GRID start nodes: on the seven reference columns 509 feasible_for_gap
+calls and 509 kernel calls for 509 probes, with 509 DataFunctionals
+for 517 RiemannData (RiemannData.functionals).
 Such a call costs its count of numpy calls more than its nodes: 73
 when its checks pass, on either density ordering, 35 of them allocating
 a 16 KiB temporary, small enough that the allocator reuses it from
@@ -136,26 +137,6 @@ def _runs(nodes, mask) -> list:
     return list(zip(nodes[edges[::2]].tolist(), nodes[edges[1::2] - 1].tolist()))
 
 
-def _start_grid_intervals(rows, grid: int) -> list:
-    """Feasible middle-density intervals of the gap rows, in order, up to
-    and including the first row with no feasible node.
-
-    rows is an iterable of RiemannData, pulled one at a time.  Each row
-    is decided by one window_grid call on the cached start grid; its
-    intervals are the runs of feasible start-grid nodes.  No row past
-    the first infeasible one is built, and the first error of a row
-    built is raised, so the outcome is that of deciding the rows one by
-    one.
-    """
-    found = []
-    for data in rows:
-        start = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)
-        found.append(_runs(start.rho_1, window_grid(data, start).feasible))
-        if not found[-1]:
-            break
-    return found
-
-
 def _check_grid(grid: int) -> None:
     if not isinstance(grid, numbers.Integral):
         raise DomainError(f"grid must be an integer number of nodes, got {grid!r}")
@@ -163,12 +144,11 @@ def _check_grid(grid: int) -> None:
         raise DomainError(f"grid must have at least 2 nodes, got {grid}")
 
 
-def _gap_datum(rho_minus, rho_plus, v_plus2, eos: Eos, w: float, bound=None) -> RiemannData:
-    """The datum of gap w, which must lie in (0, sqrt(T)); bound is
-    sqrt(T), formed here when the caller does not hold it."""
+def _gap_datum(rho_minus, rho_plus, v_plus2, eos: Eos, w: float) -> RiemannData:
+    """The datum of gap w, which must lie in (0, sqrt(T))."""
     data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
                        v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
-    bound = math.sqrt(eos._two_shock_T(rho_minus, rho_plus)) if bound is None else bound
+    bound = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
     if not 0.0 < w < bound:
         raise DomainError(
             f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
@@ -206,7 +186,8 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
         raise DegenerateDensityError(
             f"equal densities {rho_minus} leave no middle-density interval")
     data = _gap_datum(rho_minus, rho_plus, v_plus2, eos, w)
-    intervals = _start_grid_intervals([data], grid)[0]
+    start = _initial_nodes(rho_minus, rho_plus, eos, grid)
+    intervals = _runs(start.rho_1, window_grid(data, start).feasible)
     return bool(intervals), intervals
 
 
@@ -281,12 +262,11 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     to BISECTION_TOL.  The returned V is the lowest gap probed feasible,
     so V < sqrt(T) always, and the probe just below V failed.
 
-    The scan decides its gaps on the cached start grid, one kernel call
-    per gap, and stops at its first infeasible gap: no gap past it is
-    evaluated.  Bisection probes go through feasible_for_gap one by one,
-    on the same start grid.  No probe is refined: refinement moves
-    interval ends but decides no gap, so every probe's intervals are
-    start-grid runs.
+    Both phases probe through the same closure: one feasible_for_gap
+    call per gap, on the cached start grid.  The scan stops at its first
+    infeasible gap, so no gap past it is evaluated.  No probe is
+    refined: refinement moves interval ends but decides no gap, so every
+    probe's intervals are start-grid runs.
 
     For gamma = 1 the existence guarantee does not apply; the search
     still runs, with a warning.
@@ -303,24 +283,18 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
                 v_minus=(0.0, 0.0), v_plus=(0.0, v_plus2), eos=eos)
     sqrtT = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
-    step = sqrtT / SCAN_STEPS
-    gaps = []
-    w = (1.0 - SCAN_OFFSET) * sqrtT
-    while w > 0.0:
-        gaps.append(w)
-        w -= step
+    probes = []
 
-    # Only the first gap can fail _gap_datum: later ones are smaller and
-    # still positive.
-    rows = (_gap_datum(rho_minus, rho_plus, v_plus2, eos, gap, sqrtT) for gap in gaps)
-    probes = list(zip(gaps, _start_grid_intervals(rows, GRID)))
-    hi = lo = None
-    for gap, intervals in probes:
-        if intervals:
-            hi = gap
-        else:
-            lo = gap
+    def feasible(w):
+        # The module global, looked up at each call, so a wrapper of
+        # feasible_for_gap sees every probe.
+        ok, intervals = feasible_for_gap(rho_minus, rho_plus, v_plus2, eos, w)
+        probes.append((w, intervals))
+        return ok
 
+    hi, w = None, (1.0 - SCAN_OFFSET) * sqrtT
+    while w > 0.0 and feasible(w):
+        hi, w = w, w - sqrtT / SCAN_STEPS
     if hi is None:
         return ThresholdResult(
             V=None, sqrtT=sqrtT, feasible_probe=probes, bisection_tol=BISECTION_TOL,
@@ -329,17 +303,14 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
                  "if any, are narrower than the grid spacing, so the search has no "
                  "feasible gap to bisect from")
 
-    note = None
-    if lo is None:
-        lo = 0.0
-        note = ("feasible at every probed gap; the reported V is the bisection "
-                "resolution above 0, not a detected feasibility edge")
+    lo, note = w, None
+    if w <= 0.0:
+        lo, note = 0.0, ("feasible at every probed gap; the reported V is the bisection "
+                         "resolution above 0, not a detected feasibility edge")
 
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        ok, intervals = feasible_for_gap(rho_minus, rho_plus, v_plus2, eos, mid)
-        probes.append((mid, intervals))
-        if ok:
+        if feasible(mid):
             hi = mid
         else:
             lo = mid

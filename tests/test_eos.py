@@ -3,6 +3,7 @@ scalar functionals of two-state data."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestPDissipation:
     def test_diagonal_rejected(self):
         with pytest.raises(DomainError):
             p_dissipation(Eos(2.0), 1.5, 1.5)
+
+    def test_beyond_the_float_range_of_P_rejected(self):
+        """2*r*s overflows here: the scalar form returned -inf without a
+        warning, and the array form warned."""
+        eos = Eos(1.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for r, s in [(1e155, 5e154), (np.array([1e155, 1.0]), np.array([5e154, 2.0]))]:
+                with pytest.raises(DomainError, match="exceed the float range of P"):
+                    p_dissipation(eos, r, s)
+            assert math.isfinite(p_dissipation(eos, 1e128, 5e127))
 
     @given(r=density, s=density, gamma=gamma_any)
     def test_positive_off_diagonal(self, r, s, gamma):

@@ -16,14 +16,14 @@ import eulerfan.subsolution
 import eulerfan.threshold
 from eulerfan import (DataFunctionals, DegenerateDensityError, DomainError, Eos,
                       EulerFanError, NumericalError, RiemannData, ThresholdResult,
-                      ThresholdRow, VelocityGapError, data_functionals, eps2_window,
+                      ThresholdRow, data_functionals, eps2_window,
                       epsilon1_sign_change, feasibility_scan, feasible_for_gap,
                       reconstruct, subsolution_witness, threshold_V,
                       threshold_table, two_shock_T, verify_subsolution,
                       witness_at)
 from eulerfan.subsolution import middle_nodes
 from eulerfan.threshold import (_REFINE_PASSES, BISECTION_TOL, GRID, SCAN_OFFSET,
-                                SCAN_STEPS, _initial_nodes, _runs, _start_grid_intervals)
+                                SCAN_STEPS, _initial_nodes, _runs)
 from kernel_helpers import window_row
 
 
@@ -460,7 +460,7 @@ class TestThresholdTable:
             assert "equal densities" in row.error
 
 
-class TestBatchedScanMatchesSequential:
+class TestSearchMatchesSequential:
     """threshold_V decides every probe on the start grid, one gap per
     kernel call, and refines none; its results and errors must be those
     of the sequential reference, bit for bit.  feasibility_scan
@@ -580,18 +580,6 @@ class TestBatchedScanMatchesSequential:
             assert intervals == reference_intervals(ref_nodes, ref_mask)
             flipped += nodes.size > 512
         assert flipped >= 10, f"only {flipped} data refined their grid"
-
-    def test_block_stops_at_its_first_infeasible_row(self):
-        def row(w):
-            return RiemannData(1.0, 4.0, (0.0, w), (0.0, 0.0), GAMMA2)
-
-        feasible, infeasible, beyond = row(3.3), row(0.5), row(SQRT_T)
-        found = _start_grid_intervals([feasible, infeasible, beyond, feasible], 256)
-        assert found == [reference_intervals(*reference_grid(data, 256, passes=0))
-                         for data in (feasible, infeasible)]
-        assert found[0] and not found[1]
-        with pytest.raises(VelocityGapError):
-            _start_grid_intervals([feasible, beyond, infeasible], 256)
 
     def test_random_data_match_the_reference(self):
         """Seeded data of both orderings, gamma 1.4, 2, 3 and 5 and
@@ -988,14 +976,15 @@ class TestUnderflowingDensityProduct:
 
 
 class TestScanEvaluatesOnlyProbedGaps:
-    """The search evaluates the start grid only at the gaps feasible_probe
-    records, one gap per kernel call and no gap past the scan's first
-    infeasible one; bisection calls feasible_for_gap once per probe."""
+    """Every probe of the search, scan and bisection alike, is one
+    feasible_for_gap call, made in feasible_probe's order, and one
+    start-grid kernel call; no gap past the scan's first infeasible one
+    is evaluated."""
 
     @pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 4.0), (4.0, 1.0)])
     @pytest.mark.parametrize("v_plus2", COLUMNS)
     def test_reference_columns(self, monkeypatch, rho_minus, rho_plus, v_plus2):
-        start_calls, bisected = [], []
+        start_calls, probed = [], []
         kernel = eulerfan.threshold.window_grid
         probe = eulerfan.threshold.feasible_for_gap
         start = _initial_nodes(rho_minus, rho_plus, GAMMA2, GRID)
@@ -1007,29 +996,40 @@ class TestScanEvaluatesOnlyProbedGaps:
             return kernel(data, nodes)
 
         def feasible_for_gap(*args, **kwargs):
-            bisected.append(args[4])
+            probed.append(args[4])
             return probe(*args, **kwargs)
 
         monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
         monkeypatch.setattr(eulerfan.threshold, "feasible_for_gap", feasible_for_gap)
         result = threshold_V(rho_minus, rho_plus, v_plus2, GAMMA2)
-        probes = result.feasible_probe
+        gaps = [w for w, _ in result.feasible_probe]
 
-        scanned = 1 + next(i for i, (_, intervals) in enumerate(probes) if not intervals)
-        assert start_calls == [v_plus2 + w for w, _ in probes]
-        assert len(bisected) == len(probes) - scanned > 0
-        assert bisected == [w for w, _ in probes[scanned:]]
+        assert probed == gaps
+        assert start_calls == [v_plus2 + w for w in gaps]
+        scanned = 1 + next(i for i, (_, intervals) in enumerate(result.feasible_probe)
+                           if not intervals)
+        assert 1 < scanned < len(gaps)
+        assert gaps[:scanned] == sorted(gaps[:scanned], reverse=True)
+        lo, hi = gaps[scanned - 1], gaps[scanned - 2]
+        assert all(lo < w < hi for w in gaps[scanned:])
 
-    def test_rows_built_past_the_first_infeasible_one_are_not_raised(self):
-        """An error raised while a later row of a call is built is raised
-        only when that row's turn comes."""
-        def rows(first):
-            yield RiemannData(1.0, 4.0, (0.0, first), (0.0, 0.0), GAMMA2)
-            raise DomainError("built")
-
-        assert _start_grid_intervals(rows(0.5), GRID) == [[]]
-        with pytest.raises(DomainError, match="built"):
-            _start_grid_intervals(rows(3.3), GRID)
+    def test_feasible_at_every_probed_gap(self, monkeypatch):
+        """A search feasible at every scan gap bisects down from the last
+        one towards 0 and says that V is no detected edge."""
+        monkeypatch.setattr(eulerfan.threshold, "feasible_for_gap",
+                            lambda *args, **kwargs: (True, [(1.5, 2.5)]))
+        result = threshold_V(1.0, 4.0, 0.0, GAMMA2)
+        gaps = [w for w, _ in result.feasible_probe]
+        scan = [(1.0 - SCAN_OFFSET) * result.sqrtT]
+        while scan[-1] - result.sqrtT / SCAN_STEPS > 0.0:
+            scan.append(scan[-1] - result.sqrtT / SCAN_STEPS)
+        assert len(scan) == SCAN_STEPS < len(gaps)
+        assert gaps[:SCAN_STEPS] == scan
+        assert all(0.0 < w < gaps[SCAN_STEPS - 1] for w in gaps[SCAN_STEPS:])
+        assert 0.0 < result.V <= BISECTION_TOL
+        assert result.V == min(gaps)
+        assert result.note == ("feasible at every probed gap; the reported V is the "
+                               "bisection resolution above 0, not a detected feasibility edge")
 
 
 @pytest.mark.parametrize("grid", [0, 1])
