@@ -47,10 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify the self-similar solution")
+    p.set_defaults(run=_cmd_classify)
     _add_flags(p, *_FLAGS)
 
     p = sub.add_parser("feasibility",
                        help="feasible middle-density intervals for one datum")
+    p.set_defaults(run=_cmd_feasibility)
     _add_flags(p, *_FLAGS)
     p.add_argument("--grid", type=int, default=GRID,
                    help=f"initial middle-density grid size (default {GRID})")
@@ -58,16 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the found subsolution as a JSON witness file")
 
     p = sub.add_parser("threshold", help="gap threshold for one column")
+    p.set_defaults(run=_cmd_threshold)
     _add_flags(p, "--rho-minus", "--rho-plus", "--v-plus2", "--gamma")
 
     p = sub.add_parser("threshold-table",
                        help="thresholds for several downstream velocities")
+    p.set_defaults(run=_cmd_threshold_table)
     _add_flags(p, "--rho-minus", "--rho-plus", "--gamma")
     p.add_argument("--v-plus2", type=float, nargs="+", required=True,
                    help="downstream transverse velocities, one per row")
 
     p = sub.add_parser("region-map",
                        help="sweep a (rho_plus, v_plus2) grid to CSV")
+    p.set_defaults(run=_cmd_region_map)
     _add_flags(p, "--rho-minus", "--v-minus2", "--gamma", "--v1")
     p.add_argument("--rho-plus-range", type=float, nargs=3, required=True,
                    metavar=("MIN", "MAX", "N"))
@@ -78,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
     p = sub.add_parser("verify", help="re-verify a witness JSON file")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("witness", help="path to a witness document")
 
     return parser
@@ -153,16 +159,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "feasibility": _cmd_feasibility,
-    "threshold": _cmd_threshold,
-    "threshold-table": _cmd_threshold_table,
-    "region-map": _cmd_region_map,
-    "verify": _cmd_verify,
-}
-
-
 def run_cli(argv) -> int:
     """Parse argv (without the program name) and run one subcommand."""
     parser = build_parser()
@@ -171,7 +167,7 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

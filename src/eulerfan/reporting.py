@@ -69,14 +69,10 @@ def quantize(x: float) -> float:
 
 
 def _jsonable(value):
-    if isinstance(value, Enum):
-        return value.value
+    # Non-finite floats become the strings "inf", "-inf" and "nan": strict
+    # JSON has no literal for them.
     if isinstance(value, float):
-        if value == float("inf"):
-            return "inf"
-        if value == float("-inf"):
-            return "-inf"
-        return quantize(value)
+        return quantize(value) if math.isfinite(value) else str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -89,11 +85,16 @@ def render_record(record: dict) -> str:
     return json.dumps(_jsonable(record), indent=2)
 
 
+def _datum_record(data: RiemannData) -> dict:
+    """The five keys that pin a datum, shared by every datum record."""
+    return {"rho_minus": data.rho_minus, "rho_plus": data.rho_plus,
+            "v_minus": list(data.v_minus), "v_plus": list(data.v_plus),
+            "gamma": data.eos.gamma}
+
+
 def classification_record(data: RiemannData, fan: WaveFan) -> dict:
     record = {
-        "rho_minus": data.rho_minus, "rho_plus": data.rho_plus,
-        "v_minus": list(data.v_minus), "v_plus": list(data.v_plus),
-        "gamma": data.eos.gamma,
+        **_datum_record(data),
         "kind": fan.kind,
         "middle": None, "speeds": None,
     }
@@ -149,9 +150,7 @@ def verification_record(report: VerificationReport) -> dict:
 def witness_document(data: RiemannData, sub: FanSubsolution) -> dict:
     """Flat JSON document pinning one subsolution at full precision."""
     return {
-        "rho_minus": data.rho_minus, "rho_plus": data.rho_plus,
-        "v_minus": list(data.v_minus), "v_plus": list(data.v_plus),
-        "gamma": data.eos.gamma,
+        **_datum_record(data),
         "nu_minus": sub.nu_minus, "nu_plus": sub.nu_plus,
         "rho_1": sub.rho_1, "alpha": sub.alpha, "beta": sub.beta,
         "gamma_1": sub.gamma_1, "gamma_2": sub.gamma_2, "C": sub.C,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import Eos, internal_energy, pressure
+from .eos import Eos
 from .errors import (
     ConstraintError,
     DegenerateDensityError,
@@ -633,17 +633,23 @@ def verify_subsolution(data: RiemannData, sub: FanSubsolution) -> VerificationRe
     bound, determinant condition with its full mixed term, and the two
     interface energy inequalities) are computed from scratch; nothing is
     shared with the closed-form kinematics or window code, so this is an
-    independent oracle for them.  Always returns a report; passed is
-    True iff every equality residual is <= EQUALITY_TOL (relative) and
-    every inequality margin is strictly positive, so a NaN anywhere fails.
+    independent oracle for them.  passed is True iff every equality
+    residual is <= EQUALITY_TOL (relative) and every inequality margin is
+    strictly positive, so a NaN anywhere fails.
+
+    Returns a report for every rho_1 that is positive and finite with a
+    finite pressure; any other rho_1 raises DomainError
+    (errors.check_density).  The datum's densities were checked by
+    RiemannData.
     """
     rm, rp = data.rho_minus, data.rho_plus
     vm1, vm2 = data.v_minus
     vp1, vp2 = data.v_plus
     eos = data.eos
-    pm, pp, p1 = pressure(eos, rm), pressure(eos, rp), pressure(eos, sub.rho_1)
-    em, ep, e1 = (internal_energy(eos, rm), internal_energy(eos, rp),
-                  internal_energy(eos, sub.rho_1))
+    check_density(eos, sub.rho_1, "rho_1")
+    pm, pp, p1 = eos._pressure(rm), eos._pressure(rp), eos._pressure(sub.rho_1)
+    em, ep, e1 = (eos._internal_energy(rm), eos._internal_energy(rp),
+                  eos._internal_energy(sub.rho_1))
     nm, np_, r1 = sub.nu_minus, sub.nu_plus, sub.rho_1
     al, be, g1, g2, C = sub.alpha, sub.beta, sub.gamma_1, sub.gamma_2, sub.C
 
@@ -744,13 +750,14 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     (the dissipation factor P(r, r) tends to 0 there, cancelling the
     vanishing density gap), and eps1_bar vanishes at both endpoints.
 
-    Raises DomainError, naming the input, when a pressure, a product of
-    two densities, the square of rho_minus - rho_plus, the divisors
+    Raises DomainError, naming the input, when a density is not positive
+    and finite, or when a pressure, a product of two densities, the
+    square of rho_minus - rho_plus, the divisors
     (rho_1*(rho_minus - rho_plus))**2 and T, or one of the four limits
     leave the float range.
     """
-    if not (0.0 < rho_minus < math.inf and 0.0 < rho_plus < math.inf):
-        raise DomainError("densities must be positive and finite")
+    check_density(eos, rho_minus, "rho_minus")
+    check_density(eos, rho_plus, "rho_plus")
     if not math.isfinite(v_plus2):
         raise DomainError(f"v_plus2 must be finite, got {v_plus2}")
     if rho_minus == rho_plus:
@@ -758,8 +765,6 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     near, far = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     if not near <= rho_1 <= far:
         raise DomainError(f"rho_1 must lie in [{near}, {far}]")
-    check_density(eos, rho_minus, "rho_minus")
-    check_density(eos, rho_plus, "rho_plus")
     check_density_pair(rho_minus, rho_plus, ("rho_minus", "rho_plus"))
     check_density_pair(rho_1, rho_minus, ("rho_1", "rho_minus"))
     check_density_pair(rho_1, rho_plus, ("rho_1", "rho_plus"))

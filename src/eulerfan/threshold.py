@@ -20,8 +20,9 @@ start-grid nodes: refinement would move interval ends but decide no
 gap, and the search reads nothing else.  Every probe is one
 feasible_for_gap call, and so one window_grid call of one gap on the
 GRID start nodes: on the seven reference columns 509 feasible_for_gap
-calls and 509 kernel calls for 509 probes, with 509 DataFunctionals
-for 517 RiemannData (RiemannData.functionals).
+calls and 509 kernel calls for 509 probes, with 516 DataFunctionals
+for 517 RiemannData (RiemannData.functionals): each probe and each
+column reads sqrt(T) off its datum's functionals.
 Such a call costs its count of numpy calls more than its nodes: 73
 when its checks pass, on either density ordering, 35 of them allocating
 a 16 KiB temporary, small enough that the allocator reuses it from
@@ -42,7 +43,6 @@ inserted node of the pass.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -144,17 +144,6 @@ def _check_grid(grid: int) -> None:
         raise DomainError(f"grid must have at least 2 nodes, got {grid}")
 
 
-def _gap_datum(rho_minus, rho_plus, v_plus2, eos: Eos, w: float) -> RiemannData:
-    """The datum of gap w, which must lie in (0, sqrt(T))."""
-    data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
-                       v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
-    bound = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
-    if not 0.0 < w < bound:
-        raise DomainError(
-            f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
-    return data
-
-
 def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
                      eos: Eos, w: float, *, grid: int = GRID):
     """
@@ -185,7 +174,11 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
     if rho_minus == rho_plus:
         raise DegenerateDensityError(
             f"equal densities {rho_minus} leave no middle-density interval")
-    data = _gap_datum(rho_minus, rho_plus, v_plus2, eos, w)
+    data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
+                       v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
+    bound = data.functionals.sqrt_T
+    if not 0.0 < w < bound:
+        raise DomainError(f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
     start = _initial_nodes(rho_minus, rho_plus, eos, grid)
     intervals = _runs(start.rho_1, window_grid(data, start).feasible)
     return bool(intervals), intervals
@@ -280,9 +273,8 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
 
     # RiemannData validates the inputs, v_plus2 as the v_plus it is; T
     # does not depend on the gap.
-    RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
-                v_minus=(0.0, 0.0), v_plus=(0.0, v_plus2), eos=eos)
-    sqrtT = math.sqrt(eos._two_shock_T(rho_minus, rho_plus))
+    sqrtT = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus, v_minus=(0.0, 0.0),
+                        v_plus=(0.0, v_plus2), eos=eos).functionals.sqrt_T
     probes = []
 
     def feasible(w):

@@ -50,9 +50,15 @@ class TestQuantize:
 
 class TestRenderRecord:
     def test_infinities_become_strings(self):
-        out = render_record({"up": math.inf, "down": -math.inf})
-        doc = json.loads(out)
-        assert doc == {"up": "inf", "down": "-inf"}
+        """NaN too: json writes it as a bare NaN, which strict parsers
+        reject."""
+        out = render_record({"up": math.inf, "down": -math.inf, "none": math.nan})
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc == {"up": "inf", "down": "-inf", "none": "nan"}
 
     def test_enums_use_pinned_values(self):
         out = render_record({"kind": WaveKind.TWO_SHOCKS,

@@ -329,6 +329,13 @@ class TestReconstructAndVerify:
         assert not report.passed
         assert report.min_inequality_margin == -math.inf
 
+    def test_middle_density_without_a_finite_pressure_raises(self):
+        """rho_1 is the one density the verifier checks; RiemannData has
+        checked the datum's."""
+        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0, 0.0), rho_1=1e200)
+        with pytest.raises(DomainError, match="rho_1 = 1e[+]200 has no finite pressure"):
+            verify_subsolution(GOLDEN, sub)
+
     def test_alpha_must_match_data(self):
         with pytest.raises(DomainError, match="alpha"):
             reconstruct(GOLDEN, 2.0, 1.0, 0.5)

@@ -941,12 +941,22 @@ class TestFunctionalsFormedOncePerDatum:
         return instances
 
     def test_threshold_columns_build_at_most_one_per_datum(self, monkeypatch):
+        """T is formed once per DataFunctionals: the search reads sqrt(T)
+        off its data, one per probe and one per column."""
         _initial_nodes.cache_clear()
         data = self.built(monkeypatch, RiemannData)
         functionals = self.built(monkeypatch, DataFunctionals)
+        calls, two_shock_T = [], Eos._two_shock_T
+
+        def counted(self, r, s):
+            calls.append((r, s))
+            return two_shock_T(self, r, s)
+
+        monkeypatch.setattr(Eos, "_two_shock_T", counted)
         for v_plus2 in COLUMNS:
             threshold_V(1.0, 4.0, v_plus2, GAMMA2)
         assert 0 < len(functionals) <= len(data)
+        assert len(calls) == len(functionals) == 516
 
     @pytest.mark.parametrize("search", [
         epsilon1_sign_change,
