@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success (or feasible / verifier pass), 1 valid run with a
-negative finding (infeasible, threshold missing, verifier fail), 2
-input error (bad flags, out-of-domain parameters, unreadable files).
+Exit codes: 0 success (or verified witness / verifier pass), 1 valid
+run with a negative finding (no verified witness, threshold missing,
+verifier fail), 2 input error (bad flags, out-of-domain parameters,
+unreadable files).
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _cmd_feasibility(args) -> int:
         else:
             write_witness(args.emit_witness, data, sub)
     print(render_record(record))
-    return 0 if intervals else 1
+    return 0 if sub is not None else 1
 
 
 def _cmd_threshold(args) -> int:

@@ -22,7 +22,7 @@ from .classifier import WaveFan, WaveKind, classify
 from .eos import Eos
 from .errors import DomainError, EulerFanError
 from .functionals import RiemannData
-from .subsolution import FanSubsolution, VerificationReport, verify_subsolution
+from .subsolution import FanSubsolution, VerificationReport
 from .threshold import ThresholdResult, ThresholdRow, subsolution_witness, threshold_V
 
 WITNESS_KEYS = ("rho_minus", "rho_plus", "v_minus", "v_plus", "gamma",
@@ -230,15 +230,12 @@ def read_witness(path):
 def _cell_nonuniq(data: RiemannData, kind: WaveKind):
     """Decide the non-uniqueness tag for one classified cell."""
     if kind is WaveKind.TWO_SHOCKS:
-        return Nonuniq.TWO_SHOCK_KNOWN, None
+        return Nonuniq.TWO_SHOCK_KNOWN
     if kind not in (WaveKind.SHOCK_RAREFACTION, WaveKind.RAREFACTION_SHOCK):
-        return Nonuniq.NOT_APPLICABLE, None
-    sub = subsolution_witness(data)
-    if sub is None:
-        return Nonuniq.NOT_FOUND, None
-    if not verify_subsolution(data, sub).passed:
-        return Nonuniq.NOT_FOUND, "witness found but failed verification"
-    return Nonuniq.SUBSOLUTION_FOUND, None
+        return Nonuniq.NOT_APPLICABLE
+    if subsolution_witness(data) is None:
+        return Nonuniq.NOT_FOUND
+    return Nonuniq.SUBSOLUTION_FOUND
 
 
 def region_map_sweep(rho_minus: float, v_minus2: float, eos: Eos,
@@ -266,10 +263,11 @@ def region_map_sweep(rho_minus: float, v_minus2: float, eos: Eos,
     cells : list of RegionCell
         Row-major, rho_plus outer, v_plus2 inner.  Two-shock cells are
         tagged TwoShockKnown without a search; one-shock-one-rarefaction
-        cells get a subsolution search whose witness is re-verified
-        before SubsolutionFound is claimed; everything else is
-        NotApplicable.  Per-cell failures land in the cell's error
-        field and the sweep keeps going.
+        cells are SubsolutionFound when threshold.subsolution_witness
+        returns a witness, which it has verified, and NotFound when it
+        returns None; everything else is NotApplicable.  Per-cell
+        failures land in the cell's error field and the sweep keeps
+        going.
     """
     r_lo, r_hi, r_n = rho_plus_range
     v_lo, v_hi, v_n = v_plus2_range
@@ -294,7 +292,7 @@ def region_map_sweep(rho_minus: float, v_minus2: float, eos: Eos,
                                    v_minus=(v1, v_minus2), v_plus=(v1, float(v_plus2)),
                                    eos=eos)
                 kind = classify(data).kind
-                nonuniq, error = _cell_nonuniq(data, kind)
+                nonuniq = _cell_nonuniq(data, kind)
             except EulerFanError as exc:
                 error = str(exc)
             if with_threshold and rho_plus != rho_minus:

@@ -93,8 +93,6 @@ class FeasibilityRecord:
     nu_plus: float
     beta: float
     eps_1: float
-    sign_beta_minus: int
-    sign_plus_beta: int
     eps2_lower: float
     eps2_upper: float
     feasible: bool
@@ -311,7 +309,7 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     sqrt_nB, K, L, rho_1 = math.sqrt(-f.B), f.K, f.L, n.rho_1
     # Reflected data hold the near state on the user's right.
     (near, far), sides = ((rp, rm), ("right", "left")) if rm > rp else ((rm, rp), ("left", "right"))
-    A, R = near * -f.u, near - far  # -u is the gap w
+    A, R = near * data.gap, near - far
 
     # Each formula is evaluated as written, operation for operation
     # (t**2 is np.square(t), as numpy evaluates it); its partial results
@@ -465,9 +463,10 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     Parameters
     ----------
     data : RiemannData
-        The datum.  Its per-gap scalars (u, B, K, L) come from its own
-        data_functionals, formed on its first kernel call and reused by
-        every later one (RiemannData.functionals).
+        The datum.  Its gap is RiemannData.gap; its per-gap scalars
+        (B, K, L) come from its own data_functionals, formed on its first
+        kernel call and reused by every later one
+        (RiemannData.functionals).
     nodes : MiddleNodes
         The middle densities with their node terms, built by
         middle_nodes for the datum's densities and pressure law.
@@ -543,36 +542,27 @@ def eps2_window(data: RiemannData, rho_1: float) -> FeasibilityRecord:
     nonempty interior.
     """
     w = _window_at(data, rho_1)
-    beta = w.beta.item()
     return FeasibilityRecord(
         rho_1=float(rho_1),
         nu_minus=w.nu_minus.item(),
         nu_plus=w.nu_plus.item(),
-        beta=beta,
+        beta=w.beta.item(),
         eps_1=w.eps_1.item(),
-        sign_beta_minus=int(np.sign(beta - data.v_minus[1])),
-        sign_plus_beta=int(np.sign(data.v_plus[1] - beta)),
         eps2_lower=w.lower.item(),
         eps2_upper=w.upper.item(),
         feasible=w.feasible.item(),
     )
 
 
-def reconstruct(data: RiemannData, rho_1: float, eps_2: float,
-                alpha: float) -> FanSubsolution:
+def reconstruct(data: RiemannData, rho_1: float, eps_2: float) -> FanSubsolution:
     """
-    Assemble the full subsolution from a feasible (rho_1, eps_2, alpha).
+    Assemble the full subsolution from a feasible (rho_1, eps_2).
 
-    alpha must equal the common first velocity component of the data.
-    Both slacks must be positive and both interface energy inequalities
-    must hold strictly; a ConstraintError names the first violated
-    condition.
+    alpha is the datum's common first velocity component.  Both slacks
+    must be positive and both interface energy inequalities must hold
+    strictly; a ConstraintError names the first violated condition.
     """
-    if alpha != data.v_minus[0]:
-        raise DomainError(
-            f"alpha = {alpha} must equal the common first velocity "
-            f"component {data.v_minus[0]}")
-    return _assemble(_window_at(data, rho_1), rho_1, eps_2, alpha)
+    return _assemble(data, _window_at(data, rho_1), rho_1, eps_2)
 
 
 def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
@@ -589,12 +579,13 @@ def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
     lower = max(w.lower.item(), 0.0)
     upper = w.upper.item()
     eps_2 = 0.5 * (lower + upper) if math.isfinite(upper) else lower + 1.0
-    return _assemble(w, rho_1, eps_2, data.v_plus[0])
+    return _assemble(data, w, rho_1, eps_2)
 
 
-def _assemble(w: WindowGrid, rho_1: float, eps_2: float, alpha: float) -> FanSubsolution:
+def _assemble(data: RiemannData, w: WindowGrid, rho_1: float, eps_2: float) -> FanSubsolution:
     """The checked subsolution of reconstruct from the one-node window w
-    at rho_1."""
+    of data at rho_1; alpha is the datum's common first velocity
+    component, equal on both sides (_require_subsolution_data)."""
     eps_1 = w.eps_1.item()
     if not eps_1 > 0.0:
         raise ConstraintError(
@@ -609,7 +600,7 @@ def _assemble(w: WindowGrid, rho_1: float, eps_2: float, alpha: float) -> FanSub
             raise ConstraintError(
                 f"{side} interface energy inequality violated: "
                 f"margin = {margin}")
-    beta = w.beta.item()
+    alpha, beta = data.v_plus[0], w.beta.item()
     C = alpha ** 2 + beta ** 2 + eps_1 + eps_2
     gamma_1 = C / 2.0 - beta ** 2 - eps_1
     return FanSubsolution(
@@ -710,10 +701,10 @@ def epsilon1_sign_change(data: RiemannData) -> float:
     (where it is negative), to 1e-10 relative tolerance.
     """
     f = _require_subsolution_data(data)
-    if not f.u < 0.0:
+    if not data.gap > 0.0:
         raise DomainError(
             "sign-change analysis requires v_plus2 < v_minus2 "
-            f"(u = {f.u} >= 0)")
+            f"(gap = {data.gap} <= 0)")
 
     near, far = min(data.rho_minus, data.rho_plus), max(data.rho_minus, data.rho_plus)
 

@@ -37,7 +37,8 @@ and the region map read, is the one search that refines, for its one
 datum: _REFINE_PASSES times it inserts _REFINE_POINTS nodes between
 each two neighbouring nodes whose masks differ, and evaluates all the
 nodes of a pass in one kernel call, so a self-check names the worst
-inserted node of the pass.
+inserted node of the pass.  It is also the one place that decides
+which witness counts: one that subsolution.verify_subsolution passes.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ import numpy as np
 from .eos import Eos
 from .errors import DegenerateDensityError, DomainError, EulerFanError
 from .functionals import RiemannData
-from .subsolution import FanSubsolution, MiddleNodes, middle_nodes, window_grid, witness_at
+from .subsolution import (FanSubsolution, MiddleNodes, middle_nodes, verify_subsolution,
+                          window_grid, witness_at)
 
 #: Termination width for the bisection phase of threshold_V.
 BISECTION_TOL = 1e-6
@@ -204,7 +206,9 @@ def feasibility_scan(data: RiemannData, *, grid: int = GRID):
     witness : FanSubsolution or None
         subsolution.witness_at the refined-grid node nearest the center
         of the widest feasible interval (the lower one of two equally
-        near).  None when no node is feasible.
+        near), when verify_subsolution passes it.  None when no node is
+        feasible, or when that witness fails verification; the intervals
+        are the same either way.
 
     Each pass evaluates all its inserted nodes in one kernel call, so a
     pass that fails a self-check raises the error of its worst node.
@@ -233,14 +237,16 @@ def feasibility_scan(data: RiemannData, *, grid: int = GRID):
     nodes = nodes[(nodes >= lo) & (nodes <= hi)]
     # argmin takes the first, lower, of two equally near nodes.
     rho_1 = float(nodes[np.argmin(np.abs(nodes - 0.5 * (lo + hi)))])
-    return intervals, witness_at(data, rho_1)
+    witness = witness_at(data, rho_1)
+    return intervals, (witness if verify_subsolution(data, witness).passed else None)
 
 
 def subsolution_witness(data: RiemannData) -> FanSubsolution | None:
     """
     Search the middle-density interval and build one concrete
     subsolution: the witness of feasibility_scan on the default grid,
-    or None when no node is feasible.
+    verified, or None when no node is feasible or its witness fails
+    verification.
     """
     return feasibility_scan(data)[1]
 

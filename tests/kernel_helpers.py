@@ -16,13 +16,14 @@ def window_row(data, nodes):
     return window_grid(data, middle_nodes(data, nodes))
 
 
-def unchecked_subsolution(data, rho_1, eps_2, alpha):
-    """The subsolution of reconstruct at (rho_1, eps_2, alpha) without its
-    slack and energy checks, built from the defining identities of
+def unchecked_subsolution(data, rho_1, eps_2):
+    """The subsolution of reconstruct at (rho_1, eps_2) without its slack
+    and energy checks, built from the defining identities of
     FanSubsolution: C from eps_2, gamma_1 from eps_1 and gamma_2 =
-    alpha*beta.  It lets a test feed the verifier invalid subsolutions."""
+    alpha*beta, with alpha the datum's common first velocity component.
+    It lets a test feed the verifier invalid subsolutions."""
     w = eps2_window(data, rho_1)
-    beta, eps_1 = w.beta, w.eps_1
+    alpha, beta, eps_1 = data.v_plus[0], w.beta, w.eps_1
     C = alpha ** 2 + beta ** 2 + eps_1 + eps_2
     return FanSubsolution(
         nu_minus=w.nu_minus, nu_plus=w.nu_plus, rho_1=float(rho_1), alpha=float(alpha),

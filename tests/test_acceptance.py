@@ -86,7 +86,7 @@ def test_worked_example_golden_values():
     # window at this probe.
     assert rec.eps2_upper == pytest.approx(3.5703810858, abs=1e-5)
 
-    sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+    sub = reconstruct(GOLDEN, 2.0, 1.0)
     report = verify_subsolution(GOLDEN, sub)
     assert report.passed
     assert report.max_equality_residual < 1e-9
@@ -316,7 +316,7 @@ def test_reconstruction_verifier_equivalence():
                     eps_2 = eff_lo + float(rng.uniform(0.1, 5.0))
                 else:
                     eps_2 = eff_lo + float(rng.uniform(0.05, 0.95)) * (upper - eff_lo)
-                sub = reconstruct(data, float(grid[i]), eps_2, v1)
+                sub = reconstruct(data, float(grid[i]), eps_2)
                 assert verify_subsolution(data, sub).passed, (
                     f"feasible reconstruction failed at {grid[i]} for {data}")
                 passed += 1
@@ -325,7 +325,7 @@ def test_reconstruction_verifier_equivalence():
                 if choice is None:
                     continue
                 eps_2, intended = choice
-                sub = unchecked_subsolution(data, float(grid[i]), float(eps_2), v1)
+                sub = unchecked_subsolution(data, float(grid[i]), float(eps_2))
                 report = verify_subsolution(data, sub)
                 assert not report.passed
                 assert report.max_equality_residual <= report.equality_tol

@@ -161,6 +161,24 @@ class TestSolveMiddleState:
 
 
 class TestClassify:
+    def test_no_lower_bracket_below_the_vacuum_reach(self):
+        """A receding datum whose gap, 10.0704, is just below the vacuum
+        reach 10.0744: the middle density lies below the bracket floor.
+        The sign rule of ROADMAP item 18 (two signs of the curve gap per
+        wave, no root solve) answers TWO_RAREFACTIONS here."""
+        data = RiemannData(1.0, 0.1715628635374797, (0.0, 0.0),
+                           (0.0, 10.070427313811948), Eos(1.4))
+        with pytest.raises(NumericalError, match="no lower bracket above rho=1e-12"):
+            classify(data)
+
+    def test_no_upper_bracket_above_the_ceiling(self):
+        """Two isothermal shocks at a gap of 1e7: the middle density,
+        about 4e13, lies above the bracket ceiling."""
+        data = RiemannData(1.0, 4.0, (0.0, 1e7), (0.0, 0.0), Eos(1.0))
+        with pytest.raises(NumericalError,
+                           match=r"no upper bracket below rho=1000000000000\.0 "):
+            classify(data)
+
     def test_constant(self):
         data = RiemannData(2.0, 2.0, (0.5, 1.0), (0.5, 1.0), GAMMA2)
         fan = classify(data)

@@ -184,6 +184,26 @@ class TestFeasibilityCommand:
         assert doc["feasible"] is False
         assert doc["witness"] is None
 
+    @pytest.mark.parametrize("rho_plus, v_minus2, feasible", [
+        ("1e4", "9999.489938001936", True),
+        ("4", "0.5", False),
+    ], ids=["unverified_witness", "infeasible"])
+    def test_no_verified_witness_exits_one_and_writes_no_file(
+            self, capsys, tmp_path, rho_plus, v_minus2, feasible):
+        """Without a verified witness the command exits 1 and writes no
+        file, also when it found feasible intervals."""
+        path = tmp_path / "witness.json"
+        code, out, err = run(capsys, [
+            "feasibility", "--rho-minus", "1", "--rho-plus", rho_plus,
+            "--v-minus2", v_minus2, "--v-plus2", "0", "--gamma", "2",
+            "--emit-witness", str(path)])
+        assert code == 1
+        assert "no witness to emit" in err
+        assert not path.exists()
+        doc = json.loads(out)
+        assert doc["feasible"] is feasible and bool(doc["intervals"]) is feasible
+        assert doc["witness"] is None
+
     def test_grid_below_two_nodes_is_an_input_error(self, capsys):
         code, _, err = run(capsys, FEASIBLE + ["--grid", "0"])
         assert code == 2

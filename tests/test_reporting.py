@@ -93,7 +93,7 @@ class TestRenderRecord:
         assert one["probes"] == len(rows[1].result.feasible_probe)
 
     def test_verification_record_round_trip(self):
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         report = verify_subsolution(GOLDEN, sub)
         record = verification_record(report)
         assert record["passed"] is True
@@ -104,7 +104,7 @@ class TestRenderRecord:
 
 class TestWitnessDocuments:
     def test_write_read_round_trip(self, tmp_path):
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         path = tmp_path / "witness.json"
         write_witness(path, GOLDEN, sub)
         data_back, sub_back = read_witness(path)
@@ -119,13 +119,13 @@ class TestWitnessDocuments:
         assert verify_subsolution(data_back, sub_back).passed
 
     def test_document_is_full_precision(self):
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         doc = witness_document(GOLDEN, sub)
         assert doc["beta"] == sub.beta
         assert doc["beta"] != quantize(sub.beta)
 
     def test_missing_keys_are_named(self):
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         doc = witness_document(GOLDEN, sub)
         del doc["beta"], doc["C"]
         with pytest.raises(DomainError, match="beta, C"):
@@ -138,7 +138,7 @@ class TestWitnessDocuments:
             read_witness(path)
 
     def test_tampered_document_fails_verification(self, tmp_path):
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         path = tmp_path / "witness.json"
         write_witness(path, GOLDEN, sub)
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -156,7 +156,7 @@ class TestWitnessDocuments:
         ("gamma_2", 1e200, "gamma_2 must have a finite square"),
     ])
     def test_bad_numbers_rejected(self, name, value, message):
-        doc = witness_document(GOLDEN, reconstruct(GOLDEN, 2.0, 1.0, 0.0))
+        doc = witness_document(GOLDEN, reconstruct(GOLDEN, 2.0, 1.0))
         doc[name] = value
         with pytest.raises(DomainError, match=message):
             parse_witness(doc)
@@ -169,7 +169,7 @@ class TestWitnessDocuments:
         ([1, 2, 3], " must be a finite velocity pair"),
     ])
     def test_malformed_velocities_rejected(self, name, value, message):
-        doc = witness_document(GOLDEN, reconstruct(GOLDEN, 2.0, 1.0, 0.0))
+        doc = witness_document(GOLDEN, reconstruct(GOLDEN, 2.0, 1.0))
         doc[name] = value
         with pytest.raises(DomainError, match=name + message):
             parse_witness(doc)
@@ -216,6 +216,15 @@ class TestRegionMapCsv:
 
 
 class TestRegionMapSweep:
+    def test_cell_with_an_unverified_witness_is_not_found(self):
+        """The search drops a witness that fails verification, so the
+        cell is NotFound with no error (see feasibility_scan)."""
+        cells = region_map_sweep(1.0, 9999.489938001936, GAMMA2, (1e4, 2e4, 2),
+                                 (0.0, 1.0, 2))
+        assert (cells[0].rho_plus, cells[0].v_plus2) == (1e4, 0.0)
+        assert cells[0].wave_kind is WaveKind.SHOCK_RAREFACTION
+        assert (cells[0].nonuniq, cells[0].error) == (Nonuniq.NOT_FOUND, None)
+
     def test_grid_is_row_major(self):
         cells = region_map_sweep(1.0, 3.3, GAMMA2, (3.8, 4.2, 10),
                                  (-0.2, 0.2, 10))

@@ -143,7 +143,7 @@ class TestKinematics:
 
     @pytest.mark.parametrize("wrapper", [
         eps2_window, witness_at,
-        lambda data, rho_1: reconstruct(data, rho_1, 1.0, 0.0),
+        lambda data, rho_1: reconstruct(data, rho_1, 1.0),
     ], ids=["eps2_window", "witness_at", "reconstruct"])
     def test_bad_gap_raises_before_bad_density(self, wrapper):
         """A datum that fails its preconditions raises that error, not
@@ -235,13 +235,19 @@ class TestReflection:
             assert verify_subsolution(reflect(data), refl).passed
 
 
+def signs(data, rec):
+    """The signs of beta - v_minus2 and v_plus2 - beta at the record's
+    middle density."""
+    return int(np.sign(rec.beta - data.v_minus[1])), int(np.sign(data.v_plus[1] - rec.beta))
+
+
 class TestEps2Window:
     def test_golden_window(self):
         rec = eps2_window(GOLDEN, 2.0)
         assert rec.feasible
         assert rec.eps2_lower == pytest.approx(-3.3322539674, abs=1e-9)
         assert rec.eps2_upper == pytest.approx(3.5703810858, abs=1e-9)
-        assert (rec.sign_beta_minus, rec.sign_plus_beta) == (-1, -1)
+        assert signs(GOLDEN, rec) == (-1, -1)
 
     def test_downstream_sign_flips_past_crossover_density(self):
         # rho_T = 45 / 12.33 for the worked example; the sign of
@@ -250,9 +256,8 @@ class TestEps2Window:
         assert f.rho_T == pytest.approx(45.0 / 12.33, rel=1e-12)
         below = eps2_window(GOLDEN, f.rho_T - 0.05)
         above = eps2_window(GOLDEN, f.rho_T + 0.05)
-        assert below.sign_plus_beta == -1
-        assert above.sign_plus_beta == 1
-        assert below.sign_beta_minus == above.sign_beta_minus == -1
+        assert signs(GOLDEN, below) == (-1, -1)
+        assert signs(GOLDEN, above) == (-1, 1)
         assert eps2_window(GOLDEN, 3.8).beta == pytest.approx(-0.0208769976,
                                                               abs=1e-9)
 
@@ -260,9 +265,8 @@ class TestEps2Window:
         f = data_functionals(GOLDEN_SWAP)
         below = eps2_window(GOLDEN_SWAP, f.rho_T - 0.05)
         above = eps2_window(GOLDEN_SWAP, f.rho_T + 0.05)
-        assert below.sign_beta_minus == -1
-        assert above.sign_beta_minus == 1
-        assert below.sign_plus_beta == above.sign_plus_beta == -1
+        assert signs(GOLDEN_SWAP, below) == (-1, -1)
+        assert signs(GOLDEN_SWAP, above) == (1, -1)
 
     def test_infeasible_when_first_slack_negative(self):
         rec = eps2_window(GOLDEN, 3.99)
@@ -285,7 +289,7 @@ class TestEps2Window:
 
 class TestReconstructAndVerify:
     def test_golden_roundtrip(self):
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         assert sub.alpha == 0.0
         assert sub.gamma_2 == 0.0
         assert sub.C == pytest.approx(sub.alpha**2 + sub.beta**2
@@ -298,7 +302,7 @@ class TestReconstructAndVerify:
     def test_verifier_margin_identities(self):
         # By construction the trace margin is eps_1 + eps_2 and the
         # determinant margin is eps_1 * eps_2.
-        sub = reconstruct(GOLDEN, 2.0, 1.5, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.5)
         report = verify_subsolution(GOLDEN, sub)
         margins = report.inequality_margins
         assert margins["trace"] == pytest.approx(sub.eps_1 + sub.eps_2, rel=1e-12)
@@ -310,7 +314,7 @@ class TestReconstructAndVerify:
         """A residual of ~1e-8 fails the fixed 1e-9 gate even though
         every inequality margin is positive."""
         assert EQUALITY_TOL == 1e-9
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         bent = dataclasses.replace(sub, beta=sub.beta + 1e-8)
         report = verify_subsolution(GOLDEN, bent)
         assert report.equality_tol == 1e-9
@@ -324,7 +328,7 @@ class TestReconstructAndVerify:
         """A field whose square overflows gives a failing report: the
         verifier squares by products, which give inf where a float power
         raises OverflowError."""
-        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0, 0.0), **{name: 1e200})
+        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0), **{name: 1e200})
         report = verify_subsolution(GOLDEN, sub)
         assert not report.passed
         assert report.min_inequality_margin == -math.inf
@@ -332,22 +336,18 @@ class TestReconstructAndVerify:
     def test_middle_density_without_a_finite_pressure_raises(self):
         """rho_1 is the one density the verifier checks; RiemannData has
         checked the datum's."""
-        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0, 0.0), rho_1=1e200)
+        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0), rho_1=1e200)
         with pytest.raises(DomainError, match="rho_1 = 1e[+]200 has no finite pressure"):
             verify_subsolution(GOLDEN, sub)
 
-    def test_alpha_must_match_data(self):
-        with pytest.raises(DomainError, match="alpha"):
-            reconstruct(GOLDEN, 2.0, 1.0, 0.5)
-
     def test_checked_reconstruction_names_the_violation(self):
         with pytest.raises(ConstraintError, match="second slack"):
-            reconstruct(GOLDEN, 2.0, -1.0, 0.0)
+            reconstruct(GOLDEN, 2.0, -1.0)
         with pytest.raises(ConstraintError, match="first slack"):
-            reconstruct(GOLDEN, 3.99, 1.0, 0.0)
+            reconstruct(GOLDEN, 3.99, 1.0)
         upper = eps2_window(GOLDEN, 2.0).eps2_upper
         with pytest.raises(ConstraintError, match="energy inequality"):
-            reconstruct(GOLDEN, 2.0, upper + 0.1, 0.0)
+            reconstruct(GOLDEN, 2.0, upper + 0.1)
 
     def test_checked_reconstruction_names_the_right_interface(self):
         # The golden datum reflected by x2 -> -x2: above eps2_upper the
@@ -356,7 +356,7 @@ class TestReconstructAndVerify:
         upper = eps2_window(data, 2.0).eps2_upper
         with pytest.raises(ConstraintError,
                            match="right interface energy inequality violated"):
-            reconstruct(data, 2.0, 1.05 * upper, 0.0)
+            reconstruct(data, 2.0, 1.05 * upper)
 
     @given(rho_1=st.floats(min_value=1.2, max_value=3.4),
            frac=st.floats(min_value=0.05, max_value=0.95))
@@ -366,7 +366,7 @@ class TestReconstructAndVerify:
             return
         lo = max(rec.eps2_lower, 0.0)
         eps_2 = lo + frac * (rec.eps2_upper - lo)
-        sub = reconstruct(GOLDEN, rho_1, eps_2, 0.0)
+        sub = reconstruct(GOLDEN, rho_1, eps_2)
         assert verify_subsolution(GOLDEN, sub).passed
 
     def test_energy_margins_are_half_the_window_margins(self):
@@ -385,7 +385,7 @@ class TestReconstructAndVerify:
                 w = window_row(data, [rho_1])
             except EulerFanError:
                 continue
-            sub = unchecked_subsolution(data, rho_1, eps_2, 0.0)
+            sub = unchecked_subsolution(data, rho_1, eps_2)
             margins = verify_subsolution(data, sub).inequality_margins
             for side in ("left", "right"):
                 a = float(getattr(w, "a_" + side)[0])
@@ -398,12 +398,60 @@ class TestReconstructAndVerify:
 
     @pytest.mark.parametrize("name", ["gamma_2", "alpha"])
     def test_nan_parameter_fails_verification(self, name):
-        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0, 0.0),
+        sub = dataclasses.replace(reconstruct(GOLDEN, 2.0, 1.0),
                                   **{name: math.nan})
         report = verify_subsolution(GOLDEN, sub)
         assert not report.passed
         assert math.isnan(report.max_equality_residual)
         assert math.isnan(report.min_inequality_margin)
+
+
+class TestOneNodeWrapperContract:
+    """The one-node wrappers on seeded data over density ratios up to
+    1e6, gamma in [1, 5] and gaps up to (1 - 1e-6)*sqrt(T)."""
+
+    def test_seeded_data_answer_and_feasible_nodes_build(self):
+        """eps2_window returns finite kinematics or raises an
+        EulerFanError, with no RuntimeWarning; at every feasible node
+        witness_at builds a subsolution, and reconstruct(data, rho_1,
+        eps_2) builds the same one at the window midpoint.
+
+        One draw per datum, in this order: the density ratio 10^U(0, 6),
+        reflected on odd draws; gamma; the near density 10^U(-3, 3);
+        v_plus2 = U(-10, 10); the gap as a fraction of sqrt(T); rho_1
+        uniform inside the density interval.  Verification is not
+        asserted: on the first 3000 data of these draws, 61 of the 897
+        feasible nodes build a witness that verify_subsolution rejects,
+        60 of them at the gap (1 - 1e-6)*sqrt(T)."""
+        rng = np.random.default_rng(29)
+        feasible = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in range(500):
+                ratio = float(10.0 ** rng.uniform(0.0, 6.0))
+                eos = Eos(float(rng.choice([1.0, 1.4, 2.0, 3.0, 5.0])))
+                near = float(10.0 ** rng.uniform(-3.0, 3.0))
+                v_plus2 = float(rng.uniform(-10.0, 10.0))
+                frac = float(rng.choice([0.3, 0.9, 0.999, 1.0 - 1e-6]))
+                far = near * ratio
+                rho_minus, rho_plus = (far, near) if k % 2 else (near, far)
+                w = frac * math.sqrt(two_shock_T(eos, rho_minus, rho_plus))
+                rho_1 = float(rng.uniform(near, far))
+                data = RiemannData(rho_minus, rho_plus, (0.0, v_plus2 + w),
+                                   (0.0, v_plus2), eos)
+                try:
+                    rec = eps2_window(data, rho_1)
+                except EulerFanError:
+                    continue
+                assert all(map(math.isfinite, (rec.nu_minus, rec.nu_plus, rec.beta,
+                                               rec.eps_1))), (data, rho_1)
+                if not rec.feasible:
+                    continue
+                lower, upper = max(rec.eps2_lower, 0.0), rec.eps2_upper
+                eps_2 = 0.5 * (lower + upper) if math.isfinite(upper) else lower + 1.0
+                assert witness_at(data, rho_1) == reconstruct(data, rho_1, eps_2)
+                feasible += 1
+        assert feasible >= 100
 
 
 class TestWindowGrid:
@@ -641,7 +689,7 @@ class TestDeliberateViolations:
         # The finite upper bound comes from the positive-slope side,
         # here the left interface.
         assert win.a_left[0] > 0.0 and win.a_right[0] < 0.0
-        sub = unchecked_subsolution(GOLDEN, 2.0, rec.eps2_upper * 1.05, 0.0)
+        sub = unchecked_subsolution(GOLDEN, 2.0, rec.eps2_upper * 1.05)
         self.assert_single_violation(GOLDEN, sub, "energy_left")
 
     def test_undershooting_a_positive_lower_bound_breaks_the_other(self):
@@ -650,18 +698,18 @@ class TestDeliberateViolations:
         assert rec.feasible and rec.eps2_lower > 0.0
         win = window_row(data, np.asarray([rho_1]))
         assert win.a_right[0] < 0.0, "lower bound should come from the right"
-        sub = unchecked_subsolution(data, rho_1, rec.eps2_lower * 0.5, 0.0)
+        sub = unchecked_subsolution(data, rho_1, rec.eps2_lower * 0.5)
         self.assert_single_violation(data, sub, "energy_right")
 
     def test_negative_second_slack_breaks_only_the_determinant(self):
         rec = eps2_window(GOLDEN, 2.0)
         eps_2 = 0.5 * max(rec.eps2_lower, -rec.eps_1)
         assert eps_2 < 0.0
-        sub = unchecked_subsolution(GOLDEN, 2.0, eps_2, 0.0)
+        sub = unchecked_subsolution(GOLDEN, 2.0, eps_2)
         self.assert_single_violation(GOLDEN, sub, "determinant")
 
     def test_perturbed_middle_velocity_breaks_balances(self):
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         bent = dataclasses.replace(sub, beta=sub.beta + 1e-3)
         report = verify_subsolution(GOLDEN, bent)
         assert not report.passed
@@ -671,7 +719,7 @@ class TestDeliberateViolations:
     def test_shrunken_energy_bound_breaks_the_trace(self):
         # C is shared by the balances, so this violation is not
         # isolated; the trace margin must fail regardless.
-        sub = reconstruct(GOLDEN, 2.0, 1.0, 0.0)
+        sub = reconstruct(GOLDEN, 2.0, 1.0)
         squeezed = dataclasses.replace(
             sub, C=sub.alpha**2 + sub.beta**2 - 0.1)
         report = verify_subsolution(GOLDEN, squeezed)

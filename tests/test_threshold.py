@@ -336,7 +336,7 @@ class TestFeasibilityScan:
         window = eps2_window(self.GOLDEN, witness.rho_1)
         eps_2 = 0.5 * (max(window.eps2_lower, 0.0) + window.eps2_upper)
         assert witness == witness_at(self.GOLDEN, witness.rho_1)
-        assert witness == reconstruct(self.GOLDEN, witness.rho_1, eps_2, alpha=0.0)
+        assert witness == reconstruct(self.GOLDEN, witness.rho_1, eps_2)
 
 
 class TestSubsolutionWitness:
@@ -380,6 +380,42 @@ class TestSubsolutionWitness:
             report = verify_subsolution(data, sub)
             assert report.passed, f"witness failed for {data}: {report}"
         assert found >= 20, f"only {found} witnesses found; seeds too stingy"
+
+
+class TestOnlyVerifiedWitnesses:
+    """feasibility_scan returns its witness only when verify_subsolution
+    passes it, so subsolution_witness, the region map and the
+    feasibility command share one rule."""
+
+    # A density ratio of 1e4 at a gap of 0.999999 sqrt(T): the
+    # midpoint witness has a mom2_right residual of 4.7e-9 (2.8e-9 at
+    # 60 digits on the same floats), above the verifier's 1e-9 gate.
+    GAP = 9999.489938001936
+    UNVERIFIED = RiemannData(1.0, 1e4, (0.0, GAP), (0.0, 0.0), GAMMA2)
+
+    def test_unverified_witness_is_dropped_and_intervals_kept(self, monkeypatch):
+        reports = []
+
+        def verify(data, sub):
+            reports.append(verify_subsolution(data, sub))
+            return reports[-1]
+
+        monkeypatch.setattr(eulerfan.threshold, "verify_subsolution", verify)
+        intervals, witness = feasibility_scan(self.UNVERIFIED)
+        assert intervals and witness is None
+        (report,) = reports
+        assert not report.passed
+        assert report.equality_residuals["mom2_right"] > report.equality_tol
+        assert subsolution_witness(self.UNVERIFIED) is None
+
+    def test_reflected_datum_keeps_its_witness(self):
+        """The densities swapped, at the same gap: the witness verifies
+        to about 8e-16."""
+        reflected = RiemannData(1e4, 1.0, (0.0, self.GAP), (0.0, 0.0), GAMMA2)
+        intervals, witness = feasibility_scan(reflected)
+        assert intervals and witness is not None
+        report = verify_subsolution(reflected, witness)
+        assert report.passed and report.max_equality_residual < 1e-14
 
 
 class TestThresholdV:
@@ -962,7 +998,7 @@ class TestFunctionalsFormedOncePerDatum:
         epsilon1_sign_change,
         subsolution_witness,
         lambda data: (eps2_window(data, 2.0), witness_at(data, 2.0),
-                      reconstruct(data, 2.0, 0.1, 0.0)),
+                      reconstruct(data, 2.0, 0.1)),
     ], ids=["epsilon1_sign_change", "subsolution_witness", "one_node_wrappers"])
     def test_one_datum_builds_one(self, monkeypatch, search):
         data = RiemannData(1.0, 4.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
