@@ -25,7 +25,11 @@ from .roots import brent
 #: as zero-strength and a boundary (simple-wave or constant) kind wins.
 BOUNDARY_RTOL = 1e-9
 
-_BRACKET_FLOOR = 1e-12
+#: The smallest density at which the root solve still resolves rho_m
+#: to its relative tolerance: brent stops within 1e-300 + rtol*|x|, and
+#: solve_middle_state passes rtol = 1e-12, so below 1e-300 / 1e-12 the
+#: absolute part of the stopping rule would decide.
+_BRACKET_FLOOR = 1e-288
 _BRACKET_CEIL = 1e12
 
 
@@ -137,7 +141,7 @@ def solve_middle_state(data: RiemannData):
     ------
     NumericalError
         If no sign change is found after expanding the bracket to
-        [1e-12, 1e12], or the residual check fails.
+        [1e-288, 1e12], or the residual check fails.
     """
     rm, rp = data.rho_minus, data.rho_plus
     vm2, vp2 = data.v_minus[1], data.v_plus[1]

@@ -570,15 +570,17 @@ def witness_at(data: RiemannData, rho_1: float) -> FanSubsolution:
     The checked subsolution at one middle density, from one kernel call.
 
     The free slack eps_2 sits at the midpoint of its admissible window
-    (eps2_window's bounds, the lower one raised to 0), or 1 above the
-    lower edge when the window is unbounded above; alpha is the common
-    first velocity component.  Raises ConstraintError, as reconstruct
-    does, when rho_1 admits no such subsolution.
+    (eps2_window's bounds, the lower one raised to 0) cut to a width of
+    max(lower, eps_1).  The cut keeps eps_2 on the scale of eps_1, so
+    eps_1 does not cancel in C, and it bounds a window that is unbounded
+    above.  Every term is a squared velocity, so the rule has no units.
+    alpha is the common first velocity component.  Raises
+    ConstraintError, as reconstruct does, when rho_1 admits no such
+    subsolution.
     """
     w = _window_at(data, rho_1)
     lower = max(w.lower.item(), 0.0)
-    upper = w.upper.item()
-    eps_2 = 0.5 * (lower + upper) if math.isfinite(upper) else lower + 1.0
+    eps_2 = lower + 0.5 * min(w.upper.item() - lower, max(lower, w.eps_1.item()))
     return _assemble(data, w, rho_1, eps_2)
 
 

@@ -175,19 +175,20 @@ class TestFeasibilityCommand:
         assert doc["intervals"]
         assert doc["witness"]["rho_1"] is not None
 
-    @pytest.mark.parametrize("rho_plus, v_minus2, feasible", [
-        ("4", "0.5", False),
-        ("1e4", "9999.489938001936", True),
+    @pytest.mark.parametrize("datum, feasible", [
+        (["1", "4", "0.5", "0", "2"], False),
+        (["0.06912508235544329", "13107.946808096181", "5707940.237114986",
+          "9.60470760494541", "3"], True),
     ], ids=["infeasible", "unverified_witness"])
     def test_no_verified_witness_exits_one_and_writes_no_file(
-            self, capsys, tmp_path, rho_plus, v_minus2, feasible):
+            self, capsys, tmp_path, datum, feasible):
         """Without a verified witness the command exits 1 and writes no
         file, also when it found feasible intervals: the witness at the
-        density ratio 1e4 fails verification."""
+        density ratio 1.9e5 fails verification."""
         path = tmp_path / "witness.json"
+        options = ["--rho-minus", "--rho-plus", "--v-minus2", "--v-plus2", "--gamma"]
         code, out, err = run(capsys, [
-            "feasibility", "--rho-minus", "1", "--rho-plus", rho_plus,
-            "--v-minus2", v_minus2, "--v-plus2", "0", "--gamma", "2",
+            "feasibility", *(arg for pair in zip(options, datum) for arg in pair),
             "--emit-witness", str(path)])
         assert code == 1
         assert "no witness to emit" in err
@@ -358,7 +359,7 @@ class TestRegionMapCommand:
         code, out, err = run(capsys, [
             "region-map", "--rho-minus", "1", "--v-minus2", "0", "--gamma", "1",
             "--rho-plus-range", "1", "2", "2",
-            "--v-plus2-range", "0", "80", "2"])
+            "--v-plus2-range", "0", "1500", "2"])
         assert code == 0
         assert "cells recorded errors" in err
         assert parse_region_map_csv(out)

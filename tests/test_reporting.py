@@ -219,9 +219,10 @@ class TestRegionMapSweep:
     def test_cell_with_an_unverified_witness_is_not_found(self):
         """The search drops a witness that fails verification, so the
         cell is NotFound with no error (see feasibility_scan)."""
-        cells = region_map_sweep(1.0, 9999.489938001936, GAMMA2, (1e4, 2e4, 2),
-                                 (0.0, 1.0, 2))
-        assert (cells[0].rho_plus, cells[0].v_plus2) == (1e4, 0.0)
+        rho_plus, v_plus2 = 13107.946808096181, 9.60470760494541
+        cells = region_map_sweep(0.06912508235544329, 5707940.237114986, Eos(3.0),
+                                 (rho_plus, 2 * rho_plus, 2), (v_plus2, 20.0, 2))
+        assert (cells[0].rho_plus, cells[0].v_plus2) == (rho_plus, v_plus2)
         assert cells[0].wave_kind is WaveKind.SHOCK_RAREFACTION
         assert (cells[0].nonuniq, cells[0].error) == (Nonuniq.NOT_FOUND, None)
 
@@ -273,11 +274,11 @@ class TestRegionMapSweep:
                                          "rho_minus*v_minus1**2")
 
     def test_cell_errors_do_not_stop_the_sweep(self):
-        # gamma = 1 with a huge receding gap drives the middle density
+        # gamma = 1 with a receding gap of 1500 drives the middle density
         # below the bracket floor; that cell records the failure and
         # the rest of the sweep still classifies.
         cells = region_map_sweep(1.0, 0.0, Eos(1.0), (1.0, 2.0, 2),
-                                 (0.0, 80.0, 2))
+                                 (0.0, 1500.0, 2))
         blown = [c for c in cells if c.error is not None]
         fine = [c for c in cells if c.error is None]
         assert blown and fine

@@ -410,19 +410,25 @@ class TestOneNodeWrapperContract:
     """The one-node wrappers on seeded data over density ratios up to
     1e6, gamma in [1, 5] and gaps up to (1 - 1e-6)*sqrt(T)."""
 
+    #: Draws whose witness fails verify_subsolution, ROADMAP item 1's
+    #: kinematics at density ratios of 2.8e4 to 7e5: mom2_right
+    #: residuals of 1.3e-9 to 3.5e-9 against the 1e-9 gate.
+    ITEM_1_DRAWS = (94, 404, 478)
+
     def test_seeded_data_answer_and_feasible_nodes_build(self):
         """eps2_window returns finite kinematics or raises an
         EulerFanError, with no RuntimeWarning; at every feasible node
-        witness_at builds a subsolution, and reconstruct(data, rho_1,
-        eps_2) builds the same one at the window midpoint.
+        witness_at builds a subsolution that verify_subsolution passes,
+        and reconstruct(data, rho_1, eps_2) builds the same one at the
+        midpoint of the window cut to a width of max(lower, eps_1).
 
         One draw per datum, in this order: the density ratio 10^U(0, 6),
         reflected on odd draws; gamma; the near density 10^U(-3, 3);
         v_plus2 = U(-10, 10); the gap as a fraction of sqrt(T); rho_1
-        uniform inside the density interval.  Verification is not
-        asserted: on the first 3000 data of these draws, 61 of the 897
-        feasible nodes build a witness that verify_subsolution rejects,
-        60 of them at the gap (1 - 1e-6)*sqrt(T)."""
+        uniform inside the density interval.  On the first 3000 data of
+        these draws, 6 of the 897 feasible nodes build a witness that
+        verify_subsolution rejects; ITEM_1_DRAWS are those among the
+        first 500."""
         rng = np.random.default_rng(29)
         feasible = 0
         with warnings.catch_warnings():
@@ -447,9 +453,12 @@ class TestOneNodeWrapperContract:
                                                rec.eps_1))), (data, rho_1)
                 if not rec.feasible:
                     continue
-                lower, upper = max(rec.eps2_lower, 0.0), rec.eps2_upper
-                eps_2 = 0.5 * (lower + upper) if math.isfinite(upper) else lower + 1.0
-                assert witness_at(data, rho_1) == reconstruct(data, rho_1, eps_2)
+                lower = max(rec.eps2_lower, 0.0)
+                eps_2 = lower + 0.5 * min(rec.eps2_upper - lower, max(lower, rec.eps_1))
+                sub = witness_at(data, rho_1)
+                assert sub == reconstruct(data, rho_1, eps_2)
+                passed = verify_subsolution(data, sub).passed
+                assert passed is (k not in self.ITEM_1_DRAWS), (k, data, rho_1)
                 feasible += 1
         assert feasible >= 100
 

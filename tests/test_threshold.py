@@ -331,10 +331,14 @@ class TestFeasibilityScan:
 
     def test_witness_is_the_midpoint_reconstruction(self):
         """witness_at places eps_2 at the midpoint of the eps2_window
-        bounds, the lower one raised to 0, and matches reconstruct."""
+        bounds, the lower one raised to 0, cut to a width of
+        max(lower, eps_1), and matches reconstruct.  The cut decides
+        here: eps_1 = 3.75 is below the window's width of 4.34."""
         _, witness = feasibility_scan(self.GOLDEN)
         window = eps2_window(self.GOLDEN, witness.rho_1)
-        eps_2 = 0.5 * (max(window.eps2_lower, 0.0) + window.eps2_upper)
+        lower = max(window.eps2_lower, 0.0)
+        assert window.eps_1 < window.eps2_upper - lower
+        eps_2 = lower + 0.5 * max(lower, window.eps_1)
         assert witness == witness_at(self.GOLDEN, witness.rho_1)
         assert witness == reconstruct(self.GOLDEN, witness.rho_1, eps_2)
 
@@ -387,11 +391,11 @@ class TestOnlyVerifiedWitnesses:
     passes it, so subsolution_witness, the region map and the
     feasibility command share one rule."""
 
-    # A density ratio of 1e4 at a gap of 0.999999 sqrt(T): the
-    # midpoint witness has a mom2_right residual of 4.7e-9 (2.8e-9 at
-    # 60 digits on the same floats), above the verifier's 1e-9 gate.
-    GAP = 9999.489938001936
-    UNVERIFIED = RiemannData(1.0, 1e4, (0.0, GAP), (0.0, 0.0), GAMMA2)
+    # A density ratio of 1.9e5 at gamma = 3: the witness has a
+    # mom2_right residual of 1.8e-8, above the verifier's 1e-9 gate.
+    RHO = (0.06912508235544329, 13107.946808096181)
+    V2 = (5707940.237114986, 9.60470760494541)
+    UNVERIFIED = RiemannData(*RHO, (0.0, V2[0]), (0.0, V2[1]), Eos(3.0))
 
     def test_unverified_witness_is_dropped_and_intervals_kept(self, monkeypatch):
         reports = []
@@ -409,13 +413,24 @@ class TestOnlyVerifiedWitnesses:
         assert subsolution_witness(self.UNVERIFIED) is None
 
     def test_reflected_datum_keeps_its_witness(self):
-        """The densities swapped, at the same gap: the witness verifies
-        to about 8e-16."""
-        reflected = RiemannData(1e4, 1.0, (0.0, self.GAP), (0.0, 0.0), GAMMA2)
+        """The densities swapped, at the same velocities: the witness
+        verifies to about 1.5e-15."""
+        reflected = RiemannData(*self.RHO[::-1], (0.0, self.V2[0]), (0.0, self.V2[1]),
+                                Eos(3.0))
         intervals, witness = feasibility_scan(reflected)
         assert intervals and witness is not None
         report = verify_subsolution(reflected, witness)
         assert report.passed and report.max_equality_residual < 1e-14
+
+    def test_witness_on_the_scale_of_eps_1_verifies(self):
+        """A density ratio of 1e4 at a gap of 0.999999 sqrt(T).  The
+        midpoint of the whole window would put eps_2 at 3200 times eps_1,
+        so that eps_1 cancels in C and mom2_right fails at 4.7e-9; at
+        eps_2 = eps_1/2 the witness verifies to about 7e-13."""
+        data = RiemannData(1.0, 1e4, (0.0, 9999.489938001936), (0.0, 0.0), GAMMA2)
+        intervals, witness = feasibility_scan(data)
+        assert intervals and witness.eps_2 == 0.5 * witness.eps_1
+        assert verify_subsolution(data, witness).max_equality_residual < 1e-12
 
 
 class TestThresholdV:
