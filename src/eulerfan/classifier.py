@@ -25,12 +25,12 @@ from .roots import brent
 #: as zero-strength and a boundary (simple-wave or constant) kind wins.
 BOUNDARY_RTOL = 1e-9
 
-#: The smallest density at which the root solve still resolves rho_m
-#: to its relative tolerance: brent stops within 1e-300 + rtol*|x|, and
-#: solve_middle_state passes rtol = 1e-12, so below 1e-300 / 1e-12 the
-#: absolute part of the stopping rule would decide.
+#: The smallest density to which the lower bracket expands.  Down to
+#: it, brent's stopping rule 1e-300 + 8.9e-16*|x| still resolves rho_m
+#: to 1e-12 relative or better.  It is not the point 1.1e-285 where the
+#: two parts of that rule are equal: stopping there would refuse
+#: near-vacuum data whose rho_m lies between the two.
 _BRACKET_FLOOR = 1e-288
-_BRACKET_CEIL = 1e12
 
 
 class WaveKind(str, Enum):
@@ -133,15 +133,16 @@ def solve_middle_state(data: RiemannData):
     (rho_m, v_m2) or None
         None exactly when the vacuum condition holds (the curves meet
         only as rho -> 0).  Otherwise the unique intersection, located
-        by a bracketed root solve to 1e-12 relative accuracy in rho,
-        with the residual of the two curve values checked against
+        by brent to its own tolerance, 1e-300 + 8.9e-16*rho, with the
+        residual of the two curve values checked against
         1e-10 * (1 + |v_m2|).
 
     Raises
     ------
     NumericalError
-        If no sign change is found after expanding the bracket to
-        [1e-288, 1e12], or the residual check fails.
+        If no sign change is found after expanding the bracket down to
+        1e-288 and up to the largest density at which the curves'
+        shock terms stay finite floats, or the residual check fails.
     """
     rm, rp = data.rho_minus, data.rho_plus
     vm2, vp2 = data.v_minus[1], data.v_plus[1]
@@ -166,23 +167,30 @@ def solve_middle_state(data: RiemannData):
                 f"(rho={rm}, {rp}; v2={vm2}, {vp2}; gamma={eos.gamma}); "
                 "the intersection is indistinguishable from vacuum"
             )
+    # Above both densities each curve forms T(r, rho) = (rho - r)*(p(rho)
+    # - p(r))/(rho*r), with r no smaller than the smaller density.  Its
+    # numerator stays below rho*p(rho), and T below p(rho)/r.  The ceiling
+    # keeps both finite floats, with one expansion step (8x) to spare for
+    # the rounding of log, exp and the power.
+    top, g = np.log(np.finfo(float).max), eos.gamma
+    ceil = float(np.exp(min(top / (g + 1.0), (top + np.log(min(rm, rp))) / g))) / 8.0
     while curve_gap(hi) > 0.0:
         hi *= 8.0
-        if hi > _BRACKET_CEIL:
+        if hi > ceil:
             raise NumericalError(
-                f"no upper bracket below rho={_BRACKET_CEIL} for data "
+                f"no upper bracket below rho={ceil:.3g} for data "
                 f"(rho={rm}, {rp}; v2={vm2}, {vp2}; gamma={eos.gamma})"
             )
-    rho_mid = brent(curve_gap, lo, hi, rtol=1e-12)
+    rho_mid = brent(curve_gap, lo, hi)
 
     v_left = wave_curve(1, (rm, vm2), rho_mid, eos)
     v_right = wave_curve(3, (rp, vp2), rho_mid, eos)
     v_mid = 0.5 * (v_left + v_right)
-    if abs(v_left - v_right) > 1e-10 * (1.0 + abs(v_mid)):
+    gate = 1e-10 * (1.0 + abs(v_mid))
+    if abs(v_left - v_right) > gate:
         raise NumericalError(
-            f"curve residual {abs(v_left - v_right):.3e} at rho_m={rho_mid} "
-            f"exceeds tolerance for data (rho={rm}, {rp}; v2={vm2}, {vp2})"
-        )
+            f"curve residual {abs(v_left - v_right):.3e} at rho_m={rho_mid} exceeds tolerance "
+            f"{gate:.3e} for data (rho={rm}, {rp}; v2={vm2}, {vp2}; gamma={eos.gamma})")
     return (float(rho_mid), float(v_mid))
 
 

@@ -3,10 +3,12 @@
 A line-for-line port of the zero finder of R. P. Brent, Algorithms for
 Minimization without Derivatives (1973), ch. 4: inverse quadratic
 interpolation or a secant step while it stays well inside the bracket,
-bisection otherwise.  It keeps the sign change bracketed throughout and
-needs at most about (k + 1)**2 calls, where k is the number of
-bisections that shrink the bracket to the tolerance; that bound is the
-iteration cap.
+bisection otherwise.  It stops within Brent's tolerance
+2*macheps*|x| + t, here _XTOL + _RTOL*|x|, the default of
+scipy.optimize.brentq: no caller chooses a tolerance.  It keeps the sign
+change bracketed throughout and needs at most about (k + 1)**2 calls,
+where k is the number of bisections that shrink the bracket to the
+tolerance; that bound is the iteration cap.
 """
 
 from __future__ import annotations
@@ -18,19 +20,22 @@ from .errors import NumericalError
 #: Absolute part of the convergence tolerance; it only matters for a
 #: root at or next to zero.
 _XTOL = 1e-300
+#: Relative part: four float64 epsilons, so that the half-width test
+#: delta = (_XTOL + _RTOL*|x|)/2 below is Brent's 2*macheps*|x| + t.
+_RTOL = 4 * 2.0 ** -52
 
 
-def _iteration_cap(a: float, b: float, rtol: float) -> int:
+def _iteration_cap(a: float, b: float) -> int:
     """(k + 1)**2 for the k bisections that shrink [a, b] below the
     tolerance at its point nearest zero, the smallest it takes."""
     nearest = 0.0 if (a < 0.0) != (b < 0.0) else min(abs(a), abs(b))
     # log2 of the width, halved first so that it stays finite.
     width = math.log2(max(abs(0.5 * b - 0.5 * a), _XTOL)) + 1.0
-    k = max(0, math.ceil(width - math.log2(_XTOL + rtol * nearest)))
+    k = max(0, math.ceil(width - math.log2(_XTOL + _RTOL * nearest)))
     return (k + 1) ** 2
 
 
-def brent(f, a: float, b: float, *, rtol: float) -> float:
+def brent(f, a: float, b: float) -> float:
     """
     Find a zero of f in the bracket [a, b].
 
@@ -40,10 +45,14 @@ def brent(f, a: float, b: float, *, rtol: float) -> float:
     a, b : float
         Bracket ends; f(a) and f(b) must differ in sign unless one of
         them is exactly zero, in which case that end is returned.
-    rtol : float
-        The returned x is within 1e-300 + rtol*|x| of a sign change.
-        With the bracket it sets the iterations allowed after the two
-        end evaluations: Brent's bound (see the module docstring).
+
+    Returns
+    -------
+    x : float
+        Within _XTOL + _RTOL*|x| (1e-300 + 8.9e-16*|x|) of a sign
+        change.  With the bracket, that tolerance sets the iterations
+        allowed after the two end evaluations: Brent's bound (see the
+        module docstring).
 
     Raises
     ------
@@ -67,7 +76,7 @@ def brent(f, a: float, b: float, *, rtol: float) -> float:
         raise NumericalError(
             f"root solve: no sign change on [{a}, {b}] (f = {fpre}, {fcur})")
     xblk = fblk = spre = scur = 0.0
-    maxiter = _iteration_cap(a, b, rtol)
+    maxiter = _iteration_cap(a, b)
 
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -77,7 +86,7 @@ def brent(f, a: float, b: float, *, rtol: float) -> float:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (_XTOL + rtol * abs(xcur)) / 2.0
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

@@ -698,9 +698,9 @@ def epsilon1_sign_change(data: RiemannData) -> float:
     The unique density at which the first slack changes sign from + to -
     while moving from the near-side initial density to the far side.
 
-    Located by a bracketed root find between the square-root-expression
-    zero (where the slack is provably positive) and the far endpoint
-    (where it is negative), to 1e-10 relative tolerance.
+    Located by brent, to its own tolerance, between the
+    square-root-expression zero (where the slack is provably positive)
+    and the far endpoint (where it is negative).
     """
     f = _require_subsolution_data(data)
     if not data.gap > 0.0:
@@ -719,7 +719,7 @@ def epsilon1_sign_change(data: RiemannData) -> float:
         raise NumericalError(
             "sign-change bracketing failed: slack at the square-root zero "
             f"is {s_lo}, near the far endpoint {s_hi}")
-    return float(brent(slack, lo, hi, rtol=1e-10))
+    return float(brent(slack, lo, hi))
 
 
 def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,

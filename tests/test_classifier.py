@@ -1,6 +1,7 @@
 """Tests for the self-similar wave-fan classifier."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,24 +190,40 @@ class TestClassify:
             classify(data)
 
     def test_no_upper_bracket_above_the_ceiling(self):
-        """Two isothermal shocks at a gap of 1e7: the middle density,
-        about 4e13, lies above the bracket ceiling."""
-        data = RiemannData(1.0, 4.0, (0.0, 1e7), (0.0, 0.0), Eos(1.0))
-        with pytest.raises(NumericalError,
-                           match=r"no upper bracket below rho=1000000000000\.0 "):
-            classify(data)
+        """Two isothermal shocks at a gap of 1e7 meet at a middle density
+        of about 4.4e13, far below the upper bracket's ceiling.  The
+        ceiling keeps both curves' shock terms finite floats, so data
+        whose middle density lies above it raise a typed "no upper
+        bracket" and no overflow warning (the suite turns a
+        RuntimeWarning into a failure)."""
+        eos = Eos(1.0)
+        fan = classify(RiemannData(1.0, 4.0, (0.0, 1e7), (0.0, 0.0), eos))
+        assert fan.kind is WaveKind.TWO_SHOCKS
+        rho_m = fan.middle[0]
+        assert rho_m == pytest.approx(4.444e13, rel=1e-3)
+        jumps = math.sqrt(two_shock_T(eos, 1.0, rho_m)) + math.sqrt(two_shock_T(eos, 4.0, rho_m))
+        assert jumps == pytest.approx(1e7, rel=1e-12)
+        for rm, gamma, ceiling in ((1e-150, 2.0, "1.68e+78"), (1e-100, 5.0, "5.6e+40")):
+            data = RiemannData(rm, 10.0 * rm, (0.0, 1.3e154), (0.0, 0.0), Eos(gamma))
+            with pytest.raises(NumericalError,
+                               match=re.escape(f"no upper bracket below rho={ceiling} ")):
+                classify(data)
 
-    @pytest.mark.xfail(strict=True, raises=NumericalError,
-                       reason="ROADMAP item 10: the root solve's rtol in rho is "
-                              "coarser than the curve-residual gate")
-    def test_curve_residual_gate_on_a_large_density_ratio(self):
-        """The gap 9999.49 - (-1) exceeds sqrt(T) = 9999.50, so the fan is
-        two shocks.  The root solve stops within 1e-12 relative in rho
-        (about 1e-8 here), and the curves then differ by 6.0e-10, above
-        the gate 1e-10*(1 + |v_m2|) of about 2e-10: classify raises
-        "curve residual"."""
-        data = RiemannData(1.0, 1e4, (0.0, 9999.489938001936), (0.0, -1.0), GAMMA2)
-        assert 9999.489938001936 + 1.0 > math.sqrt(two_shock_T(GAMMA2, 1.0, 1e4))
+    @pytest.mark.parametrize("rho_plus, v_minus2, v_plus2, gamma", [
+        (1e4, 9999.489938001936, -1.0, 2.0),
+        (7524.91441345997, 686167.7878494697, 0.0, 3.0),
+        (768811.558786433, 15332.824017167712, 0.0, 1.4),
+    ])
+    def test_curve_residual_gate_on_a_large_density_ratio(self, rho_plus, v_minus2,
+                                                          v_plus2, gamma):
+        """Each gap exceeds sqrt(T), so the fan is two shocks.  Had the
+        root solve stopped at 1e-12 relative in rho, the curves would
+        differ by 6.0e-10, 9.3e-8 and 7.8e-10, above the gate
+        1e-10*(1 + |v_m2|), and classify would raise "curve residual".
+        Brent's own tolerance, 8.9e-16 relative, resolves rho_m."""
+        eos = Eos(gamma)
+        data = RiemannData(1.0, rho_plus, (0.0, v_minus2), (0.0, v_plus2), eos)
+        assert v_minus2 - v_plus2 > math.sqrt(two_shock_T(eos, 1.0, rho_plus))
         assert classify(data).kind is WaveKind.TWO_SHOCKS
 
     def test_constant(self):
