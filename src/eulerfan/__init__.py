@@ -22,7 +22,7 @@ from .threshold import (ThresholdResult, ThresholdRow, feasibility_scan,
                         feasible_for_gap, subsolution_witness, threshold_V,
                         threshold_table)
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "Eos", "RiemannData", "DataFunctionals", "data_functionals",

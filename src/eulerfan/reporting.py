@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifier import WaveFan, WaveKind, classify
 from .eos import Eos
-from .errors import DomainError, EulerFanError
+from .errors import DomainError, EulerFanError, check_density
 from .functionals import RiemannData
 from .subsolution import FanSubsolution, VerificationReport
 from .threshold import ThresholdResult, ThresholdRow, subsolution_witness, threshold_V
@@ -268,7 +268,21 @@ def region_map_sweep(rho_minus: float, v_minus2: float, eos: Eos,
         returns None; everything else is NotApplicable.  Per-cell
         failures land in the cell's error field and the sweep keeps
         going.
+
+    Raises DomainError before the first cell on input that every cell
+    shares: a grid that is not finite, whole and at least 2 by 2, a
+    rho_plus bound that is not positive, or a left state that no cell
+    could hold (rho_minus as errors.check_density rejects it, a v1 or
+    v_minus2 that is not finite or whose momentum flux rho_minus*v**2
+    is not).  A flux that overflows only with a cell's rho_plus stays
+    that cell's error.
     """
+    check_density(eos, rho_minus, "rho_minus")
+    for name, v in (("v1", v1), ("v_minus2", v_minus2)):
+        # v*v is inf, or NaN, where v or its square is not finite.
+        if not math.isfinite(rho_minus * (v * v)):
+            raise DomainError(f"{name} must be finite with a finite momentum flux "
+                              f"rho_minus*{name}**2, got {v} with rho_minus = {rho_minus}")
     r_lo, r_hi, r_n = rho_plus_range
     v_lo, v_hi, v_n = v_plus2_range
     if not all(math.isfinite(x) for x in (*rho_plus_range, *v_plus2_range)):

@@ -141,9 +141,13 @@ class WindowGrid:
 
 
 def _require_subsolution_data(data: RiemannData):
-    """Common preconditions of the middle-wedge analysis; returns the
-    datum's DataFunctionals (RiemannData.functionals, formed once per
-    datum).
+    """Common preconditions of the middle-wedge analysis, and the frame
+    of the window kernel (window_grid).  Returns (f, near, far, flip,
+    v_far2): the datum's DataFunctionals (RiemannData.functionals,
+    formed once per datum), the smaller and the larger initial density,
+    whether the kernel reflects the data (rho_minus > rho_plus, so the
+    near state sits on the user's right), and the far state's velocity
+    in the user's frame.
 
     Besides B, the guard bounds the energy coefficients by the scalar
     p(far)*(sqrt(T) + L + 2*|v_far2|): a velocity scale of the kernel's
@@ -169,14 +173,15 @@ def _require_subsolution_data(data: RiemannData):
         raise VelocityGapError(
             f"B = {f.B} >= 0: the velocity gap is at or beyond the "
             "two-shock bound, interface speeds are not both real")
-    # The far state is the denser one; Python float products overflow
-    # to inf without a warning.
-    far, v_far2 = max((data.rho_minus, data.v_minus[1]), (data.rho_plus, data.v_plus[1]))
+    flip = data.rho_minus > data.rho_plus
+    near, far = (data.rho_plus, data.rho_minus) if flip else (data.rho_minus, data.rho_plus)
+    v_far2 = data.v_minus[1] if flip else data.v_plus[1]
+    # Python float products overflow to inf without a warning.
     scale = data.eos._pressure(far) * (math.sqrt(f.T) + f.L + 2.0 * abs(v_far2))
     if not scale <= _ENERGY_RANGE:
         raise DomainError(f"{data} exceeds the float range of the energy coefficients: "
                           f"p(far)*(sqrt(T) + L + 2*|v_far2|) = {scale}")
-    return f
+    return f, near, far, flip, v_far2
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +237,7 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
     Returns
     -------
     MiddleNodes
-        16 read-only arrays of rho_1's size: 0.26 MB at 2048 nodes.
+        16 read-only arrays of rho_1's size.
 
     Raises DomainError, before any term is evaluated, when rho_1 leaves
     the open density interval, or when the densities leave the float
@@ -273,7 +278,8 @@ def middle_nodes(data: RiemannData, rho_1) -> MiddleNodes:
 def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     """The first half of the row stage: interface speeds, middle velocity
     and first slack of the datum on its nodes n, in the kernel's frame
-    (window_grid).  Returns (nu_near, nu_far, beta, eps_1); window_grid
+    (window_grid).  Returns (flip, v_far2, nu_near, nu_far, beta,
+    eps_1), with the frame of _require_subsolution_data; window_grid
     documents the arguments, the frame and the errors.
 
     In that frame the near state moves at the gap w and the far state
@@ -291,10 +297,8 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     tolerances raises a NumericalError naming its residual, the user's
     side of its interface and its worst node, before anything after it
     is evaluated.  Each residual check tests its absolute residual first
-    (_failed_residual) and forms the relative one only when that bound
+    (_check_residual) and forms the relative one only when that bound
     does not decide, so a passing call pays one reduction per check.
-    With the partial results in two scratch arrays, a passing call
-    allocates 12 grid-sized results.
     """
     if not isinstance(n, MiddleNodes):
         raise DomainError("window_grid takes its middle densities as the "
@@ -305,10 +309,8 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
             "middle nodes built for other densities or another pressure law: "
             f"({n.rho_minus}, {n.rho_plus}, {n.eos}), "
             f"the data have ({rm}, {rp}, {eos})")
-    f = _require_subsolution_data(data)
+    f, near, far, flip, v_far2 = _require_subsolution_data(data)
     sqrt_nB, K, L, rho_1 = math.sqrt(-f.B), f.K, f.L, n.rho_1
-    # Reflected data hold the near state on the user's right.
-    (near, far), sides = ((rp, rm), ("right", "left")) if rm > rp else ((rm, rp), ("left", "right"))
     A, R = near * data.gap, near - far
 
     # Each formula is evaluated as written, operation for operation
@@ -331,61 +333,52 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     # eps_1_alt = pressure_term - far_weight*nu_far**2, in u
     np.square(nu_far, out=u)
     np.subtract(n.pressure_term, np.multiply(n.far_weight, u, out=t), out=u)
-
-    diff = np.abs(np.subtract(eps_1, u, out=t), out=u)
-    failed = _failed_residual(diff, CROSS_CHECK_TOL, eps_1)
-    if failed is not None:
-        worst, i = failed
-        raise NumericalError(
-            "first-slack cross-check failed: square-root form and "
-            f"interface-speed form disagree by {worst:.3e} (relative) at "
-            f"rho_1 = {rho_1[i]}")
+    _check_residual(np.abs(np.subtract(eps_1, u, out=t), out=u), CROSS_CHECK_TOL, rho_1,
+                    "first-slack cross-check failed: square-root form and interface-speed "
+                    "form disagree by {:.3e} (relative) at rho_1 = {}", eps_1)
 
     # The mass balance nu*(r - rho_1) = r*v2 - rho_1*beta of the near
-    # state (near, w) and of the far state (far, 0), each named by its
-    # user's side.
+    # state (near, w) and of the far state (far, 0), each named by the
+    # user's side it sits on: reflected data hold the near state on the
+    # right.
     rho_beta = rho_1 * beta
+    sides = ("right", "left") if flip else ("left", "right")
     for name, nu, d, mom in zip(sides, (nu_near, nu_far), (n.d_near, n.d_far), (A, 0.0)):
-        lhs = nu * d
-        lhs_mom = mom - rho_beta
-        diff = np.abs(np.subtract(lhs, lhs_mom, out=t), out=u)
-        failed = _failed_residual(diff, CONTINUITY_TOL, lhs, lhs_mom)
-        if failed is not None:
-            worst, i = failed
-            raise NumericalError(f"{name} continuity self-check failed: residual "
-                                 f"{worst:.3e} at rho_1 = {rho_1[i]}")
+        lhs, lhs_mom = nu * d, mom - rho_beta
+        _check_residual(np.abs(np.subtract(lhs, lhs_mom, out=t), out=u), CONTINUITY_TOL, rho_1,
+                        name + " continuity self-check failed: residual {:.3e} at rho_1 = {}",
+                        lhs, lhs_mom)
 
     if (nu_near >= nu_far).any():
         # Both continuity checks passed, so every speed is finite and the
         # largest nu_near - nu_far sits at a violating node.
         raise NumericalError("interface speed ordering violated on the grid at "
                              f"rho_1 = {rho_1[np.argmax(nu_near - nu_far)]}")
-    return nu_near, nu_far, beta, eps_1
+    return flip, v_far2, nu_near, nu_far, beta, eps_1
 
 
-def _failed_residual(diff, tol: float, *values):
-    """The worst node of a self-check that fails, or None when it passes.
+def _check_residual(diff, tol: float, rho_1, message: str, *values):
+    """Raise NumericalError(message.format(worst, rho_1[i])) when a
+    self-check fails at its worst node i.
 
     The check holds when the relative residual diff / max(1, |value|,
     ...) is at most tol at every node; diff = |x - y| is the absolute
     residual.  The scale is at least 1 and IEEE division is monotone, so
     fl(diff/scale) <= diff, and max(diff) <= tol decides the check by
     itself.  Only when it does not, a NaN included, are the scale and
-    the quotient formed.  A failing check returns (worst relative
-    residual, index of its node); a NaN residual is the worst, as
-    np.argmax reads it.
+    the quotient formed.  A NaN residual is the worst, as np.argmax
+    reads it.
     """
     if diff.max() <= tol:
-        return None
+        return
     scale = np.abs(values[0])
     for value in values[1:]:
         np.maximum(scale, np.abs(value), out=scale)
     np.maximum(1.0, scale, out=scale)
     rel = diff / scale
     worst = rel.max()
-    if worst <= tol:
-        return None
-    return worst, np.argmax(rel)
+    if not worst <= tol:
+        raise NumericalError(message.format(worst, rho_1[np.argmax(rel)]))
 
 
 def _energy_constraints(n: MiddleNodes, w: float, boost: float, beta, eps_1):
@@ -436,11 +429,9 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     This is the row stage of the kernel: it combines the datum's gap
     scalars with the node terms of middle_nodes, and runs the kinematic
     self-checks (see _kinematics_arrays).  Its cost is a fixed count of
-    numpy calls, whatever the number of nodes: 73 on a call whose checks
-    pass on their absolute residuals and whose energy coefficients are
-    all nonzero, on either density ordering.  35 of them allocate a
-    grid-sized result; the others write into arrays the call already
-    holds, or reduce.
+    numpy calls, whatever the number of nodes, and every temporary is a
+    grid-sized array; the README section "What a threshold search
+    costs" gives the counts and the largest grid worth repeating.
 
     The kernel computes in one frame: the datum reflected by x2 -> -x2
     when rho_minus > rho_plus, so the near (smaller) density sits on the
@@ -483,24 +474,10 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     (left, or right when rho_minus > rho_plus), far continuity, speed
     ordering.  A self-check's NumericalError names its worst node
     ("at rho_1 = ...").
-
-    Memory: every temporary is a grid-sized array.  From about 6144
-    nodes per call the temporaries are large enough that glibc's malloc
-    returns them to the OS when the call frees them, and the next call
-    faults them in again: 84 minor page faults per call of 6144 nodes,
-    160 at 8192 and 480 at 16384, none at 2048 and 4096 (one datum per
-    call, repeated on a cached grid; x86-64, Python 3.11, numpy 2.4 from
-    a wheel, glibc 2.36).  A call that is repeated should therefore stay
-    at or below 4096 nodes; the start grid's 2048 nodes do.  Raising
-    MALLOC_TRIM_THRESHOLD_ and MALLOC_MMAP_THRESHOLD_ in the environment
-    removes the faults and halved the time of a call of 16384 nodes
-    (2.0 ms to 1.0 ms), but the package does not set malloc options.
     """
-    nu_near, nu_far, beta, eps_1 = _kinematics_arrays(data, nodes)
     # The user's frame is the kernel's boosted along x2 and, when flip,
     # mirrored; v_far2 is the far state's velocity in it.
-    flip = data.rho_minus > data.rho_plus
-    v_far2 = data.v_minus[1] if flip else data.v_plus[1]
+    flip, v_far2, nu_near, nu_far, beta, eps_1 = _kinematics_arrays(data, nodes)
     at_near, at_far = _energy_constraints(nodes, data.gap, -v_far2 if flip else v_far2, beta, eps_1)
     (a_left, b_left), (a_right, b_right) = (at_far, at_near) if flip else (at_near, at_far)
 
@@ -702,13 +679,11 @@ def epsilon1_sign_change(data: RiemannData) -> float:
     square-root-expression zero (where the slack is provably positive)
     and the far endpoint (where it is negative).
     """
-    f = _require_subsolution_data(data)
+    f, near, far, _, _ = _require_subsolution_data(data)
     if not data.gap > 0.0:
         raise DomainError(
             "sign-change analysis requires v_plus2 < v_minus2 "
             f"(gap = {data.gap} <= 0)")
-
-    near, far = min(data.rho_minus, data.rho_plus), max(data.rho_minus, data.rho_plus)
 
     def slack(x):
         return _window_at(data, x).eps_1.item()

@@ -11,26 +11,12 @@ one feasible_for_gap call.  The full probe trace is retained so a
 non-monotone feasibility pattern, if one ever shows up, is visible in
 the result rather than silently flattened into a single number.
 
-Cost model.  Every probe starts from the same GRID middle densities.
-Their node terms (subsolution.middle_nodes: every log, power and square
-root that does not depend on the gap) are built once per density pair
-and pressure law and cached by _initial_nodes.  A probe is decided on
-that start grid alone, and its intervals are the runs of feasible
-start-grid nodes: refinement would move interval ends but decide no
-gap, and the search reads nothing else.  Every probe is one
-feasible_for_gap call, and so one window_grid call of one gap on the
-GRID start nodes: on the seven reference columns 509 feasible_for_gap
-calls and 509 kernel calls for 509 probes, with 516 DataFunctionals
-for 517 RiemannData (RiemannData.functionals): each probe and each
-column reads sqrt(T) off its datum's functionals.
-Such a call costs its count of numpy calls more than its nodes: 73
-when its checks pass, on either density ordering, 35 of them allocating
-a 16 KiB temporary, small enough that the allocator reuses it from
-call to call instead of returning it to the OS (see window_grid).  _runs
-turns the probe's mask into intervals with one np.flatnonzero when its
-feasible nodes are contiguous, as on all 441 feasible probes of the
-seven columns.  The cache keeps one start grid alive, about 0.26 MB
-at GRID.
+Every probe starts from the same GRID middle densities, whose node
+terms (subsolution.middle_nodes) _initial_nodes builds once per density
+pair and pressure law and caches.  A probe is decided on that start
+grid alone, and its intervals are the runs of feasible start-grid
+nodes.  The README section "What a threshold search costs" holds the
+cost model, with the counts that tests pin.
 
 feasibility_scan, whose intervals and witness the feasibility command
 and the region map read, is the one search that refines, for its one
@@ -107,15 +93,19 @@ def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int) -> Mi
     Returns the middle_nodes of the `grid` equispaced nodes strictly
     inside the density interval; its read-only rho_1 is the start grid.
     The cache keeps the last density pair, law and grid only: 16
-    node-stage arrays of `grid` floats (0.26 MB at GRID), so the
-    start-grid calls of every probe of a threshold_V call, scan and
-    bisection alike, share them.
+    node-stage arrays of `grid` floats, so the start-grid calls of every
+    probe of a threshold_V call, scan and bisection alike, share them.
 
-    Raises DomainError when the densities are too close for the
-    endpoint margin to keep every node off the interval's ends (closer
-    than about 1e-7 relative), and through middle_nodes when they leave
-    the float range of the dissipation terms.
+    Raises DegenerateDensityError on equal densities, DomainError when
+    the densities are too close for the endpoint margin to keep every
+    node off the interval's ends (closer than about 1e-7 relative), and
+    through middle_nodes when they leave the float range of the
+    dissipation terms.  Every search calls it before its first kernel
+    call.
     """
+    if rho_minus == rho_plus:
+        raise DegenerateDensityError(
+            f"equal densities {rho_minus} leave no middle-density interval")
     lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     delta = _ENDPOINT_MARGIN * (hi - lo)
     datum = RiemannData(rho_minus, rho_plus, (0.0, 0.0), (0.0, 0.0), eos)
@@ -173,15 +163,13 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
         refines their ends.
     """
     _check_grid(grid)
-    if rho_minus == rho_plus:
-        raise DegenerateDensityError(
-            f"equal densities {rho_minus} leave no middle-density interval")
     data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
                        v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
+    # Equal densities raise here, before their sqrt(T) = 0 leaves no gap.
+    start = _initial_nodes(rho_minus, rho_plus, eos, grid)
     bound = data.functionals.sqrt_T
     if not 0.0 < w < bound:
         raise DomainError(f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
-    start = _initial_nodes(rho_minus, rho_plus, eos, grid)
     intervals = _runs(start.rho_1, window_grid(data, start).feasible)
     return bool(intervals), intervals
 
@@ -251,6 +239,18 @@ def subsolution_witness(data: RiemannData) -> FanSubsolution | None:
     return feasibility_scan(data)[1]
 
 
+def _column_datum(rho_minus: float, rho_plus: float, v_plus2: float, eos: Eos) -> RiemannData:
+    """The datum of one threshold column at gap 0.  Raises
+    DegenerateDensityError on equal densities, whose sqrt(T) = 0 leaves
+    the scan no gap to probe, then RiemannData's DomainError on the
+    densities, their pair and v_plus2, read as the v_plus it is."""
+    if rho_minus == rho_plus:
+        raise DegenerateDensityError(
+            f"equal densities {rho_minus} admit no threshold search")
+    return RiemannData(rho_minus=rho_minus, rho_plus=rho_plus, v_minus=(0.0, 0.0),
+                       v_plus=(0.0, v_plus2), eos=eos)
+
+
 def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
                 eos: Eos) -> ThresholdResult:
     """
@@ -270,17 +270,12 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     For gamma = 1 the existence guarantee does not apply; the search
     still runs, with a warning.
     """
-    if rho_minus == rho_plus:
-        raise DegenerateDensityError(
-            f"equal densities {rho_minus} admit no threshold search")
+    datum = _column_datum(rho_minus, rho_plus, v_plus2, eos)
     if eos.gamma == 1.0:
         warnings.warn("threshold existence is only guaranteed for gamma > 1; "
                       "searching anyway", stacklevel=2)
-
-    # RiemannData validates the inputs, v_plus2 as the v_plus it is; T
-    # does not depend on the gap.
-    sqrtT = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus, v_minus=(0.0, 0.0),
-                        v_plus=(0.0, v_plus2), eos=eos).functionals.sqrt_T
+    # T does not depend on the gap.
+    sqrtT = datum.functionals.sqrt_T
     probes = []
 
     def feasible(w):
@@ -322,9 +317,14 @@ def threshold_table(rho_minus: float, rho_plus: float, eos: Eos,
     """
     One threshold search per downstream velocity, errors kept per row.
 
-    Rows are computed independently; a failing row carries the error
-    message and a None result so the rest of the table still comes out.
+    What every row shares is checked once, before the first row: equal
+    densities raise DegenerateDensityError, and densities or a density
+    pair that RiemannData rejects raise its DomainError.  Rows are then
+    computed independently; a failing row, through its own v_plus2 or
+    its search, carries the error message and a None result so the
+    rest of the table still comes out.
     """
+    _column_datum(rho_minus, rho_plus, 0.0, eos)
     rows = []
     for v_plus2 in v_plus2_list:
         try:

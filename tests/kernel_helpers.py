@@ -89,7 +89,7 @@ def reference_window_grid(data, n):
     computes in the frame where the near state moves at the gap and the
     far state rests, and maps back to the user's frame at the end."""
     rm, rp, vm2, vp2 = data.rho_minus, data.rho_plus, data.v_minus[1], data.v_plus[1]
-    f = _require_subsolution_data(data)
+    f = _require_subsolution_data(data)[0]
     flip = rm > rp
     near, far = (rp, rm) if flip else (rm, rp)
     w = data.gap

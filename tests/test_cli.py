@@ -68,6 +68,34 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: rho_minus = 1e+200 has no finite pressure")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["region-map", "--rho-minus", "-1", "--v-minus2", "3.3"],
+         "rho_minus must be positive and finite, got -1.0"),
+        (["region-map", "--rho-minus", "1", "--v-minus2", "nan"],
+         "v_minus2 must be finite with a finite momentum flux rho_minus*v_minus2**2, "
+         "got nan with rho_minus = 1.0"),
+        (["region-map", "--rho-minus", "1", "--v-minus2", "3.3", "--v1", "1e200"],
+         "v1 must be finite with a finite momentum flux rho_minus*v1**2, "
+         "got 1e+200 with rho_minus = 1.0"),
+        (["threshold-table", "--rho-minus", "1", "--rho-plus", "1", "--v-plus2", "0"],
+         "equal densities 1.0 admit no threshold search"),
+        (["threshold-table", "--rho-minus", "1", "--rho-plus", "1e-320", "--v-plus2", "0"],
+         "densities rho_minus = 1.0 and rho_plus = 1e-320 have no positive normal float "
+         "product rho_minus*rho_plus"),
+        (["feasibility", "--rho-minus", "1", "--rho-plus", "1", "--v-minus2", "3.3",
+          "--v-plus2", "0"],
+         "equal densities 1.0 leave no middle-density interval"),
+    ], ids=["region_map_density", "region_map_v_minus2", "region_map_v1",
+            "table_equal_densities", "table_density_pair", "feasibility_equal_densities"])
+    def test_input_every_row_or_cell_shares_is_an_input_error(self, capsys, argv, message):
+        """What every cell of a map, every row of a table or every node
+        of a scan shares is checked once: exit 2, one error line and
+        nothing on stdout."""
+        region = ["--rho-plus-range", "1.5", "6", "2", "--v-plus2-range", "-2", "2", "2"]
+        extra = region if argv[0] == "region-map" else []
+        code, out, err = run(capsys, [*argv, "--gamma", "2", *extra])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_unknown_flag(self, capsys):
         assert run(capsys, CLASSIFY_TWO_SHOCKS + ["--frobnicate"])[0] == 2
 
@@ -159,11 +187,12 @@ class TestThresholdCommands:
 
     def test_table_exit_one_on_row_errors(self, capsys):
         code, out, _ = run(capsys, [
-            "threshold-table", "--rho-minus", "2", "--rho-plus", "2",
-            "--gamma", "2", "--v-plus2", "0"])
+            "threshold-table", "--rho-minus", "1", "--rho-plus", "4",
+            "--gamma", "2", "--v-plus2", "nan", "0"])
         assert code == 1
         doc = json.loads(out)
-        assert "equal densities" in doc["rows"][0]["error"]
+        assert doc["rows"][0]["error"] == "v_plus must be a finite velocity pair, got (0.0, nan)"
+        assert doc["rows"][1]["error"] is None and doc["rows"][1]["V"] is not None
 
 
 class TestFeasibilityCommand:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eulerfan.reporting
 from eulerfan import (DomainError, Eos, Nonuniq, RegionCell, RiemannData,
                       WaveKind, classify, parse_region_map_csv, parse_witness,
                       read_witness, region_map_csv, region_map_sweep,
@@ -266,12 +267,40 @@ class TestRegionMapSweep:
             assert cell.nonuniq is Nonuniq.NOT_APPLICABLE
 
     def test_overflowing_first_component_is_a_cell_error(self):
-        cells = region_map_sweep(1.0, 3.3, GAMMA2, (3.9, 4.0, 2), (0.0, 0.1, 2), v1=1e200)
-        assert len(cells) == 4
-        for cell in cells:
+        """A first component whose flux overflows on the fixed left
+        state fails the sweep before its first cell; one whose flux
+        overflows only with a cell's rho_plus (1.2e154**2 is finite,
+        twice it is not) is that cell's error."""
+        with pytest.raises(DomainError, match=r"^v1 must be finite with a finite momentum "
+                                              r"flux rho_minus\*v1\*\*2, got 1e\+200"):
+            region_map_sweep(1.0, 3.3, GAMMA2, (3.9, 4.0, 2), (0.0, 0.1, 2), v1=1e200)
+        cells = region_map_sweep(1.0, 3.3, GAMMA2, (0.5, 2.0, 2), (0.0, 0.1, 2), v1=1.2e154)
+        assert [cell.error is None for cell in cells] == [True, True, False, False]
+        for cell in cells[2:]:
             assert cell.wave_kind is None and cell.nonuniq is Nonuniq.NOT_APPLICABLE
-            assert cell.error.startswith("v_minus = (1e+200, 3.3) has no finite momentum flux "
-                                         "rho_minus*v_minus1**2")
+            assert cell.error.startswith(f"v_plus = (1.2e+154, {cell.v_plus2}) has no finite "
+                                         "momentum flux rho_plus*v_plus1**2")
+
+    @pytest.mark.parametrize("rho_minus, v_minus2, v1, message", [
+        (-1.0, 3.3, 0.0, "rho_minus must be positive and finite, got -1.0"),
+        (1e200, 3.3, 0.0, "rho_minus = 1e+200 has no finite pressure"),
+        (1.0, math.nan, 0.0, "v_minus2 must be finite"),
+        (1.0, math.inf, 0.0, "v_minus2 must be finite"),
+        (1.0, 3.3, math.nan, "v1 must be finite"),
+        (4.0, 1e154, 0.0, "v_minus2 must be finite with a finite momentum flux "
+                          "rho_minus*v_minus2**2, got 1e+154 with rho_minus = 4.0"),
+    ], ids=["negative_density", "infinite_pressure", "nan_v_minus2", "inf_v_minus2",
+            "nan_v1", "v_minus2_flux"])
+    def test_invalid_left_state_raises_before_the_first_cell(
+            self, monkeypatch, rho_minus, v_minus2, v1, message):
+        """Every cell shares the left state, so an invalid one is an
+        input error of the sweep, raised before any RegionCell is built."""
+        built = []
+        monkeypatch.setattr(eulerfan.reporting, "RegionCell", lambda **kw: built.append(kw))
+        with pytest.raises(DomainError) as got:
+            region_map_sweep(rho_minus, v_minus2, GAMMA2, (1.5, 6.0, 2), (-2.0, 2.0, 2), v1=v1)
+        assert str(got.value).startswith(message)
+        assert built == []
 
     def test_cell_errors_do_not_stop_the_sweep(self):
         # gamma = 1 with a receding gap of 1500 drives the middle density

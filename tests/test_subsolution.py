@@ -518,8 +518,8 @@ class TestBoundFirstSelfChecks:
         that decided it, "raised", "exact" when a passing check's
         absolute residual exceeds its tolerance, else "bound"."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(eulerfan.subsolution, "_failed_residual", lambda *args: None)
-            nu_near, nu_far, beta, eps_1 = eulerfan.subsolution._kinematics_arrays(data, nodes)
+            patch.setattr(eulerfan.subsolution, "_check_residual", lambda *args: None)
+            *_, nu_near, nu_far, beta, eps_1 = eulerfan.subsolution._kinematics_arrays(data, nodes)
         flip = data.rho_minus > data.rho_plus
         near = data.rho_plus if flip else data.rho_minus
         eps_1_alt = nodes.pressure_term - nodes.far_weight * nu_far ** 2

@@ -222,6 +222,14 @@ def test_runs_match_feasible_runs():
 class TestFeasibilityScan:
     GOLDEN = RiemannData(1.0, 4.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
 
+    def test_equal_densities_rejected(self):
+        """As feasible_for_gap: the start grid rejects equal densities,
+        before it is placed."""
+        data = RiemannData(1.0, 1.0, (0.0, 3.3), (0.0, 0.0), GAMMA2)
+        with pytest.raises(DegenerateDensityError,
+                           match="^equal densities 1.0 leave no middle-density interval$"):
+            feasibility_scan(data)
+
     def test_intervals_match_feasible_for_gap(self):
         """The refined run contains feasible_for_gap's start-grid run and
         reaches past it by less than one start-grid spacing."""
@@ -504,11 +512,30 @@ class TestThresholdTable:
             assert 0.0 < row.result.V < row.result.sqrtT
 
     def test_failing_rows_keep_the_table_alive(self):
-        rows = threshold_table(2.0, 2.0, GAMMA2, [0.0, 1.0])
-        assert len(rows) == 2
-        for row in rows:
-            assert row.result is None
-            assert "equal densities" in row.error
+        """A row's own v_plus2 fails that row only."""
+        rows = threshold_table(1.0, 4.0, GAMMA2, [math.nan, 0.0])
+        assert [row.v_plus2 for row in rows[1:]] == [0.0]
+        assert rows[0].result is None
+        assert rows[0].error == "v_plus must be a finite velocity pair, got (0.0, nan)"
+        assert rows[1].error is None and 0.0 < rows[1].result.V < rows[1].result.sqrtT
+
+    @pytest.mark.parametrize("rho_plus, error, message", [
+        (1.0, DegenerateDensityError, "equal densities 1.0 admit no threshold search"),
+        (1e-320, DomainError, "densities rho_minus = 1.0 and rho_plus = 1e-320 have no "
+                              "positive normal float product rho_minus*rho_plus"),
+        (-4.0, DomainError, "rho_plus must be positive and finite, got -4.0"),
+    ], ids=["equal", "underflowing_product", "negative"])
+    def test_shared_density_error_raises_before_the_first_row(
+            self, monkeypatch, rho_plus, error, message):
+        """Every row shares the densities, so an invalid pair is an
+        input error of the table, raised before any row's search."""
+        searched = []
+        monkeypatch.setattr(eulerfan.threshold, "threshold_V",
+                            lambda *args: searched.append(args))
+        with pytest.raises(error) as got:
+            threshold_table(1.0, rho_plus, GAMMA2, [0.0, 1.0])
+        assert type(got.value) is error and str(got.value) == message
+        assert searched == []
 
 
 class TestSearchMatchesSequential:
