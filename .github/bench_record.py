@@ -1,17 +1,24 @@
 """Record a benchmark baseline, BENCH_<n>.json, from the unchanged harness.
 
 It runs every workload of BENCHMARK.json untraced, at its run_seconds,
-for seeds 1 to 3, and keeps each run's environment record and its last
-stdout line, parsed as strict JSON as .github/bench_smoke.py parses it.
-It then adds the end-to-end rows that perfbench/run.py does not time,
-each the median of three wall times: the threshold-table command on the
-seven reference columns, the 40x40 region map at (rho_minus, v_minus2)
-= (1, 3.3) with and without --with-threshold, and the tier-1 suite.
+for seeds 1 to 3, and once traced (--trace 1), for seed 1, so the record
+carries the per-layer rows too.  It keeps each run's environment record
+and its last stdout line, parsed as strict JSON as .github/bench_smoke.py
+parses it: a NaN stops the recorder.  It then adds the end-to-end rows
+that perfbench/run.py does not time, each the median of three wall
+times: the threshold-table command on the seven reference columns, the
+40x40 region map at (rho_minus, v_minus2) = (1, 3.3) with and without
+--with-threshold, and the tier-1 suite.
 
-Run from the repository root, on a clean checkout, for about ten
-minutes:
+It measures the checkout in the current directory, so run it from the
+root of a clean checkout, for about twelve minutes:
 
     python3 .github/bench_record.py BENCH_1.json
+
+The same script records another commit from that commit's clean
+checkout, for a pair of records made with one recorder:
+
+    cd ../parent-checkout && python3 ../repo/.github/bench_record.py ../BENCH_2.json
 """
 
 import argparse
@@ -24,8 +31,9 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+ROOT = Path.cwd()
 SEEDS = (1, 2, 3)
+TRACE_SEED = 1
 REPEATS = 3
 COLUMNS = ["0.1", "1", "2", "0", "-0.1", "-1", "-2"]
 MAP = ["region-map", "--rho-minus", "1", "--v-minus2", "3.3", "--gamma", "2",
@@ -49,7 +57,7 @@ HARNESS_FAULTS = [
     "the reference child imports scipy, which the package does not use, and "
     "cli.import.scipy_share is always 0",
     "per-layer metrics pin internals (probes_per_column counts feasible_for_gap calls)",
-    "traced runs can write NaN for a span that never occurs (not these untraced runs)",
+    "traced runs can write NaN for a span that never occurs; the recorder refuses such a run",
 ]
 
 
@@ -62,10 +70,10 @@ def git(*args):
                           text=True, check=True).stdout.strip()
 
 
-def workload_run(name, seed, seconds):
-    """The environment record and the strict-JSON result of one untraced run."""
+def workload_run(name, seed, seconds, trace=0):
+    """The environment record and the strict-JSON result of one run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     lines = run.stdout.strip().splitlines()
     if run.returncode != 0 or not lines:
@@ -94,7 +102,9 @@ def wall_seconds(argv):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="the BENCH_<n>.json file to write")
-    out = parser.parse_args().out
+    out = parser.parse_args().out.resolve()
+    if not (ROOT / "BENCHMARK.json").is_file():
+        raise SystemExit(f"{ROOT} holds no BENCHMARK.json: run from a checkout's root")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     record = {
         "commit": git("rev-parse", "HEAD"),
@@ -103,6 +113,8 @@ def main():
         "workloads": {w["name"]: [workload_run(w["name"], seed, bench["run_seconds"])
                                   for seed in SEEDS]
                       for w in bench["workloads"]},
+        "traced": {w["name"]: workload_run(w["name"], TRACE_SEED, bench["run_seconds"], trace=1)
+                   for w in bench["workloads"]},
         "wall": {row: wall_seconds(argv) for row, argv in WALL.items()},
         "harness_faults": HARNESS_FAULTS,
     }

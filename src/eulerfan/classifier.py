@@ -27,9 +27,11 @@ BOUNDARY_RTOL = 1e-9
 
 #: The smallest density to which the lower bracket expands.  Down to
 #: it, brent's stopping rule 1e-300 + 8.9e-16*|x| still resolves rho_m
-#: to 1e-12 relative or better.  It is not the point 1.1e-285 where the
-#: two parts of that rule are equal: stopping there would refuse
-#: near-vacuum data whose rho_m lies between the two.
+#: to 1e-12 relative or better.  Near vacuum that rule does not bound
+#: the accuracy of rho_m, the curve gap's cancellation does (see
+#: solve_middle_state and ROADMAP item 10).  It is not the point
+#: 1.1e-285 where the two parts of that rule are equal: stopping there
+#: would refuse near-vacuum data whose rho_m lies between the two.
 _BRACKET_FLOOR = 1e-288
 
 
@@ -135,7 +137,11 @@ def solve_middle_state(data: RiemannData):
         only as rho -> 0).  Otherwise the unique intersection, located
         by brent to its own tolerance, 1e-300 + 8.9e-16*rho, with the
         residual of the two curve values checked against
-        1e-10 * (1 + |v_m2|).
+        1e-10 * (1 + |v_m2|).  Near vacuum the two curve values are
+        O(1) while their difference is O(F(rho_m)), so that
+        cancellation, not brent's tolerance, bounds the accuracy of
+        rho_m: at (1, 1, 0, 2*F(1) - d, gamma = 2) it is 6.0e-8
+        relative at d = 1e-8 and 8e-10 at d = 1e-6 (ROADMAP item 10).
 
     Raises
     ------

@@ -10,9 +10,10 @@ node stage middle_nodes holds every term of a grid of middle densities
 that does not depend on the velocity gap, and the row stage
 window_grid combines it with the gap of one datum per call and raises
 that datum's error.  The row stage computes in one frame, the far
-state at rest, and maps back to the user's frame once, at its end.  It
-takes middle densities only as a MiddleNodes, so every caller builds
-its nodes with middle_nodes.
+state at rest; its WindowGrid maps the speeds and the middle velocity
+back to the user's frame when they are first read.  It takes middle
+densities only as a MiddleNodes, so every caller builds its nodes with
+middle_nodes.
 eps2_window, reconstruct and witness_at are one-node wrappers around
 it; eps2_window's record carries the interface speeds, the middle
 velocity and the first slack, and reconstruct and witness_at always
@@ -21,9 +22,11 @@ enforce the slack and energy conditions.  Everything here is pure.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,11 +128,15 @@ class WindowGrid:
     """Kinematics and second-slack window of one datum on its middle
     densities: every array has one entry per middle density of the
     MiddleNodes passed to window_grid.
+
+    The first slack, the energy coefficients and the window are fields,
+    in the user's frame.  The interface speeds nu_minus and nu_plus and
+    the middle velocity beta are kept in the kernel's frame (window_grid)
+    and read in the user's: each is formed on its first read and kept.
+    So a caller that reads only the window, as every probe of a search
+    does, never forms them; the one-node wrappers read them.
     """
 
-    nu_minus: np.ndarray
-    nu_plus: np.ndarray
-    beta: np.ndarray
     eps_1: np.ndarray
     a_left: np.ndarray
     b_left: np.ndarray
@@ -138,6 +145,33 @@ class WindowGrid:
     lower: np.ndarray
     upper: np.ndarray
     feasible: np.ndarray
+    # The kernel's frame: whether it mirrors the user's, the far state's
+    # velocity in the user's frame, and the speeds and middle velocity.
+    _flip: bool = field(repr=False)
+    _v_far2: float = field(repr=False)
+    _nu_near: np.ndarray = field(repr=False)
+    _nu_far: np.ndarray = field(repr=False)
+    _beta: np.ndarray = field(repr=False)
+
+    def _to_user(self, x: np.ndarray) -> np.ndarray:
+        # A velocity x of the kernel's frame is v_far2 + x in the user's,
+        # or v_far2 - x when mirrored.
+        return (np.subtract if self._flip else np.add)(self._v_far2, x)
+
+    @functools.cached_property
+    def nu_minus(self) -> np.ndarray:
+        """Speed of the left interface, in the user's frame."""
+        return self._to_user(self._nu_far if self._flip else self._nu_near)
+
+    @functools.cached_property
+    def nu_plus(self) -> np.ndarray:
+        """Speed of the right interface, in the user's frame."""
+        return self._to_user(self._nu_near if self._flip else self._nu_far)
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        """Normal velocity of the middle wedge, in the user's frame."""
+        return self._to_user(self._beta)
 
 
 def _require_subsolution_data(data: RiemannData):
@@ -315,15 +349,16 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
 
     # Each formula is evaluated as written, operation for operation
     # (t**2 is np.square(t), as numpy evaluates it); its partial results
-    # go to the scratch arrays t and u.  No operation but the last of beta
-    # writes over one of its own operands: on a one-node grid numpy
-    # checks such an overlap the slow way.
+    # go to the scratch arrays t and u.  No operation writes over one of
+    # its own operands: on a one-node grid numpy checks such an overlap
+    # the slow way.
     A_R, nB_R = A / R, sqrt_nB / R
     t = n.d_far * A
     u = t / n.R_rho
     np.divide(sqrt_nB, n.R_rho, out=t)
     beta = t * n.sqrt_product
-    beta -= u
+    # beta - u goes to t, and the product's array becomes the scratch t.
+    beta, t = np.subtract(beta, u, out=t), beta
     nu_near = A_R + np.multiply(nB_R, n.sqrt_far_near, out=t)
     nu_far = A_R - np.multiply(nB_R, n.sqrt_near_far, out=t)
     # eps_1 = pressure_term - far_ratio*(L*sqrt_near - K*sqrt_far)**2
@@ -340,14 +375,16 @@ def _kinematics_arrays(data: RiemannData, n: MiddleNodes):
     # The mass balance nu*(r - rho_1) = r*v2 - rho_1*beta of the near
     # state (near, w) and of the far state (far, 0), each named by the
     # user's side it sits on: reflected data hold the near state on the
-    # right.
+    # right.  The far state's r*v2 is 0.0, and |lhs - (0.0 - rho_beta)| is
+    # |lhs + rho_beta| bit for bit, with |rho_beta| in its scale.
     rho_beta = rho_1 * beta
     sides = ("right", "left") if flip else ("left", "right")
-    for name, nu, d, mom in zip(sides, (nu_near, nu_far), (n.d_near, n.d_far), (A, 0.0)):
-        lhs, lhs_mom = nu * d, mom - rho_beta
-        _check_residual(np.abs(np.subtract(lhs, lhs_mom, out=t), out=u), CONTINUITY_TOL, rho_1,
+    for name, nu, d, rhs, residual in zip(sides, (nu_near, nu_far), (n.d_near, n.d_far),
+                                         (A - rho_beta, rho_beta), (np.subtract, np.add)):
+        lhs = nu * d
+        _check_residual(np.abs(residual(lhs, rhs, out=t), out=u), CONTINUITY_TOL, rho_1,
                         name + " continuity self-check failed: residual {:.3e} at rho_1 = {}",
-                        lhs, lhs_mom)
+                        lhs, rhs)
 
     if (nu_near >= nu_far).any():
         # Both continuity checks passed, so every speed is finite and the
@@ -399,24 +436,31 @@ def _energy_constraints(n: MiddleNodes, w: float, boost: float, beta, eps_1):
     frame at the cost of one scalar sum.  Returns ((a_near, b_near),
     (a_far, b_far)).
 
+    Each formula is evaluated in the order of the rule, its partial
+    results in the scratch arrays s and t, and no operation writes over
+    one of its own operands (see _kinematics_arrays).  The far state's
+    beta - v2 is -beta, as x - 0.0 is x bit for bit.
+
     This and _kinematics_arrays are functions of their own so that their
     temporaries, each as large as the grid, are freed before window_grid
     forms the bounds."""
     eps_rho = eps_1 * n.rho_1
-    coefficients = []
-    for r_rho, d, v2, c, mid2, P in ((n.near_rho, n.d_near, w, boost, beta, n.P_near),
-                                     (n.far_rho, n.d_far, 0.0, -boost, -beta, n.P_far)):
-        bmv = mid2 - v2
-        a = r_rho * bmv
-        a /= d
-        # b in place, in the order of the rule; the product with eps_rho
-        # commutes exactly.
-        b = (v2 + 2.0 * c) + mid2
-        b *= eps_rho
-        term = eps_1 * a
-        b -= term
-        np.multiply(bmv, P, out=term)
-        b -= term
+    neg_beta = -beta
+    coefficients, s, t = [], None, None
+    for r_rho, d, v2, c, mid2, bmv, P in (
+            (n.near_rho, n.d_near, w, boost, beta, beta - w, n.P_near),
+            (n.far_rho, n.d_far, 0.0, -boost, neg_beta, neg_beta, n.P_far)):
+        s = np.multiply(r_rho, bmv, out=s)
+        a = s / d
+        # b = ((v2 + 2*c) + mid2)*eps_rho - eps_1*a - bmv*P; the product
+        # with eps_rho commutes exactly.  The last difference goes to t,
+        # and the array of the one before becomes the scratch t.
+        np.add(v2 + 2.0 * c, mid2, out=s)
+        t = np.multiply(s, eps_rho, out=t)
+        np.multiply(eps_1, a, out=s)
+        b = t - s
+        np.multiply(bmv, P, out=s)
+        b, t = np.subtract(b, s, out=t), b
         coefficients.append((a, b))
     return coefficients
 
@@ -437,19 +481,22 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     when rho_minus > rho_plus, so the near (smaller) density sits on the
     left, then boosted along x2 so the far state rests and the near
     state moves at the gap w.  No term of the size rho*v2**2 enters, so
-    nothing cancels at large transverse velocities.  The user's frame
-    comes back once, at the end: nu_minus, nu_plus and beta shift by
-    the far state's velocity, mirrored on reflected data, and the
-    energy rule adds its boost to the scalar of its sum (see
-    _energy_constraints).
+    nothing cancels at large transverse velocities.  The energy rule
+    adds the boost back to the user's frame in the scalar of its sum (see
+    _energy_constraints), so the window is the user's.  The speeds and
+    the middle velocity come back to the user's frame only when the
+    WindowGrid's nu_minus, nu_plus and beta are read: they shift by the
+    far state's velocity, mirrored on reflected data.  A search that
+    reads only feasible never forms them.
 
     Both interface energy inequalities are treated as affine constraints
     a*eps_2 <= b and the resulting half-lines are intersected with
     (0, inf).  The direction of each bound follows the sign of its
     coefficient, so no sign regime is assumed for beta - v_minus2 or
     v_plus2 - beta; a vanishing coefficient degenerates the constraint
-    to the sign test b >= 0, which is formed only when some coefficient
-    vanishes.
+    to the sign test b >= 0.  Only then can a quotient b/a divide by
+    zero, so only then are numpy's divide and invalid warnings silenced
+    and the sign test formed.
 
     Parameters
     ----------
@@ -481,25 +528,21 @@ def window_grid(data: RiemannData, nodes: MiddleNodes) -> WindowGrid:
     at_near, at_far = _energy_constraints(nodes, data.gap, -v_far2 if flip else v_far2, beta, eps_1)
     (a_left, b_left), (a_right, b_right) = (at_far, at_near) if flip else (at_near, at_far)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # all() reads a NaN coefficient as nonzero, as != does.
+    vanishing = not (a_left.all() and a_right.all())
+    with np.errstate(divide="ignore", invalid="ignore") if vanishing else contextlib.nullcontext():
         q_left, q_right = b_left / a_left, b_right / a_right
     upper = np.where(a_left > 0.0, q_left, np.inf)
     np.minimum(upper, q_right, out=upper, where=a_right > 0.0)
     lower = np.where(a_left < 0.0, q_left, -np.inf)
     np.maximum(lower, q_right, out=lower, where=a_right < 0.0)
     feasible = (eps_1 > 0.0) & (np.maximum(lower, 0.0) < upper)
-    # Only a vanishing coefficient adds the sign test b >= 0; all() reads
-    # a NaN coefficient as nonzero, as != does.
-    if not (a_left.all() and a_right.all()):
+    if vanishing:
         feasible &= (((a_left != 0.0) | (b_left >= 0.0))
                      & ((a_right != 0.0) | (b_right >= 0.0)))
-    # A velocity x of the kernel's frame is v_far2 + x in the user's, or
-    # v_far2 - x when mirrored.
-    to_user = np.subtract if flip else np.add
-    nu_minus, nu_plus = (nu_far, nu_near) if flip else (nu_near, nu_far)
-    return WindowGrid(nu_minus=to_user(v_far2, nu_minus), nu_plus=to_user(v_far2, nu_plus),
-                      beta=to_user(v_far2, beta), eps_1=eps_1, a_left=a_left, b_left=b_left,
-                      a_right=a_right, b_right=b_right, lower=lower, upper=upper, feasible=feasible)
+    return WindowGrid(eps_1=eps_1, a_left=a_left, b_left=b_left, a_right=a_right,
+                      b_right=b_right, lower=lower, upper=upper, feasible=feasible,
+                      _flip=flip, _v_far2=v_far2, _nu_near=nu_near, _nu_far=nu_far, _beta=beta)
 
 
 def _window_at(data: RiemannData, rho_1: float) -> WindowGrid:

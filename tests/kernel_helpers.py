@@ -2,12 +2,18 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from eulerfan import FanSubsolution, NumericalError, eps2_window
-from eulerfan.subsolution import (CONTINUITY_TOL, CROSS_CHECK_TOL, WindowGrid,
-                                  _require_subsolution_data, middle_nodes, window_grid)
+from eulerfan.subsolution import (CONTINUITY_TOL, CROSS_CHECK_TOL, _require_subsolution_data,
+                                  middle_nodes, window_grid)
+
+#: Every value a WindowGrid gives its reader, in the user's frame: its
+#: public fields and the speeds and middle velocity it forms on read.
+WINDOW_VALUES = ("nu_minus", "nu_plus", "beta", "eps_1", "a_left", "b_left", "a_right",
+                 "b_right", "lower", "upper", "feasible")
 
 
 def window_row(data, nodes):
@@ -87,7 +93,9 @@ def reference_window_grid(data, n):
     residuals: the oracle that window_grid must match bit for bit, its
     errors included.  n is the datum's MiddleNodes.  Like window_grid it
     computes in the frame where the near state moves at the gap and the
-    far state rests, and maps back to the user's frame at the end."""
+    far state rests, and maps back to the user's frame at the end.
+    Returns every one of WINDOW_VALUES, in the user's frame, as an
+    attribute."""
     rm, rp, vm2, vp2 = data.rho_minus, data.rho_plus, data.v_minus[1], data.v_plus[1]
     f = _require_subsolution_data(data)[0]
     flip = rm > rp
@@ -140,7 +148,7 @@ def reference_window_grid(data, n):
     parity_ok = (((a_left != 0.0) | (b_left >= 0.0))
                  & ((a_right != 0.0) | (b_right >= 0.0)))
     feasible = parity_ok & (eps_1 > 0.0) & (np.maximum(lower, 0.0) < upper)
-    return WindowGrid(nu_minus=nu_minus, nu_plus=nu_plus, beta=beta,
-                      eps_1=eps_1, a_left=a_left, b_left=b_left,
-                      a_right=a_right, b_right=b_right,
-                      lower=lower, upper=upper, feasible=feasible)
+    return SimpleNamespace(nu_minus=nu_minus, nu_plus=nu_plus, beta=beta,
+                           eps_1=eps_1, a_left=a_left, b_left=b_left,
+                           a_right=a_right, b_right=b_right,
+                           lower=lower, upper=upper, feasible=feasible)

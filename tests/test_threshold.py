@@ -24,7 +24,7 @@ from eulerfan import (DataFunctionals, DegenerateDensityError, DomainError, Eos,
 from eulerfan.subsolution import middle_nodes
 from eulerfan.threshold import (_REFINE_PASSES, BISECTION_TOL, GRID, SCAN_OFFSET,
                                 SCAN_STEPS, _initial_nodes, _runs)
-from kernel_helpers import window_row
+from kernel_helpers import NumpyCallCounter, counted_nodes, window_row
 
 
 GAMMA2 = Eos(2.0)
@@ -120,6 +120,30 @@ class TestFeasibleForGap:
         ok, intervals = feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 0.5)
         assert not ok
         assert intervals == []
+
+    @pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 4.0), (4.0, 1.0)])
+    def test_probe_forms_no_user_frame_array(self, monkeypatch, rho_minus, rho_plus):
+        """A probe reads only the window's feasible mask.  On counted
+        start-grid terms it makes the 68 numpy calls of its kernel call
+        (TestWindowGrid in test_subsolution.py) and the 3 of the one
+        np.flatnonzero that reads off its one run (itself, np.ravel and
+        np.nonzero).  The 3 that would form the speeds and the middle
+        velocity in the user's frame are not among them: its window
+        never forms them."""
+        start = counted_nodes(_initial_nodes(rho_minus, rho_plus, GAMMA2, GRID))
+        kernel, grids = eulerfan.threshold.window_grid, []
+
+        def window_grid(data, nodes):
+            grids.append(kernel(data, nodes))
+            return grids[-1]
+
+        monkeypatch.setattr(eulerfan.threshold, "_initial_nodes", lambda *args: start)
+        monkeypatch.setattr(eulerfan.threshold, "window_grid", window_grid)
+        NumpyCallCounter.calls = 0
+        ok, intervals = feasible_for_gap(rho_minus, rho_plus, 0.0, GAMMA2, 3.3)
+        assert ok and len(intervals) == 1 and NumpyCallCounter.calls == 68 + 3
+        (grid,) = grids
+        assert not {"nu_minus", "nu_plus", "beta"} & vars(grid).keys()
 
     def test_swapped_ordering_run_ends_at_slack_zero(self):
         """The last run ends on the start-grid node just below the zero
