@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the density checks
-shared by the eos, functionals, subsolution and classifier modules."""
+shared by the eos, functionals, subsolution, threshold and classifier
+modules."""
 
 import math
 import sys
@@ -40,6 +41,14 @@ def check_positive(rho, name="rho"):
     arr = np.asarray(rho)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"{name} must be positive and finite, got {rho}")
+
+
+def check_distinct_densities(rho_minus, rho_plus):
+    """Raise DegenerateDensityError when the two initial densities are
+    equal: they leave no middle density to probe."""
+    if rho_minus == rho_plus:
+        raise DegenerateDensityError(
+            f"equal densities {rho_minus} leave no middle-density interval")
 
 
 def check_density(eos, rho, name="rho"):

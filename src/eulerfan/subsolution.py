@@ -33,13 +33,13 @@ import numpy as np
 from .eos import Eos
 from .errors import (
     ConstraintError,
-    DegenerateDensityError,
     DomainError,
     NumericalError,
     VelocityGapError,
     check_density,
     check_density_pair,
     check_dissipation_range,
+    check_distinct_densities,
 )
 from .functionals import RiemannData
 from .roots import brent
@@ -191,9 +191,7 @@ def _require_subsolution_data(data: RiemannData):
     _ENERGY_RANGE leaves room for that, so a datum that passes forms no
     infinity there.
     """
-    if data.rho_minus == data.rho_plus:
-        raise DegenerateDensityError(
-            "equal initial densities: no middle density interval to probe")
+    check_distinct_densities(data.rho_minus, data.rho_plus)
     if data.v_minus[0] != data.v_plus[0]:
         raise DomainError(
             "the analysis assumes equal first velocity components, got "
@@ -771,8 +769,7 @@ def limit_quantities(rho_minus: float, rho_plus: float, v_plus2: float,
     check_density(eos, rho_plus, "rho_plus")
     if not math.isfinite(v_plus2):
         raise DomainError(f"v_plus2 must be finite, got {v_plus2}")
-    if rho_minus == rho_plus:
-        raise DegenerateDensityError("equal initial densities")
+    check_distinct_densities(rho_minus, rho_plus)
     near, far = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     if not near <= rho_1 <= far:
         raise DomainError(f"rho_1 must lie in [{near}, {far}]")

@@ -13,10 +13,14 @@ the result rather than silently flattened into a single number.
 
 Every probe starts from the same GRID middle densities, whose node
 terms (subsolution.middle_nodes) _initial_nodes builds once per density
-pair and pressure law and caches.  A probe is decided on that start
-grid alone, and its intervals are the runs of feasible start-grid
-nodes.  The README section "What a threshold search costs" holds the
-cost model, with the counts that tests pin.
+pair and pressure law and caches.  _initial_nodes is also the one gate
+for the input a search shares: every search, and threshold_table
+before its first row, calls it before anything else, so the grid, the
+densities and the room for the grid between them are checked there
+alone.  A probe is decided on that start grid alone, and its intervals
+are the runs of feasible start-grid nodes.  The README section "What a
+threshold search costs" holds the cost model, with the counts that
+tests pin.
 
 feasibility_scan, whose intervals and witness the feasibility command
 and the region map read, is the one search that refines, for its one
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eos import Eos
-from .errors import DegenerateDensityError, DomainError, EulerFanError
+from .errors import DomainError, EulerFanError, check_distinct_densities
 from .functionals import RiemannData
 from .subsolution import (FanSubsolution, MiddleNodes, middle_nodes, verify_subsolution,
                           window_grid, witness_at)
@@ -86,26 +90,31 @@ class ThresholdRow:
     error: str | None
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def _initial_nodes(rho_minus: float, rho_plus: float, eos: Eos, grid: int) -> MiddleNodes:
-    """The start grid of a feasibility search with its node terms.
+    """The start grid of a feasibility search with its node terms, and
+    the one gate for the input every probe, row or node of a search
+    shares.
 
     Returns the middle_nodes of the `grid` equispaced nodes strictly
     inside the density interval; its read-only rho_1 is the start grid.
     The cache keeps the last density pair, law and grid only: 16
     node-stage arrays of `grid` floats, so the start-grid calls of every
     probe of a threshold_V call, scan and bisection alike, share them.
+    It is typed, so a float grid equal to a cached integer one is still
+    checked, and refused.
 
-    Raises DegenerateDensityError on equal densities, DomainError when
-    the densities are too close for the endpoint margin to keep every
-    node off the interval's ends (closer than about 1e-7 relative), and
+    Raises, in this order, DomainError when grid is not an integer of at
+    least 2, DegenerateDensityError on equal densities, RiemannData's
+    DomainError on the densities and their pair, DomainError when the
+    densities are too close for the endpoint margin to keep every node
+    off the interval's ends (closer than about 1e-7 relative), and
     through middle_nodes when they leave the float range of the
     dissipation terms.  Every search calls it before its first kernel
-    call.
+    call, and threshold_table before its first row.
     """
-    if rho_minus == rho_plus:
-        raise DegenerateDensityError(
-            f"equal densities {rho_minus} leave no middle-density interval")
+    _check_grid(grid)
+    check_distinct_densities(rho_minus, rho_plus)
     lo, hi = min(rho_minus, rho_plus), max(rho_minus, rho_plus)
     delta = _ENDPOINT_MARGIN * (hi - lo)
     datum = RiemannData(rho_minus, rho_plus, (0.0, 0.0), (0.0, 0.0), eos)
@@ -162,11 +171,9 @@ def feasible_for_gap(rho_minus: float, rho_plus: float, v_plus2: float,
         and last node of each run of feasible nodes.  feasibility_scan
         refines their ends.
     """
-    _check_grid(grid)
+    start = _initial_nodes(rho_minus, rho_plus, eos, grid)
     data = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus,
                        v_minus=(0.0, v_plus2 + w), v_plus=(0.0, v_plus2), eos=eos)
-    # Equal densities raise here, before their sqrt(T) = 0 leaves no gap.
-    start = _initial_nodes(rho_minus, rho_plus, eos, grid)
     bound = data.functionals.sqrt_T
     if not 0.0 < w < bound:
         raise DomainError(f"gap w={w} outside the subsolution regime (0, sqrt(T)={bound})")
@@ -201,7 +208,6 @@ def feasibility_scan(data: RiemannData, *, grid: int = GRID):
     Each pass evaluates all its inserted nodes in one kernel call, so a
     pass that fails a self-check raises the error of its worst node.
     """
-    _check_grid(grid)
     start = _initial_nodes(data.rho_minus, data.rho_plus, data.eos, grid)
     nodes, mask = start.rho_1, window_grid(data, start).feasible
     for _ in range(_REFINE_PASSES):
@@ -239,18 +245,6 @@ def subsolution_witness(data: RiemannData) -> FanSubsolution | None:
     return feasibility_scan(data)[1]
 
 
-def _column_datum(rho_minus: float, rho_plus: float, v_plus2: float, eos: Eos) -> RiemannData:
-    """The datum of one threshold column at gap 0.  Raises
-    DegenerateDensityError on equal densities, whose sqrt(T) = 0 leaves
-    the scan no gap to probe, then RiemannData's DomainError on the
-    densities, their pair and v_plus2, read as the v_plus it is."""
-    if rho_minus == rho_plus:
-        raise DegenerateDensityError(
-            f"equal densities {rho_minus} admit no threshold search")
-    return RiemannData(rho_minus=rho_minus, rho_plus=rho_plus, v_minus=(0.0, 0.0),
-                       v_plus=(0.0, v_plus2), eos=eos)
-
-
 def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
                 eos: Eos) -> ThresholdResult:
     """
@@ -267,10 +261,14 @@ def threshold_V(rho_minus: float, rho_plus: float, v_plus2: float,
     refined: refinement moves interval ends but decides no gap, so every
     probe's intervals are start-grid runs.
 
-    For gamma = 1 the existence guarantee does not apply; the search
-    still runs, with a warning.
+    The start grid checks the shared input first (_initial_nodes); the
+    column's datum at gap 0 then checks v_plus2, read as the v_plus it
+    is.  For gamma = 1 the existence guarantee does not apply; the
+    search still runs, with a warning.
     """
-    datum = _column_datum(rho_minus, rho_plus, v_plus2, eos)
+    _initial_nodes(rho_minus, rho_plus, eos, GRID)
+    datum = RiemannData(rho_minus=rho_minus, rho_plus=rho_plus, v_minus=(0.0, 0.0),
+                        v_plus=(0.0, v_plus2), eos=eos)
     if eos.gamma == 1.0:
         warnings.warn("threshold existence is only guaranteed for gamma > 1; "
                       "searching anyway", stacklevel=2)
@@ -317,14 +315,15 @@ def threshold_table(rho_minus: float, rho_plus: float, eos: Eos,
     """
     One threshold search per downstream velocity, errors kept per row.
 
-    What every row shares is checked once, before the first row: equal
-    densities raise DegenerateDensityError, and densities or a density
-    pair that RiemannData rejects raise its DomainError.  Rows are then
-    computed independently; a failing row, through its own v_plus2 or
-    its search, carries the error message and a None result so the
-    rest of the table still comes out.
+    What every row shares is checked once, before the first row, by the
+    start grid every row's search starts from (_initial_nodes): it
+    raises DegenerateDensityError on equal densities, and DomainError on
+    densities that RiemannData rejects or that are too close for the
+    grid.  Rows are then computed independently; a failing row,
+    through its own v_plus2 or its search, carries the error message
+    and a None result so the rest of the table still comes out.
     """
-    _column_datum(rho_minus, rho_plus, 0.0, eos)
+    _initial_nodes(rho_minus, rho_plus, eos, GRID)
     rows = []
     for v_plus2 in v_plus2_list:
         try:

@@ -78,7 +78,11 @@ class TestArgumentErrors:
          "v1 must be finite with a finite momentum flux rho_minus*v1**2, "
          "got 1e+200 with rho_minus = 1.0"),
         (["threshold-table", "--rho-minus", "1", "--rho-plus", "1", "--v-plus2", "0"],
-         "equal densities 1.0 admit no threshold search"),
+         "equal densities 1.0 leave no middle-density interval"),
+        (["threshold-table", "--rho-minus", "1", "--rho-plus", "1.00000001",
+          "--v-plus2", "0", "1"],
+         "densities 1.0 and 1.00000001 are too close to place a grid of 2048 middle "
+         "densities strictly between them"),
         (["threshold-table", "--rho-minus", "1", "--rho-plus", "1e-320", "--v-plus2", "0"],
          "densities rho_minus = 1.0 and rho_plus = 1e-320 have no positive normal float "
          "product rho_minus*rho_plus"),
@@ -86,7 +90,8 @@ class TestArgumentErrors:
           "--v-plus2", "0"],
          "equal densities 1.0 leave no middle-density interval"),
     ], ids=["region_map_density", "region_map_v_minus2", "region_map_v1",
-            "table_equal_densities", "table_density_pair", "feasibility_equal_densities"])
+            "table_equal_densities", "table_close_densities", "table_density_pair",
+            "feasibility_equal_densities"])
     def test_input_every_row_or_cell_shares_is_an_input_error(self, capsys, argv, message):
         """What every cell of a map, every row of a table or every node
         of a scan shares is checked once: exit 2, one error line and

@@ -544,11 +544,13 @@ class TestThresholdTable:
         assert rows[1].error is None and 0.0 < rows[1].result.V < rows[1].result.sqrtT
 
     @pytest.mark.parametrize("rho_plus, error, message", [
-        (1.0, DegenerateDensityError, "equal densities 1.0 admit no threshold search"),
+        (1.0, DegenerateDensityError, "equal densities 1.0 leave no middle-density interval"),
         (1e-320, DomainError, "densities rho_minus = 1.0 and rho_plus = 1e-320 have no "
                               "positive normal float product rho_minus*rho_plus"),
         (-4.0, DomainError, "rho_plus must be positive and finite, got -4.0"),
-    ], ids=["equal", "underflowing_product", "negative"])
+        (1.0 + 1e-8, DomainError, "densities 1.0 and 1.00000001 are too close to place a "
+                                  "grid of 2048 middle densities strictly between them"),
+    ], ids=["equal", "underflowing_product", "negative", "too_close"])
     def test_shared_density_error_raises_before_the_first_row(
             self, monkeypatch, rho_plus, error, message):
         """Every row shares the densities, so an invalid pair is an
@@ -1154,8 +1156,11 @@ def test_grid_below_two_nodes_rejected(grid):
 
 @pytest.mark.parametrize("grid", [2.5, 256.0, "256", None])
 def test_non_integer_grid_rejected(grid):
+    """Refused even right after the equal integer grid was cached."""
+    feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=256)
     with pytest.raises(DomainError, match="integer"):
         feasible_for_gap(1.0, 4.0, 0.0, GAMMA2, 3.3, grid=grid)
+    feasibility_scan(TestFeasibilityScan.GOLDEN, grid=256)
     with pytest.raises(DomainError, match="integer"):
         feasibility_scan(TestFeasibilityScan.GOLDEN, grid=grid)
 
